@@ -23,9 +23,9 @@ dynamics
     RK4 integration of the projective Schrodinger flow with drift checks,
     comparison against exact evolution, Ehrenfest residuals.
 geodesics
-    Chart metric, finite-difference Christoffels, geodesic integration with
-    re-charting, induced-metric and Lie-derivative slice checks, shooting
-    certificates of total geodesy.
+    Chart metric, closed-form Kaehler connection, batched geodesic
+    integration with re-charting, induced-metric and Lie-derivative slice
+    checks, shooting certificates of total geodesy.
 interference
     Slit walls as projector sums, Fresnel propagation, fringe metrology,
     commuting-projector checks.

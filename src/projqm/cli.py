@@ -39,8 +39,7 @@ from .hilbert import as_hermitian, expectation, gram_schmidt, sigma_x, sigma_y, 
 from .interference import (TwoSlitConfig, fringe_spacing, noncommuting_control,
                            pattern_rows, phase_invariance_check,
                            projector_poisson_check, slit_states)
-from .kahler import (KahlerScale, ObservableFunction,
-                     derive_observable_scale_factor, hamiltonian_vector_field,
+from .kahler import (derive_observable_scale_factor, hamiltonian_vector_field,
                      killing_residual, poisson_bracket, riemannian_product,
                      uncertainty_audit)
 from .projective import SpannedSphere, fs_distance, project, sphere_area

@@ -11,10 +11,19 @@ with ``t_i = u_i + i v_i``.  At the chart origin the metric is the identity;
 its pullback agrees with the finite-difference Hessian of half the squared
 ray distance, which the tests use as the independent oracle.
 
-Christoffel symbols are obtained by central finite differences of the metric
-(step 1e-5) rather than hand-coded closed forms, keeping the integrator
-generic in the dimension; geodesics are integrated with fixed-step RK4 and
-re-chart automatically when a coordinate's modulus exceeds a threshold.
+The metric is Kaehler with potential ``log(1 + |t|^2)``, so its connection
+has the closed form ``Gamma^i_jk = -(delta_ij conj(t_k) + delta_ik conj(t_j))
+/ (1 + |t|^2)`` and the geodesic equation in a chart reads
+
+    t'' = 2 (conj(t) . t') t' / (1 + |t|^2)
+
+(Bengtsson & Zyczkowski, *Geometry of Quantum States*, ch. 4; Ashtekar &
+Schilling, gr-qc/9706069).  A constant metric factor cancels from it.  One
+fixed-step RK4 engine integrates it on complex state ``(t, t')`` for a batch
+of rows at once; each row re-charts to its largest homogeneous component
+when a coordinate's modulus exceeds a threshold.  The finite-difference
+Christoffel contraction survives only in the tests, as an independent
+oracle for the connection.
 
 The module also certifies that superposition spheres are totally geodesic:
 a shooting method aims a full-chart geodesic at the second basis ray,
@@ -31,10 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .projective import Ray, SpannedSphere, project, sphere_membership
+from .projective import GAUGE_TOL, Ray, SpannedSphere, project
 
 __all__ = [
-    "FD_STEP",
     "RECHART_THRESHOLD",
     "ChartPoint",
     "MetricAtPoint",
@@ -57,9 +65,6 @@ __all__ = [
     "total_geodesy_certificate",
     "geodesic_rows",
 ]
-
-#: Central-difference step for metric derivatives.
-FD_STEP = 1e-5
 
 #: A chart is abandoned once any coordinate modulus exceeds this.
 RECHART_THRESHOLD = 10.0
@@ -122,13 +127,23 @@ def ray_to_chart(ray: Ray, base_index: int | None = None) -> ChartPoint:
     return ChartPoint(base_index=base_index, coords=t)
 
 
+def _homogeneous(base: np.ndarray, coords: np.ndarray, fill: complex = 1.0) -> np.ndarray:
+    """Homogeneous rows of shape (B, m + 1) from chart rows of shape (B, m).
+
+    Row ``i`` gets ``fill`` in slot ``base[i]`` and ``coords[i]`` elsewhere:
+    ``fill = 1`` turns chart coordinates into representatives, ``fill = 0``
+    turns chart velocities into the matching homogeneous velocities.
+    """
+    B, m = coords.shape
+    off_base = np.arange(m + 1) != base[:, None]
+    z = np.full((B, m + 1), fill, dtype=np.complex128)
+    z[off_base] = coords.ravel()
+    return z
+
+
 def chart_to_vector(point: ChartPoint) -> np.ndarray:
     """Homogeneous representative with 1 in the base slot (not normalized)."""
-    z = np.empty(point.dim, dtype=np.complex128)
-    z[point.base_index] = 1.0
-    mask = np.arange(point.dim) != point.base_index
-    z[mask] = point.coords
-    return z
+    return _homogeneous(np.array([point.base_index]), point.coords[None, :])[0]
 
 
 def chart_to_ray(point: ChartPoint) -> Ray:
@@ -348,46 +363,93 @@ def classify_lie_form(normal: str = "v2", samples=None, eps: float = 1e-4) -> di
 # ---------------------------------------------------------------------------
 # Geodesic integration.
 
-def _christoffels(x: np.ndarray, metric_factor: float, h: float = FD_STEP):
-    """Christoffel symbols and inverse metric at a batch of points.
+def _speed2(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Squared speed ``(s |w|^2 - |conj(t).w|^2) / s^2``, ``s = 1 + |t|^2``, per row."""
+    s = 1.0 + np.sum(np.abs(t) ** 2, axis=-1)
+    tw = np.sum(t.conj() * w, axis=-1)
+    return (s * np.sum(np.abs(w) ** 2, axis=-1) - np.abs(tw) ** 2) / s**2
 
-    ``x`` has shape (B, 2m).  Derivatives of the metric are central finite
-    differences with step ``h``; the overall metric factor cancels from the
-    symbols but is kept in the returned inverse.
+
+def _acceleration(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Closed-form geodesic acceleration ``2 (conj(t).w) w / (1 + |t|^2)``.
+
+    ``t`` and ``w`` are chart coordinates and velocities of shape (B, m);
+    the metric factor cancels from the connection.
     """
-    B, n = x.shape
-    shifted = np.empty((2 * n, B, n))
-    for d in range(n):
-        shifted[2 * d] = x
-        shifted[2 * d][:, d] += h
-        shifted[2 * d + 1] = x
-        shifted[2 * d + 1][:, d] -= h
-    g_shift = _metric_real_batch(shifted.reshape(-1, n), metric_factor)
-    g_shift = g_shift.reshape(2 * n, B, n, n)
-    dg = (g_shift[0::2] - g_shift[1::2]) / (2.0 * h)  # (n, B, n, n): d_d g_ab
-    dg = np.moveaxis(dg, 0, 1)  # (B, d, a, c)
-    g0 = _metric_real_batch(x, metric_factor)
-    ginv = np.linalg.inv(g0)
-    t1 = np.transpose(dg, (0, 2, 1, 3))  # [b, l, i, j] = dg[b, i, l, j]
-    t2 = np.transpose(dg, (0, 2, 3, 1))  # [b, l, i, j] = dg[b, j, l, i]
-    gamma = 0.5 * np.einsum("bkl,blij->bkij", ginv, t1 + t2 - dg)
-    return gamma, g0
+    tc = t.conj()
+    s = 1.0 + (tc * t).real.sum(axis=-1, keepdims=True)
+    return (2.0 * (tc * w).sum(axis=-1, keepdims=True) / s) * w
 
 
-def _geodesic_rhs(x: np.ndarray, v: np.ndarray, metric_factor: float):
-    gamma, _ = _christoffels(x, metric_factor)
-    acc = -np.einsum("bkij,bi,bj->bk", gamma, v, v)
-    return v, acc
+def _rk4_step(t, w, h):
+    a1 = _acceleration(t, w)
+    t2, w2 = t + 0.5 * h * w, w + 0.5 * h * a1
+    a2 = _acceleration(t2, w2)
+    t3, w3 = t + 0.5 * h * w2, w + 0.5 * h * a2
+    a3 = _acceleration(t3, w3)
+    t4, w4 = t + h * w3, w + h * a3
+    a4 = _acceleration(t4, w4)
+    tn = t + (h / 6.0) * (w + 2 * w2 + 2 * w3 + w4)
+    wn = w + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
+    return tn, wn
 
 
-def _rk4_step(x, v, dt, metric_factor):
-    k1x, k1v = _geodesic_rhs(x, v, metric_factor)
-    k2x, k2v = _geodesic_rhs(x + 0.5 * dt * k1x, v + 0.5 * dt * k1v, metric_factor)
-    k3x, k3v = _geodesic_rhs(x + 0.5 * dt * k2x, v + 0.5 * dt * k2v, metric_factor)
-    k4x, k4v = _geodesic_rhs(x + dt * k3x, v + dt * k3v, metric_factor)
-    xn = x + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-    vn = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return xn, vn
+def _rechart(base: np.ndarray, t: np.ndarray, w: np.ndarray, threshold: float):
+    """Switch rows to the chart of their largest homogeneous component.
+
+    Only rows with a coordinate modulus above ``threshold`` switch.  The new
+    base is the row's argmax, which puts every coordinate modulus at or
+    below one - comfortably inside ``threshold / RECHART_HYSTERESIS`` - so
+    switching cannot thrash.  For one coordinate this is the flip
+    ``t -> 1/t``.  Returns new arrays; the inputs are not modified.
+    """
+    far = np.max(np.abs(t), axis=1) > threshold
+    if not np.any(far):
+        return base, t, w
+    z, zdot = _homogeneous(base[far], t[far]), _homogeneous(base[far], w[far], fill=0.0)
+    new_base = np.argmax(np.abs(z), axis=1)
+    rows = np.arange(new_base.size)
+    zl, zldot = z[rows, new_base][:, None], zdot[rows, new_base][:, None]
+    keep = np.arange(z.shape[1]) != new_base[:, None]
+    zk, zkdot = z[keep].reshape(-1, t.shape[1]), zdot[keep].reshape(-1, t.shape[1])
+    base, t, w = base.copy(), t.copy(), w.copy()
+    base[far], t[far], w[far] = new_base, zk / zl, (zkdot * zl - zk * zldot) / zl**2
+    return base, t, w
+
+
+def _march(base, t, w, length: float, dt: float, threshold: float):
+    """Integrate the geodesic equation for a batch of rows at once.
+
+    ``base`` (B,) holds each row's chart base index and ``t``, ``w`` (B, m)
+    its chart coordinates and velocity.  Each RK4 step of ``dt`` (the last
+    one shortened to land on ``length``) is followed by :func:`_rechart`.
+    Yields ``(arclength, base, t, w)`` at the start and after every step.
+    """
+    s = 0.0
+    yield s, base, t, w
+    while s < length - 1e-15:
+        h = min(dt, length - s)
+        t, w = _rk4_step(t, w, h)
+        s += h
+        base, t, w = _rechart(base, t, w, threshold)
+        yield s, base, t, w
+
+
+def _closest_approach(arcl: np.ndarray, ov: np.ndarray):
+    """Closest approach to a target along B paths sampled at arclengths ``arcl``.
+
+    ``ov`` (n, B) holds ``|<target|psi>|``; the squared ray distance is fitted
+    by a parabola through its smallest sample and both neighbours.  Returns,
+    per path, the index of that sample and the fitted arclength.
+    """
+    ov = np.clip(ov, 0.0, 1.0)
+    dist2 = np.arctan2(np.sqrt(1.0 - ov**2), ov) ** 2
+    kmin = np.clip(np.argmin(dist2, axis=0), 1, len(arcl) - 2)
+    cols = np.arange(dist2.shape[1])
+    ym, y0, yp = dist2[kmin - 1, cols], dist2[kmin, cols], dist2[kmin + 1, cols]
+    denom = ym - 2.0 * y0 + yp
+    offset = 0.5 * (ym - yp) / np.where(np.abs(denom) > 1e-300, denom, np.inf)
+    return kmin, arcl[kmin] + offset * (arcl[1] - arcl[0])
 
 
 @dataclass(frozen=True)
@@ -405,34 +467,6 @@ class GeodesicPath:
 
     def rays(self) -> list[Ray]:
         return [chart_to_ray(p) for _, p in self.samples]
-
-
-def _rechart(point: ChartPoint, v: np.ndarray, threshold: float):
-    """Switch to the chart of the largest homogeneous component if needed.
-
-    Returns the (possibly unchanged) chart point and real velocity.  The new
-    base is the global argmax, which puts every coordinate modulus at or
-    below one - comfortably inside ``threshold / RECHART_HYSTERESIS`` - so
-    switching cannot thrash.
-    """
-    t = point.coords
-    if float(np.max(np.abs(t))) <= threshold:
-        return point, v
-    z = chart_to_vector(point)
-    zdot = np.zeros_like(z)
-    mask = np.arange(point.dim) != point.base_index
-    zdot[mask] = _reals_to_coords(v)
-    new_base = int(np.argmax(np.abs(z)))
-    if new_base == point.base_index:  # pragma: no cover - cannot happen: base has |z|=1
-        return point, v
-    zl, zldot = z[new_base], zdot[new_base]
-    keep = np.arange(point.dim) != new_base
-    t_new = z[keep] / zl
-    tdot_new = (zdot[keep] * zl - z[keep] * zldot) / zl**2
-    v_new = np.empty(2 * t_new.size)
-    v_new[0::2] = tdot_new.real
-    v_new[1::2] = tdot_new.imag
-    return ChartPoint(base_index=new_base, coords=t_new), v_new
 
 
 def integrate_geodesic(start: ChartPoint, velocity, length: float, dt: float,
@@ -465,34 +499,25 @@ def integrate_geodesic(start: ChartPoint, velocity, length: float, dt: float,
     """
     if dt <= 0.0 or length < 0.0:
         raise ValueError("dt must be positive and length nonnegative")
-    v = np.asarray(velocity, dtype=float).copy()
+    v = np.asarray(velocity, dtype=float)
     if v.shape != (2 * start.coords.size,):
         raise ValueError(
             f"velocity must have {2 * start.coords.size} real components, got {v.shape}"
         )
-    g0 = _metric_real_batch(start.reals, metric_factor)
-    speed = math.sqrt(float(v @ g0 @ v))
+    t0 = start.coords[None, :]
+    w0 = _reals_to_coords(v)[None, :]
+    speed = math.sqrt(metric_factor * float(_speed2(t0, w0)[0]))
     if speed < 1e-14:
         raise ValueError("velocity must be nonzero")
-    v /= speed
 
-    point = start
-    x = point.reals
-    samples = [(0.0, point)]
-    s = 0.0
-    drift = 0.0
-    while s < length - 1e-15:
-        h = min(dt, length - s)
-        xb, vb = _rk4_step(x[None, :], v[None, :], h, metric_factor)
-        x, v = xb[0], vb[0]
-        s += h
-        point = ChartPoint(base_index=point.base_index, coords=_reals_to_coords(x))
-        g = _metric_real_batch(x, metric_factor)
-        drift = max(drift, abs(math.sqrt(float(v @ g @ v)) - 1.0))
-        point, v = _rechart(point, v, rechart_threshold)
-        x = point.reals
-        samples.append((s, point))
-    return GeodesicPath(samples=samples, total_length=s, max_speed_drift=drift)
+    arcl, bases, ts, ws = zip(*_march(np.array([start.base_index]), t0, w0 / speed,
+                                      length, dt, rechart_threshold))
+    ts, ws = np.concatenate(ts), np.concatenate(ws)
+    speeds = np.sqrt(metric_factor * _speed2(ts[1:], ws[1:]))
+    samples = [(0.0, start)] + [(s, ChartPoint(base_index=int(k[0]), coords=t))
+                                for s, k, t in zip(arcl[1:], bases[1:], ts[1:])]
+    return GeodesicPath(samples=samples, total_length=arcl[-1],
+                        max_speed_drift=float(np.max(np.abs(speeds - 1.0), initial=0.0)))
 
 
 def _aligned_frame(a: Ray, b: Ray):
@@ -540,8 +565,8 @@ def geodesic_between(a: Ray, b: Ray, num_samples: int = 65) -> GeodesicPath:
 def integrated_pair_distances(pairs, dt: float = 2e-3) -> np.ndarray:
     """Distance between ray pairs measured by geodesic integration.
 
-    For each pair the geodesic is integrated (batched RK4, finite-difference
-    Christoffels) in the chart of the superposition sphere the pair spans,
+    For each pair the geodesic is integrated (one batched RK4 run, one row
+    per pair) in the chart of the superposition sphere the pair spans,
     starting at the first ray and aimed at the second; the returned value is
     the arclength at the closest approach to the second ray, extracted by a
     parabolic fit of the squared ray distance around its minimum.  No arccos
@@ -552,52 +577,17 @@ def integrated_pair_distances(pairs, dt: float = 2e-3) -> np.ndarray:
     cos_d = np.array([f[2] for f in frames])
     sin_d = np.array([f[3] for f in frames])
     B = len(frames)
-    x = np.zeros((B, 2))
-    v = np.tile(np.array([1.0, 0.0]), (B, 1))  # unit speed toward b: metric is I at 0
-    flipped = np.zeros(B, dtype=bool)
-
-    s_max = math.pi / 2.0 + 0.25
-    steps = int(math.ceil(s_max / dt))
-    arclengths = np.empty(steps + 1)
-    dist2 = np.empty((steps + 1, B))
-
-    def record(k, s):
-        t = x[:, 0] + 1j * x[:, 1]
-        denom = np.sqrt(1.0 + np.abs(t) ** 2)
-        ov_plain = np.abs(cos_d + np.conj(t) * sin_d) / denom
-        ov_flip = np.abs(np.conj(t) * cos_d + sin_d) / denom
-        ov = np.clip(np.where(flipped, ov_flip, ov_plain), 0.0, 1.0)
-        arclengths[k] = s
-        dist2[k] = np.arctan2(np.sqrt(1.0 - ov**2), ov) ** 2
-
-    record(0, 0.0)
-    s = 0.0
-    for k in range(steps):
-        h = min(dt, s_max - s)
-        x, v = _rk4_step(x, v, h, 1.0)
-        s += h
-        # chart flip t -> 1/t where the coordinate left the disk of radius 8
-        t = x[:, 0] + 1j * x[:, 1]
-        out = np.abs(t) > 8.0
-        if np.any(out):
-            tn = 1.0 / t[out]
-            w = v[out, 0] + 1j * v[out, 1]
-            wn = -w / t[out] ** 2
-            x[out, 0], x[out, 1] = tn.real, tn.imag
-            v[out, 0], v[out, 1] = wn.real, wn.imag
-            flipped[out] = ~flipped[out]
-        record(k + 1, s)
-
-    # parabolic fit of dist^2 around the per-pair minimum
-    kmin = np.argmin(dist2, axis=0)
-    kmin = np.clip(kmin, 1, steps - 1)
-    idx = np.arange(B)
-    ym = dist2[kmin - 1, idx]
-    y0 = dist2[kmin, idx]
-    yp = dist2[kmin + 1, idx]
-    denom = ym - 2.0 * y0 + yp
-    offset = np.where(np.abs(denom) > 1e-300, 0.5 * (ym - yp) / denom, 0.0)
-    return arclengths[kmin] + offset * dt
+    # t = 0 is the first ray, unit speed (the metric is I there) aims at the
+    # second.  RK4's chart error grows with |t|: re-charting at |t| > 2, not
+    # RECHART_THRESHOLD, holds the acceptance sweep's worst pair at 2e-11, not 6e-10.
+    arcl, ov = [], []
+    for s, base, t, _ in _march(np.zeros(B, dtype=int), np.zeros((B, 1), dtype=np.complex128),
+                                np.ones((B, 1), dtype=np.complex128),
+                                math.pi / 2.0 + 0.25, dt, 2.0):
+        z = _homogeneous(base, t)
+        arcl.append(s)
+        ov.append(np.abs(cos_d * z[:, 0] + sin_d * z[:, 1]) / np.linalg.norm(z, axis=1))
+    return _closest_approach(np.array(arcl), np.array(ov))[1]
 
 
 def integrated_pair_distance(a: Ray, b: Ray, dt: float = 2e-3) -> float:
@@ -616,7 +606,8 @@ class TotalGeodesyCertificate:
     other: ``max_offslice_residual`` is the largest off-sphere residual
     along the path, ``length_match`` the difference between the integrated
     arrival arclength and ``arccos |<a|b>|``, ``arrival_miss`` the
-    closest-approach distance to the target.
+    closest-approach distance to the target, ``iterations`` the number of
+    geodesics integrated.
     """
 
     ambient_dim: int
@@ -628,6 +619,24 @@ class TotalGeodesyCertificate:
     arrival_miss: float
     iterations: int
     converged: bool
+
+
+def _sphere_membership_rows(z: np.ndarray, sphere: SpannedSphere) -> np.ndarray:
+    """``sphere_membership(project(row), sphere)`` for every nonzero row of ``z``.
+
+    Rows are normalized and gauge fixed with the arithmetic of :func:`project`.
+    """
+    rows = np.arange(z.shape[0])
+    r = z / np.linalg.norm(z, axis=1, keepdims=True)
+    lead = np.argmax(np.abs(r) > GAUGE_TOL, axis=1)
+    c = r[rows, lead]
+    r = r * (c.conj() / np.abs(c))[:, None]
+    r /= np.linalg.norm(r, axis=1, keepdims=True)
+    r[rows, lead] = np.abs(r[rows, lead])
+    w0 = r @ sphere.rep0.conj()
+    w1 = r @ sphere.rep1.conj()
+    residual = r - w0[:, None] * sphere.rep0 - w1[:, None] * sphere.rep1
+    return np.linalg.norm(residual, axis=1)
 
 
 def _shoot(a_chart: ChartPoint, e0, e1, cos_d, sin_d, chi, length, dt, sphere):
@@ -646,36 +655,23 @@ def _shoot(a_chart: ChartPoint, e0, e1, cos_d, sin_d, chi, length, dt, sphere):
     k = a_chart.base_index
     keep = np.arange(a_chart.dim) != k
     tdot = (w[keep] * a_rep[k] - a_rep[keep] * w[k]) / a_rep[k] ** 2
-    v = np.empty(2 * tdot.size)
-    v[0::2] = tdot.real
-    v[1::2] = tdot.imag
+    v = np.column_stack((tdot.real, tdot.imag)).ravel()
     path = integrate_geodesic(a_chart, v, length, dt)
 
     arcl = np.array([s for s, _ in path.samples])
-    n = len(path.samples)
-    alphas = np.empty(n, dtype=np.complex128)
-    betas = np.empty(n, dtype=np.complex128)
-    membership = np.empty(n)
-    for i, (_, pt) in enumerate(path.samples):
-        z = chart_to_vector(pt)
-        z = z / np.linalg.norm(z)
-        alphas[i] = np.vdot(e0, z)
-        betas[i] = np.vdot(e1, z)
-        membership[i] = sphere_membership(project(z), sphere)
-    ov = np.abs(cos_d * alphas + sin_d * betas)
-    ov = np.clip(ov, 0.0, 1.0)
-    dist2 = np.arctan2(np.sqrt(1.0 - ov**2), ov) ** 2
-
-    kmin = int(np.clip(np.argmin(dist2), 1, n - 2))
-    ym, y0, yp = dist2[kmin - 1], dist2[kmin], dist2[kmin + 1]
-    denom = ym - 2.0 * y0 + yp
-    offset = 0.5 * (ym - yp) / denom if abs(denom) > 1e-300 else 0.0
-    s_star = arcl[kmin] + offset * (arcl[1] - arcl[0])
+    z = _homogeneous(np.array([pt.base_index for _, pt in path.samples]),
+                     np.array([pt.coords for _, pt in path.samples]))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    alphas = z @ e0.conj()
+    betas = z @ e1.conj()
+    membership = _sphere_membership_rows(z, sphere)
+    kmin, s_star = _closest_approach(arcl, np.abs(cos_d * alphas + sin_d * betas)[:, None])
+    kmin = int(kmin[0])
     in_sphere = float(np.abs(alphas[kmin]) ** 2 + np.abs(betas[kmin]) ** 2)
     signed = float((betas[kmin] * np.conj(alphas[kmin])).imag) / in_sphere
     arrival_miss = math.hypot(signed, membership[kmin])
     member_max = float(np.max(membership[: kmin + 2]))
-    return signed, abs(arrival_miss), float(s_star), member_max
+    return signed, abs(arrival_miss), float(s_star[0]), member_max
 
 
 def total_geodesy_certificate(a: Ray, b: Ray, ambient_dim: int | None = None,
@@ -689,7 +685,8 @@ def total_geodesy_certificate(a: Ray, b: Ray, ambient_dim: int | None = None,
     parametrized by one angle.  A bracketing root search (Brent) on the
     signed transverse miss aims the path at ``b`` to ``arrival_tol``;
     non-convergence within ``max_iterations`` integrations is reported in
-    the certificate rather than raised.
+    the certificate rather than raised.  The certificate reads the shot
+    Brent already made at its root; no aim angle is integrated twice.
 
     ``ambient_dim``, when given, is cross-checked against the rays.
     """
@@ -702,12 +699,12 @@ def total_geodesy_certificate(a: Ray, b: Ray, ambient_dim: int | None = None,
     sphere = SpannedSphere(rep0=e0, rep1=e1)
     a_chart = ray_to_chart(a)
     length = min(target + 0.15, math.pi / 2.0 + 0.2)
-    evals = 0
+    shots = {}
 
-    def signed_miss(chi):
-        nonlocal evals
-        evals += 1
-        return _shoot(a_chart, e0, e1, cos_d, sin_d, chi, length, dt, sphere)[0]
+    def shoot(chi):
+        if chi not in shots:
+            shots[chi] = _shoot(a_chart, e0, e1, cos_d, sin_d, chi, length, dt, sphere)
+        return shots[chi]
 
     converged = True
     if degenerate or target > math.pi / 2.0 - 1e-6:
@@ -716,7 +713,7 @@ def total_geodesy_certificate(a: Ray, b: Ray, ambient_dim: int | None = None,
         chi_star = 0.0
     else:
         try:
-            chi_star, info = brentq(signed_miss, -0.6, 0.6, xtol=1e-12,
+            chi_star, info = brentq(lambda chi: shoot(chi)[0], -0.6, 0.6, xtol=1e-12,
                                     maxiter=max_iterations, full_output=True,
                                     disp=False)
             converged = bool(info.converged)
@@ -724,10 +721,8 @@ def total_geodesy_certificate(a: Ray, b: Ray, ambient_dim: int | None = None,
             # no sign change in the bracket: report the midpoint aim
             chi_star = 0.0
             converged = False
-    _, miss, s_star, member_max = _shoot(
-        a_chart, e0, e1, cos_d, sin_d, chi_star, length, dt, sphere
-    )
-    evals += 1
+    _, miss, s_star, member_max = shoot(chi_star)
+    evals = len(shots)
     return TotalGeodesyCertificate(
         ambient_dim=a.dim,
         aim_angle=float(chi_star),

@@ -259,8 +259,9 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
     """Project an input state through the wall and Fresnel-propagate it.
 
     Each slit's component is propagated separately; the whole wall-projected
-    state is also propagated in one piece and the two routes are asserted to
-    agree within ``linearity_tol`` (times the peak amplitude, floored at 1).
+    state is also propagated in one piece and the two routes must agree
+    within ``linearity_tol`` (times the peak amplitude, floored at 1), or
+    ``RuntimeError`` is raised.
 
     ``paraxial_ok`` on the result flags whether the geometry is comfortably
     paraxial (propagation distance at least ten times the transverse
@@ -295,7 +296,7 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
     scale = max(float(np.max(np.abs(one_piece))), 1.0)
     residual = float(np.max(np.abs(one_piece - coherent)))
     if residual > linearity_tol * scale:
-        raise AssertionError(
+        raise RuntimeError(
             f"decomposition identity violated: residual {residual:.3e} exceeds "
             f"{linearity_tol:.1e} x {scale:.3e}"
         )

@@ -134,15 +134,21 @@ def transition_probability(a, b) -> float:
 
     Both routes are evaluated and must agree to 1e-12; this cross-check is
     the point of the function, not an optimization.
+
+    Raises
+    ------
+    RuntimeError
+        If the two routes disagree.
     """
     ra, rb = _as_ray(a), _as_ray(b)
     if ra.dim != rb.dim:
         raise ValueError(f"dimension mismatch: {ra.dim} vs {rb.dim}")
     direct = float(abs(np.vdot(ra.rep, rb.rep)) ** 2)
     via_distance = math.cos(fs_distance(ra, rb)) ** 2
-    assert abs(direct - via_distance) <= 1e-12, (
-        f"transition probability routes disagree: {direct!r} vs {via_distance!r}"
-    )
+    if abs(direct - via_distance) > 1e-12:
+        raise RuntimeError(
+            f"transition probability routes disagree: {direct!r} vs {via_distance!r}"
+        )
     return direct
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import projqm.geodesics as geodesics
 from projqm.geodesics import (ChartPoint, chart_to_ray, classify_induced_form,
                               classify_lie_form, fs_metric, geodesic_between,
                               geodesic_rows, induced_sphere_metric,
@@ -141,6 +142,70 @@ class TestLieDerivative:
         assert result["verdict"] == "neither"
         assert result["on_axis_power2_max_rel"] < 1e-6
         assert result["power2_max_rel"] > 1.0
+
+
+def fd_acceleration(point: ChartPoint, v: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Oracle: ``-Gamma^k_ij v^i v^j`` from central differences of the chart metric.
+
+    ``v`` and the result are interleaved real chart components; the
+    Christoffel symbols are ``1/2 g^kl (d_i g_lj + d_j g_li - d_l g_ij)``.
+    """
+    x = point.reals
+    n = x.size
+
+    def metric(shift):
+        y = x + shift
+        return fs_metric(ChartPoint(base_index=point.base_index,
+                                    coords=y[0::2] + 1j * y[1::2])).g
+
+    dg = np.array([(metric(h * e) - metric(-h * e)) / (2.0 * h) for e in np.eye(n)])
+    lowered = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg
+    gamma = 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(metric(0.0)), lowered)
+    return -np.einsum("kij,i,j->k", gamma, v, v)
+
+
+class TestClosedFormConnection:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_matches_finite_difference_oracle(self, rng, dim):
+        worst = 0.0
+        for _ in range(10):
+            coords = 0.6 * (rng.standard_normal(dim - 1) + 1j * rng.standard_normal(dim - 1))
+            point = ChartPoint(base_index=int(rng.integers(dim)), coords=coords)
+            v = rng.standard_normal(2 * (dim - 1))
+            w = v[0::2] + 1j * v[1::2]
+            acc = geodesics._acceleration(coords[None, :], w[None, :])[0]
+            closed = np.column_stack((acc.real, acc.imag)).ravel()
+            oracle = fd_acceleration(point, v)
+            worst = max(worst, np.max(np.abs(closed - oracle)) / np.max(np.abs(closed)))
+        assert worst <= 1e-8
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_certificate_offslice_residual_is_rounding(self, rng, dim):
+        a = project(random_unit(rng, dim))
+        b = project(random_unit(rng, dim))
+        cert = total_geodesy_certificate(a, b, ambient_dim=dim)
+        assert cert.converged
+        assert cert.max_offslice_residual <= 1e-13
+
+    def test_iterations_count_integrations_without_repeats(self, rng, monkeypatch):
+        velocities = []
+        original = geodesics.integrate_geodesic
+
+        def counting(start, velocity, *args, **kwargs):
+            velocities.append(tuple(velocity))
+            return original(start, velocity, *args, **kwargs)
+
+        monkeypatch.setattr(geodesics, "integrate_geodesic", counting)
+        a = project(random_unit(rng, 4))
+        b = project(random_unit(rng, 4))
+        cert = total_geodesy_certificate(a, b, ambient_dim=4)
+        assert cert.converged
+        assert cert.iterations == len(velocities) == len(set(velocities))
+
+        velocities.clear()
+        orthogonal = total_geodesy_certificate(project(np.array([1.0, 0.0, 0.0])),
+                                               project(np.array([0.0, 1.0, 0.0])))
+        assert orthogonal.iterations == len(velocities) == 1
 
 
 class TestIntegrateGeodesic:

@@ -1,10 +1,16 @@
 """Unit tests for rays, superposition spheres, and the projective distance."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import projqm
 from projqm.hilbert import gram_schmidt
 from projqm.projective import (Ray, RiemannCoordinate, SpannedSphere,
                                fs_distance, nonlinear_superpose, project,
@@ -197,3 +203,33 @@ class TestSphereArea:
         u, v = gram_schmidt([random_unit(rng, 3), random_unit(rng, 3)])
         sph = SpannedSphere.from_rays(project(u), project(v))
         assert abs(sphere_area(sph, metric_factor=2.0) - 2.0 * np.pi) < 2e-6
+
+
+def test_cross_checks_raise_under_optimize():
+    """Route disagreements raise even under ``python -O``, which strips asserts."""
+    script = textwrap.dedent("""
+        import sys
+        import projqm.projective as projective
+        from projqm.interference import build_wall, plane_wave_input, propagate_to_screen
+
+        assert False, "python -O should strip this"
+        projective.fs_distance = lambda a, b: 0.5
+        try:
+            projective.transition_probability([1.0, 0.0], [1.0, 0.0])
+            sys.exit("transition_probability accepted disagreeing routes")
+        except RuntimeError:
+            pass
+        wall = build_wall((2e-4, 64), (-5e-5, 5e-5), 2e-5)
+        try:
+            propagate_to_screen(wall, plane_wave_input(wall), 5e-7, 1.0,
+                                n_screen=64, linearity_tol=-1.0)
+            sys.exit("propagate_to_screen accepted disagreeing routes")
+        except RuntimeError:
+            pass
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(projqm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
