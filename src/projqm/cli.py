@@ -19,11 +19,27 @@ and returns exit code 0 when all checks pass, 1 when any check fails, and
 2 for usage, configuration, or I/O errors.  Outputs are byte-identical for
 fixed flags and seed: randomness is drawn from a single seeded generator
 and reports carry no timestamps.
+
+Exit 2 always means an ``error:`` line on stderr (after the usage text, for
+a parse-time error), no traceback and no report.  Numbers are checked at
+parse time: ``--dt`` must be finite and positive (``demo-spin`` admits 0,
+see below), ``--t-end`` and ``--tolerance-scale`` finite and nonnegative (a
+zero scale demands exact residuals, so checks fail with exit 1), and every
+float of a two-slit config finite.  A ``ValueError`` that the library
+raises on the user's input - a zero or mis-sized state, a non-Hermitian or
+mis-sized operator of ``evolve``, a two-slit geometry it cannot build or
+measure fringes on - exits 2, and so does the flow integrator's norm-drift
+``RuntimeError``, which means ``--dt`` is too large for the Hamiltonian.
+Any other exception is a defect and propagates with its traceback; that
+includes ``demo-spin --dt 0``, whose ``ValueError`` from
+:func:`~projqm.dynamics.flow_integrate` the benchmark's own tests use as
+their example of a job that raises.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -53,6 +69,41 @@ EXIT_USAGE = 2
 
 class CliError(Exception):
     """Usage/configuration/I-O error: message printed, exit code 2."""
+
+
+def _number_type(ok, what: str):
+    """argparse ``type`` for a float that must satisfy ``ok``."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+_positive = _number_type(lambda v: 0.0 < v < math.inf, "finite and positive")
+_nonnegative = _number_type(lambda v: 0.0 <= v < math.inf, "finite and nonnegative")
+
+
+@contextlib.contextmanager
+def _input_errors():
+    """Turn a ``ValueError`` the library raises on user input into a usage
+    error (exit 2); wrap only the calls that take that input."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
+def _flow(H, start, t_end: float, dt: float, track):
+    """:func:`flow_integrate`, with its norm-drift abort as a usage error."""
+    try:
+        return flow_integrate(H, start, t_end, dt, track=track)
+    except RuntimeError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -155,8 +206,6 @@ def cmd_geodesic_verify(args) -> int:
         raise CliError("ambient dims must be at least 2")
     if args.pairs < 0:
         raise CliError("pairs must be nonnegative")
-    if args.dt <= 0:
-        raise CliError("dt must be positive")
     scale = args.tolerance_scale
 
     degraded = args.dt > 1e-1
@@ -231,17 +280,24 @@ def cmd_geodesic_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # two-slit
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 _CONFIG_PARSERS = {
-    "wavelength": float,
-    "distance": float,
-    "slit_centers": lambda s: tuple(float(tok) for tok in s.split(",")),
-    "slit_width": float,
-    "wall_halfwidth": float,
+    "wavelength": _finite,
+    "distance": _finite,
+    "slit_centers": lambda s: tuple(_finite(tok) for tok in s.split(",")),
+    "slit_width": _finite,
+    "wall_halfwidth": _finite,
     "n_wall": int,
-    "screen_halfwidth": float,
+    "screen_halfwidth": _finite,
     "n_screen": int,
     "input": str,
-    "waist": float,
+    "waist": _finite,
 }
 
 
@@ -270,7 +326,8 @@ def parse_two_slit_config(path: str) -> TwoSlitConfig:
         try:
             parsed = _CONFIG_PARSERS[key](value)
         except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
+            raise CliError(f"{path}:{lineno}: bad value for {key!r}: {value!r} "
+                           f"({exc})") from exc
         fields["input_profile" if key == "input" else key] = parsed
     try:
         return TwoSlitConfig(**fields)
@@ -281,14 +338,14 @@ def parse_two_slit_config(path: str) -> TwoSlitConfig:
 def cmd_two_slit(args) -> int:
     config = parse_two_slit_config(args.config) if args.config else TwoSlitConfig()
     scale = args.tolerance_scale
-    try:
+    with _input_errors():  # a geometry or profile the library cannot build
         pattern = config.run()
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        wall = config.make_wall()
+        psi_in = config.make_input(wall)
 
     outdir = ensure_outdir(args.out)
-    header, rows = pattern_rows(pattern)
-    csv_path = write_csv(os.path.join(outdir, "pattern.csv"), header, rows)
+    # written with the report, after every check: a usage error leaves no output
+    csv_path = os.path.join(outdir, "pattern.csv")
 
     report = Report(command="two-slit", metadata={
         "version": __version__, "tolerance_scale": scale,
@@ -308,13 +365,8 @@ def cmd_two_slit(args) -> int:
     report.add("total_screen_probability_le_1",
                pattern.total_screen_probability - 1.0, 1e-12 * scale, **cfg_ins)
 
-    wall = config.make_wall()
-    psi_in = config.make_input(wall)
     report.add("phase_invariance",
-               phase_invariance_check(wall, psi_in, config.wavelength,
-                                      config.distance, math.pi / 3.0,
-                                      screen_halfwidth=config.screen_halfwidth,
-                                      n_screen=config.n_screen),
+               phase_invariance_check(pattern, wall, psi_in, math.pi / 3.0),
                1e-12 * scale, lambda_phase=math.pi / 3.0, **cfg_ins)
 
     if len(config.slit_centers) >= 2:
@@ -323,7 +375,8 @@ def cmd_two_slit(args) -> int:
             slit_centers=config.slit_centers, slit_width=config.slit_width,
             wall_halfwidth=config.wall_halfwidth, n_wall=128,
         )
-        cwall = coarse.make_wall()
+        with _input_errors():  # slits narrower than a coarse cell
+            cwall = coarse.make_wall()
         s = slit_states(cwall)
         at = project(s[0] + s[1])  # the equal which-slit superposition
         report.add("projector_poisson_disjoint",
@@ -335,11 +388,13 @@ def cmd_two_slit(args) -> int:
                    0.05 - control, 0.0, n_wall=128, **cfg_ins)
 
     if len(config.slit_centers) == 2:
-        measured = fringe_spacing(pattern)
+        with _input_errors():  # a screen too narrow for four fringe zeros
+            measured = fringe_spacing(pattern)
         report.add("fringe_spacing_vs_far_field",
                    abs(measured - config.expected_fringe_spacing),
                    pattern.dx * scale, measured=measured, **cfg_ins)
 
+    write_csv(csv_path, *pattern_rows(pattern))
     path = os.path.join(outdir, "two-slit.json")
     report.write(path)
     print(f"wrote {csv_path} and {path}: {len(report.entries)} checks, "
@@ -372,7 +427,10 @@ def _load_complex_json(path: str, expect_matrix: bool) -> np.ndarray:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read {path!r}: {exc}") from exc
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{path}: expected nested lists of numbers: {exc}") from exc
     if expect_matrix:
         if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
             raise CliError(f"{path}: expected a square matrix of [re, im] pairs")
@@ -405,14 +463,9 @@ def _resolve_state(source: str) -> np.ndarray:
 def _run_evolution(hamiltonian, start, t_end: float, dt: float, track,
                    outdir: str, command: str, scale: float,
                    extra_metadata: dict) -> int:
-    try:
+    with _input_errors():  # the user's operators and start state
         H = as_hermitian(hamiltonian, name="hamiltonian")
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    if t_end < 0 or dt <= 0:
-        raise CliError("need t_end >= 0 and dt > 0")
-
-    traj = flow_integrate(H, start, t_end, dt, track=track)
+        traj = _flow(H, start, t_end, dt, track)
     header, rows = trajectory_rows(traj)
     csv_path = write_csv(os.path.join(outdir, "trajectory.csv"), header, rows)
 
@@ -424,14 +477,13 @@ def _run_evolution(hamiltonian, start, t_end: float, dt: float, track,
     ins = dict(hamiltonian=H, start=np.asarray(start, dtype=np.complex128),
                t_end=t_end, dt=dt)
     if t_end > 0:
-        deviation = flow_vs_exact_deviation(H, start, t_end, dt)
+        deviation = flow_vs_exact_deviation(H, traj)
         tol = 1e-8 * scale * max(1.0, (dt / 1e-3) ** 4) * max(1.0, t_end)
         report.add("flow_vs_exact_deviation", deviation, tol, **ins)
     # Probe observable: a fixed Hermitian that generically fails to commute
     # with the Hamiltonian, so the bracket side of the identity is nonzero.
     probe = _random_hermitian(np.random.default_rng(20260814), H.shape[0])
-    start_ray = project(np.asarray(start, dtype=np.complex128))
-    report.add("ehrenfest_residual", ehrenfest_residual(probe, H, start_ray),
+    report.add("ehrenfest_residual", ehrenfest_residual(probe, H, traj.points[0]),
                2e-8 * scale, **ins, probe=probe)
 
     path = os.path.join(outdir, f"{command}.json")
@@ -464,7 +516,7 @@ def cmd_demo_spin(args) -> int:
     t_end = 2.0 * math.pi
     dt = args.dt
 
-    traj = flow_integrate(H, psi, t_end, dt, track=track)
+    traj = _flow(H, psi, t_end, dt, track)
     header, rows = trajectory_rows(traj)
     csv_path = write_csv(os.path.join(outdir, "demo-spin.csv"), header, rows)
 
@@ -482,7 +534,7 @@ def cmd_demo_spin(args) -> int:
     report.add("period_return", fs_distance(traj.final, project(psi)),
                1e-8 * scale * 10.0, **ins)
     report.add("flow_vs_exact_deviation",
-               flow_vs_exact_deviation(H, psi, t_end, dt),
+               flow_vs_exact_deviation(H, traj),
                1e-8 * scale * max(1.0, (dt / 1e-3) ** 4) * t_end, **ins)
 
     path = os.path.join(outdir, "demo-spin.json")
@@ -498,7 +550,7 @@ def cmd_demo_spin(args) -> int:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--tolerance-scale", type=float, default=1.0,
+    p.add_argument("--tolerance-scale", type=_nonnegative, default=1.0,
                    help="multiply every tolerance (>= 1 loosens)")
 
 
@@ -521,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--ambient-dims", default="2,3,4", help="comma list of dimensions")
     p.add_argument("--pairs", type=int, default=20, help="ray pairs per dimension")
-    p.add_argument("--dt", type=float, default=5e-3, help="integrator step")
+    p.add_argument("--dt", type=_positive, default=5e-3, help="integrator step")
     p.add_argument("--certificates", type=int, default=2,
                    help="shooting certificates per dimension (dims >= 3)")
     p.set_defaults(func=cmd_geodesic_verify)
@@ -537,14 +589,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="builtin name or .json matrix of [re, im] pairs")
     p.add_argument("--start", required=True,
                    help="builtin name or .json vector of [re, im] pairs")
-    p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--t-end", type=_nonnegative, default=1.0)
+    p.add_argument("--dt", type=_positive, default=1e-3)
     p.add_argument("--track", default="", help="comma list of builtin operators")
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("demo-spin", help="spin precession demo")
     _add_common(p)
-    p.add_argument("--dt", type=float, default=1e-3)
+    # 0 passes here and raises out of main (see the module docstring)
+    p.add_argument("--dt", type=_nonnegative, default=1e-3)
     p.set_defaults(func=cmd_demo_spin)
 
     return parser
@@ -555,10 +608,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .projective import GAUGE_TOL, Ray, SpannedSphere, project
+from .projective import Ray, SpannedSphere, _gauge_fix, project
 
 __all__ = [
     "RECHART_THRESHOLD",
@@ -622,17 +622,8 @@ class TotalGeodesyCertificate:
 
 
 def _sphere_membership_rows(z: np.ndarray, sphere: SpannedSphere) -> np.ndarray:
-    """``sphere_membership(project(row), sphere)`` for every nonzero row of ``z``.
-
-    Rows are normalized and gauge fixed with the arithmetic of :func:`project`.
-    """
-    rows = np.arange(z.shape[0])
-    r = z / np.linalg.norm(z, axis=1, keepdims=True)
-    lead = np.argmax(np.abs(r) > GAUGE_TOL, axis=1)
-    c = r[rows, lead]
-    r = r * (c.conj() / np.abs(c))[:, None]
-    r /= np.linalg.norm(r, axis=1, keepdims=True)
-    r[rows, lead] = np.abs(r[rows, lead])
+    """``sphere_membership(project(row), sphere)`` for every nonzero row of ``z``."""
+    r = _gauge_fix(z)
     w0 = r @ sphere.rep0.conj()
     w1 = r @ sphere.rep1.conj()
     residual = r - w0[:, None] * sphere.rep0 - w1[:, None] * sphere.rep1

@@ -140,10 +140,15 @@ def expectation(op, psi) -> float:
     v = as_state(psi, name="psi")
     if F.shape[0] != v.shape[0]:
         raise ValueError(f"dimension mismatch: operator {F.shape[0]}, state {v.shape[0]}")
-    nrm2 = float(np.vdot(v, v).real)
-    if nrm2 <= 0.0:
+    if float(np.vdot(v, v).real) <= 0.0:
         raise ValueError("state has zero norm")
-    return float(np.vdot(v, F @ v).real) / nrm2
+    return _expectation(F, v)
+
+
+def _expectation(F: np.ndarray, v: np.ndarray) -> float:
+    """:func:`expectation` of a validated operator in a nonzero state of its
+    dimension, without re-validating either."""
+    return float(np.vdot(v, F @ v).real) / float(np.vdot(v, v).real)
 
 
 def variance(op, psi) -> float:

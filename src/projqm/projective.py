@@ -74,6 +74,58 @@ class Ray:
         return complex(np.vdot(self.rep, other.rep))
 
 
+def _modulus(z):
+    """``|z|`` elementwise, with the libm ``hypot`` that ``abs`` of one
+    complex number uses (numpy's vectorized ``abs`` can differ in the last
+    bit)."""
+    return np.hypot(z.real, z.imag)
+
+
+def _norm(v: np.ndarray):
+    """Norm of a vector (the BLAS route of a plain ``np.linalg.norm``), or of
+    each row of a stack (one reduction)."""
+    if v.ndim == 1:
+        return float(np.linalg.norm(v))
+    return np.linalg.norm(v, axis=-1)
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / _norm(v) if v.ndim == 1 else v / _norm(v)[:, None]
+
+
+def _lead(v: np.ndarray):
+    """Index of the first component of modulus above :data:`GAUGE_TOL` of a
+    vector, or of each row of a stack."""
+    k = np.argmax(_modulus(v) > GAUGE_TOL, axis=-1)
+    return k if v.ndim == 1 else (np.arange(v.shape[0]), k)
+
+
+def _gauge_fix(v: np.ndarray) -> np.ndarray:
+    """Normalize a finite nonzero vector, or each row of a stack of them, and
+    rotate its global phase so the first component of modulus above
+    :data:`GAUGE_TOL` is real and positive; that component is then pinned
+    exactly real (its imaginary part is pure roundoff).
+
+    Unvalidated, and without Python loops over components.  A single vector
+    is normalized by the same ``np.linalg.norm`` call :func:`project` makes,
+    so it gets ``project``'s representative bit for bit.
+    """
+    v = _unit(v)
+    comp = v[_lead(v)]
+    phase = comp.conj() / _modulus(comp)
+    v = _unit(v * (phase if v.ndim == 1 else phase[:, None]))
+    k = _lead(v)
+    v[k] = _modulus(v[k])
+    return v
+
+
+def _ray(v: np.ndarray) -> Ray:
+    """:func:`project` of a finite vector known to be nonzero, unvalidated."""
+    v = _gauge_fix(v)
+    v.setflags(write=False)
+    return Ray(rep=v)
+
+
 def project(psi) -> Ray:
     """Project a nonzero vector to its gauge-fixed ray representative.
 
@@ -82,22 +134,9 @@ def project(psi) -> Ray:
     two vectors on the same ray map to representatives agreeing to roundoff.
     """
     v = as_state(psi, name="psi")
-    nrm = float(np.linalg.norm(v))
-    if nrm < GAUGE_TOL:
+    if _norm(v) < GAUGE_TOL:
         raise ValueError("cannot project a (numerically) zero vector")
-    v = v / nrm
-    for comp in v:
-        if abs(comp) > GAUGE_TOL:
-            v = v * (comp.conjugate() / abs(comp))
-            break
-    v = v / float(np.linalg.norm(v))
-    # pin the gauge component exactly real: its imaginary part is pure roundoff
-    for k in range(v.shape[0]):
-        if abs(v[k]) > GAUGE_TOL:
-            v[k] = complex(abs(v[k]), 0.0)
-            break
-    v.setflags(write=False)
-    return Ray(rep=v)
+    return _ray(v)
 
 
 def rays_close(a: Ray, b: Ray, tol: float = 1e-12) -> bool:
@@ -122,11 +161,20 @@ def fs_distance(a, b) -> float:
     ra, rb = _as_ray(a), _as_ray(b)
     if ra.dim != rb.dim:
         raise ValueError(f"dimension mismatch: {ra.dim} vs {rb.dim}")
-    ov = np.vdot(rb.rep, ra.rep)
-    c = abs(ov)
-    perp = ra.rep - rb.rep * ov
-    s = float(np.linalg.norm(perp))
-    return math.atan2(s, min(c, 1.0))
+    s, c = _fs_sin_cos(ra.rep, rb.rep)
+    return math.atan2(float(s), min(float(c), 1.0))
+
+
+def _fs_sin_cos(ra: np.ndarray, rb: np.ndarray):
+    """``(sin, cos)`` of the distance between unit representatives, with
+    :func:`fs_distance`'s arithmetic; unvalidated.  ``ra`` and ``rb`` are two
+    vectors, or two stacks whose rows are compared pairwise (one reduction
+    over all rows)."""
+    if ra.ndim == 1:
+        ov = np.vdot(rb, ra)
+        return _norm(ra - rb * ov), _modulus(ov)
+    ov = np.sum(rb.conj() * ra, axis=-1)
+    return _norm(ra - rb * ov[:, None]), _modulus(ov)
 
 
 def transition_probability(a, b) -> float:

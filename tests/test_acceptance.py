@@ -8,7 +8,7 @@ the measured extremes (visible with ``pytest -s`` or in failure output).
 import numpy as np
 import pytest
 
-from projqm.dynamics import ehrenfest_residual, flow_vs_exact_deviation
+from projqm.dynamics import ehrenfest_residual, flow_integrate, flow_vs_exact_deviation
 from projqm.geodesics import (ChartPoint, integrated_pair_distances,
                               lie_derivative_normal, total_geodesy_certificate)
 from projqm.hilbert import (commutator_expectation, gram_schmidt,
@@ -178,7 +178,7 @@ def test_criterion_07_order_of_accuracy_ehrenfest_and_integrator():
     assert min(orders) >= 1.9
 
     psi = random_unit(rng, 4)
-    devs = [flow_vs_exact_deviation(h, psi, 1.0, dt)
+    devs = [flow_vs_exact_deviation(h, flow_integrate(h, psi, 1.0, dt))
             for dt in (4e-2, 2e-2, 1e-2)]
     rk4_orders = [np.log2(devs[i] / devs[i + 1]) for i in range(2)]
     assert min(rk4_orders) >= 3.8
@@ -240,8 +240,7 @@ def test_criterion_09_two_slit_identities_and_fringe_spacing():
 
     wall = cfg.make_wall()
     psi = cfg.make_input(wall)
-    phase_res = phase_invariance_check(wall, psi, cfg.wavelength,
-                                       cfg.distance, lambda_phase=np.pi / 3.0)
+    phase_res = phase_invariance_check(pattern, wall, psi, lambda_phase=np.pi / 3.0)
     assert phase_res < 1e-12
 
     coarse = TwoSlitConfig(n_wall=128).make_wall()

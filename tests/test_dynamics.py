@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from projqm.dynamics import (Trajectory, ehrenfest_residual, flow_integrate,
+from projqm.dynamics import (Trajectory, _generator, ehrenfest_residual, flow_integrate,
                              flow_vs_exact_deviation, trajectory_rows)
-from projqm.hilbert import evolve_exact, sigma_x, sigma_y, sigma_z
-from projqm.projective import fs_distance, project
+from projqm.hilbert import (as_hermitian, evolve_exact, expectation, sigma_x, sigma_y,
+                            sigma_z)
+from projqm.projective import Ray, fs_distance, project
 from tests.conftest import random_hermitian, random_unit
+from tests.test_projective import loop_project
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
@@ -51,6 +53,21 @@ class TestFlowIntegrate:
         with pytest.raises(ValueError):
             flow_integrate(sigma_z(), PLUS, -1.0, 1e-3)
 
+    @pytest.mark.parametrize("t_end, dt", [(np.inf, 1e-3), (np.nan, 1e-3),
+                                           (1.0, np.inf), (1.0, np.nan)])
+    def test_rejects_non_finite_times(self, t_end, dt):
+        with pytest.raises(ValueError):
+            flow_integrate(sigma_z(), PLUS, t_end, dt)
+
+    def test_rejects_mis_sized_tracked_operator_before_stepping(self):
+        with pytest.raises(ValueError, match="track"):
+            flow_integrate(sigma_z(), PLUS, 1.0, 1e-3,
+                           track=[("x", sigma_x()), ("big", np.eye(3))])
+
+    def test_norm_drift_aborts(self):
+        with pytest.raises(RuntimeError, match="norm drift"):
+            flow_integrate(sigma_z(), PLUS, 2.0 * np.pi, 0.5)
+
     def test_global_phase_of_start_is_irrelevant(self, rng):
         h = random_hermitian(rng, 3)
         psi = random_unit(rng, 3)
@@ -59,17 +76,85 @@ class TestFlowIntegrate:
         assert fs_distance(t1.final, t2.final) < 1e-12
 
 
+def loop_flow_integrate(hamiltonian, start, t_end, dt, track):
+    """The integrator's steps with the loop form of ``project`` and a
+    validating ``expectation`` at every step, as ``flow_integrate`` ran
+    before it validated once and gauge-fixed without loops; kept as the
+    reference its output must match bit for bit."""
+    H = as_hermitian(hamiltonian)
+    ray0 = Ray(rep=loop_project(start))
+    tracked = [(label, as_hermitian(op)) for label, op in track]
+    times, points = [0.0], [ray0]
+    values = {label: [expectation(op, ray0.rep)] for label, op in tracked}
+    psi = ray0.rep.copy()
+    t = 0.0
+    while t < t_end - 1e-15:
+        h = min(dt, t_end - t)
+        k1 = _generator(H, psi)
+        k2 = _generator(H, psi + 0.5 * h * k1)
+        k3 = _generator(H, psi + 0.5 * h * k2)
+        k4 = _generator(H, psi + h * k3)
+        ray = Ray(rep=loop_project(psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
+        psi = ray.rep.copy()
+        t += h
+        times.append(t)
+        points.append(ray)
+        for label, op in tracked:
+            values[label].append(expectation(op, psi))
+    return times, points, values
+
+
+def _herm(rng, d):
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (m + m.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("case", ["dense", "leading_zero"])
+def test_trajectory_matches_loop_reference_bit_for_bit(case):
+    rng = np.random.default_rng(20261018)
+    if case == "dense":
+        h = _herm(rng, 4)
+        start = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        track = [("f", _herm(rng, 4)), ("g", 1e-14j * np.eye(4) + _herm(rng, 4))]
+        t_end, dt = 0.7, 3e-3
+    else:  # component 0 stays zero, so the gauge fixes a later component
+        h = np.zeros((3, 3), dtype=np.complex128)
+        h[0, 0] = 0.5
+        h[1:, 1:] = [[1.0, 0.3 - 0.2j], [0.3 + 0.2j, -0.4]]
+        start = np.array([0.0, 0.6, 0.8j])
+        track = [("z", np.diag([1.0, 0.0, -1.0]))]
+        t_end, dt = 0.5, 1e-2
+    traj = flow_integrate(h, start, t_end, dt, track=track)
+    times, points, values = loop_flow_integrate(h, start, t_end, dt, track)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(np.array([r.rep for r in traj.points]),
+                          np.array([r.rep for r in points]))
+    for label, vals in traj.observables_tracked:
+        assert np.array_equal(vals, values[label])
+
+
 class TestOrderOfAccuracy:
     def test_integrator_is_fourth_order(self, rng):
         h = random_hermitian(rng, 4)
         psi = random_unit(rng, 4)
-        devs = [flow_vs_exact_deviation(h, psi, 1.0, dt)
+        devs = [flow_vs_exact_deviation(h, flow_integrate(h, psi, 1.0, dt))
                 for dt in (4e-2, 2e-2, 1e-2)]
         orders = [np.log2(devs[i] / devs[i + 1]) for i in range(2)]
         assert min(orders) > 3.8
 
+    @pytest.mark.parametrize("dim, t_end, dt", [(2, 2.0, 1e-3), (3, 1.0, 2e-3),
+                                                (5, 1.0, 1e-2), (8, 0.5, 2e-3)])
+    def test_deviation_matches_per_sample_exact_evolution(self, rng, dim, t_end, dt):
+        h = random_hermitian(rng, dim)
+        traj = flow_integrate(h, random_unit(rng, dim), t_end, dt)
+        ray0 = traj.points[0]
+        per_sample = max(fs_distance(ray, project(evolve_exact(h, ray0.rep, float(t))))
+                         for t, ray in zip(traj.times, traj.points))
+        assert abs(flow_vs_exact_deviation(h, traj) - per_sample) <= 1e-15
+
     def test_deviation_small_at_fine_step(self):
-        dev = flow_vs_exact_deviation(sigma_z(), PLUS, 1.5, 1e-3)
+        dev = flow_vs_exact_deviation(sigma_z(),
+                                      flow_integrate(sigma_z(), PLUS, 1.5, 1e-3))
         assert dev < 1e-12
 
 

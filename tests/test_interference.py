@@ -139,9 +139,14 @@ class TestChecks:
         cfg = TwoSlitConfig()
         wall = cfg.make_wall()
         psi = cfg.make_input(wall)
-        res = phase_invariance_check(wall, psi, cfg.wavelength, cfg.distance,
-                                     lambda_phase=np.pi / 3.0)
+        res = phase_invariance_check(cfg.run(), wall, psi, lambda_phase=np.pi / 3.0)
         assert res < 1e-12
+
+    def test_phase_invariance_rejects_a_base_from_another_wall(self):
+        base = TwoSlitConfig(n_wall=256, n_screen=256).run()
+        one_slit = TwoSlitConfig(slit_centers=(0.0,), n_wall=256).make_wall()
+        with pytest.raises(ValueError, match="slits"):
+            phase_invariance_check(base, one_slit, plane_wave_input(one_slit), 0.5)
 
     def test_disjoint_projectors_commute_everywhere(self):
         wall = small_wall(n=128)
@@ -189,3 +194,26 @@ class TestTwoSlitConfig:
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError):
             TwoSlitConfig(input_profile="bessel").run()
+
+
+def dense_slit_amplitudes(wall, psi, wavelength, distance, screen_halfwidth, n_screen):
+    """Per-slit screen amplitudes through the full ``n_screen x n_wall``
+    Fresnel kernel, as an oracle for the slit-column kernel."""
+    lamL = wavelength * distance
+    x = np.linspace(-screen_halfwidth, screen_halfwidth, n_screen)
+    kernel = np.exp(1j * np.pi * (x[:, None] - wall.grid[None, :]) ** 2 / lamL)
+    pref = np.sqrt(wall.dy * (x[1] - x[0]) / (1j * lamL))
+    return [pref * (kernel @ wall.apply_slit(i, psi)) for i in range(wall.n_slits)]
+
+
+@pytest.mark.parametrize("centers", [(1e-5,), (-5e-5, 5e-5), (-8e-5, 0.0, 9e-5)])
+def test_slit_column_kernel_matches_dense_kernel(centers):
+    wall = build_wall((2e-4, 1024), centers, 2e-5)
+    psi = gaussian_input(wall, 1e-4, center=2e-5)  # uneven over the slits
+    pattern = propagate_to_screen(wall, psi, 5.5e-7, 0.8, 2e-2, 1536)
+    dense = dense_slit_amplitudes(wall, psi, 5.5e-7, 0.8, 2e-2, 1536)
+    peak = max(float(np.max(np.abs(a))) for a in dense)
+    assert len(pattern.per_slit_amplitudes) == len(centers)
+    for amp, ref in zip(pattern.per_slit_amplitudes, dense):
+        assert np.max(np.abs(amp - ref)) <= 1e-15 * peak
+    assert np.max(np.abs(pattern.total_amplitude - np.sum(dense, axis=0))) <= 1e-15 * peak

@@ -12,11 +12,72 @@ from hypothesis import strategies as st
 
 import projqm
 from projqm.hilbert import gram_schmidt
-from projqm.projective import (Ray, RiemannCoordinate, SpannedSphere,
-                               fs_distance, nonlinear_superpose, project,
-                               rays_close, riemann_coordinate, sphere_area,
-                               sphere_membership, transition_probability)
+from projqm.projective import (GAUGE_TOL, Ray, RiemannCoordinate, SpannedSphere,
+                               _fs_sin_cos, _gauge_fix, fs_distance,
+                               nonlinear_superpose, project, rays_close,
+                               riemann_coordinate, sphere_area, sphere_membership,
+                               transition_probability)
 from tests.conftest import random_unit, state_pairs, unit_vectors
+
+
+def loop_project(psi) -> np.ndarray:
+    """The gauge-fixed representative by ``project``'s arithmetic, written
+    with Python loops over the components; the reference that the
+    loop-free ``_gauge_fix`` must match bit for bit."""
+    v = np.asarray(psi, dtype=np.complex128)
+    v = v / float(np.linalg.norm(v))
+    for comp in v:
+        if abs(comp) > GAUGE_TOL:
+            v = v * (comp.conjugate() / abs(comp))
+            break
+    v = v / float(np.linalg.norm(v))
+    for k in range(v.shape[0]):
+        if abs(v[k]) > GAUGE_TOL:
+            v[k] = complex(abs(v[k]), 0.0)
+            break
+    return v
+
+
+def _awkward_vectors(rng, count):
+    """Random vectors over eight decades of scale, some with leading zeros or
+    a leading component at the gauge threshold."""
+    out = []
+    for k in range(count):
+        n = int(rng.integers(2, 9))
+        v = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.exp(rng.uniform(-9, 9))
+        if k % 3 == 1:
+            v[: rng.integers(1, n)] = 0.0
+        if k % 7 == 2:
+            v[0] = GAUGE_TOL * float(np.linalg.norm(v)) * (1.0 + 1e-3j)
+        out.append(v)
+    return out
+
+
+class TestGaugeFix:
+    def test_project_matches_loop_reference_bit_for_bit(self):
+        for v in _awkward_vectors(np.random.default_rng(20261018), 3000):
+            assert np.array_equal(project(v).rep, loop_project(v))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_rows_of_a_stack_match_project(self, n):
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n))
+        z[::4, 0] = 0.0
+        rows = _gauge_fix(z)
+        for row, v in zip(rows, z):
+            assert np.max(np.abs(row - project(v).rep)) <= 1e-15
+            Ray(rep=row)  # validates norm and gauge
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_row_distances_match_fs_distance(self, n):
+        rng = np.random.default_rng(10 + n)
+        a = [project(v).rep for v in rng.standard_normal((100, n)) + 1j * rng.standard_normal((100, n))]
+        b = [project(v).rep for v in rng.standard_normal((100, n)) + 1j * rng.standard_normal((100, n))]
+        b[::5] = a[::5]  # coincident rays: the small-angle end
+        s, c = _fs_sin_cos(np.array(a), np.array(b))
+        rows = np.arctan2(s, np.minimum(c, 1.0))
+        for d, ra, rb in zip(rows, a, b):
+            assert abs(d - fs_distance(Ray(rep=ra), Ray(rep=rb))) <= 1e-15
 
 
 class TestRay:

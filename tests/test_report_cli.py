@@ -89,6 +89,21 @@ class TestCliExitCodes:
         data = json.loads((tmp_path / "kahler-audit.json").read_text())
         assert data["all_pass"] is False
 
+    def test_zero_tolerance_scale_demands_exact_residuals(self, tmp_path):
+        code = main(["kahler-audit", "--dims", "2", "--trials", "2",
+                     "--tolerance-scale", "0", "--out", str(tmp_path)])
+        assert code == 1
+        data = json.loads((tmp_path / "kahler-audit.json").read_text())
+        assert data["all_pass"] is False
+
+    def test_defect_after_input_handling_is_not_a_usage_error(self, tmp_path,
+                                                              monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+        monkeypatch.setattr("projqm.cli.phase_invariance_check", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            main(["two-slit", "--out", str(tmp_path)])
+
     def test_usage_error_exits_two(self, tmp_path, capsys):
         assert main(["kahler-audit", "--dims", "1", "--out", str(tmp_path)]) == 2
         assert main(["evolve", "--hamiltonian", "nope", "--start", "plus",
@@ -110,6 +125,64 @@ class TestCliExitCodes:
                      "--out", str(tmp_path)])
         assert code == 2
         assert "Hermitian" in capsys.readouterr().err
+
+
+def _write_inputs(tmp_path):
+    (tmp_path / "zero.json").write_text("[[0,0],[0,0]]")
+    (tmp_path / "ragged.json").write_text("[[1,0],[0]]")
+    (tmp_path / "eye3.json").write_text(
+        "[[[1,0],[0,0],[0,0]],[[0,0],[1,0],[0,0]],[[0,0],[0,0],[1,0]]]")
+    for name, line in (("nan_wavelength", "wavelength = nan"),
+                       ("inf_distance", "distance = inf"),
+                       ("nan_center", "slit_centers = -5e-5, nan")):
+        (tmp_path / f"{name}.cfg").write_text(f"# bad float\n{line}\n")
+    # fine on the 2,048-cell wall, narrower than a cell of the coarse
+    # 128-cell wall of the projector checks
+    (tmp_path / "narrow_slits.cfg").write_text("slit_width = 1e-6\n")
+    # too narrow a screen for four fringe zeros
+    (tmp_path / "narrow_screen.cfg").write_text("screen_halfwidth = 4e-3\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--t-end", "inf"],
+    ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--t-end", "nan"],
+    ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--t-end", "-1"],
+    ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--dt", "0"],
+    ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--dt", "nan"],
+    ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--dt=-inf"],
+    ["demo-spin", "--dt", "-1e-3"],
+    ["demo-spin", "--dt", "inf"],
+    ["demo-spin", "--dt", "0.5"],  # RK4 norm drift
+    ["geodesic-verify", "--dt", "nan", "--pairs", "1"],
+    ["geodesic-verify", "--dt", "0", "--pairs", "1"],
+    ["kahler-audit", "--dims", "2", "--tolerance-scale", "-1"],
+    ["kahler-audit", "--dims", "2", "--tolerance-scale", "nan"],
+    ["kahler-audit", "--dims", "2", "--tolerance-scale", "inf"],
+    ["evolve", "--hamiltonian", "sigma_z", "--start", "{dir}/zero.json"],
+    ["evolve", "--hamiltonian", "sigma_z", "--start", "{dir}/ragged.json"],
+    ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--track",
+     "sigma_x,{dir}/eye3.json"],
+    ["two-slit", "--config", "{dir}/nan_wavelength.cfg"],
+    ["two-slit", "--config", "{dir}/inf_distance.cfg"],
+    ["two-slit", "--config", "{dir}/nan_center.cfg"],
+    ["two-slit", "--config", "{dir}/narrow_slits.cfg"],
+    ["two-slit", "--config", "{dir}/narrow_screen.cfg"],
+], ids=lambda argv: " ".join(argv).replace("{dir}/", ""))
+def test_bad_inputs_exit_two_with_one_line(tmp_path, capsys, argv):
+    _write_inputs(tmp_path)
+    out = tmp_path / "out"
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv] + ["--out", str(out)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects at parse time this way
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: " in err.strip().splitlines()[-1]
+    assert not out.exists() or not any(out.iterdir())
+    if argv[0] == "two-slit" and "narrow" not in argv[2]:
+        assert ":2:" in err
 
 
 class TestCliOutputs:
