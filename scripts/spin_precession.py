@@ -6,6 +6,11 @@ state, writes the Bloch-vector trajectory to CSV, and prints how well the
 integrated path matches the closed-form precession at a few checkpoints.
 
     python3 scripts/spin_precession.py --turns 2 --dt 1e-3 --out out/spin.csv
+
+As with the CLI, bad input exits 2 with an ``error:`` line and no
+traceback: ``--dt`` must be finite and positive, ``--turns`` finite and
+nonnegative, and a ``--dt`` too large for the flow's norm-drift check is
+reported the same way.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from projqm.cli import _nonnegative, _positive  # noqa: E402
 from projqm.dynamics import flow_integrate  # noqa: E402
 from projqm.hilbert import sigma_x, sigma_y, sigma_z  # noqa: E402
 from projqm.projective import fs_distance, project  # noqa: E402
@@ -26,18 +32,22 @@ from projqm.report import write_csv  # noqa: E402
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--turns", type=float, default=1.0,
+    ap.add_argument("--turns", type=_nonnegative, default=1.0,
                     help="number of full precession periods (period pi)")
-    ap.add_argument("--dt", type=float, default=1e-3)
+    ap.add_argument("--dt", type=_positive, default=1e-3)
     ap.add_argument("--out", default="out/spin_precession.csv")
     args = ap.parse_args()
 
     start = np.array([1.0, 1.0]) / np.sqrt(2.0)
     t_end = args.turns * np.pi
-    traj = flow_integrate(sigma_z(), start, t_end, args.dt,
-                          track=[("bloch_x", sigma_x()),
-                                 ("bloch_y", sigma_y()),
-                                 ("bloch_z", sigma_z())])
+    try:
+        traj = flow_integrate(sigma_z(), start, t_end, args.dt,
+                              track=[("bloch_x", sigma_x()),
+                                     ("bloch_y", sigma_y()),
+                                     ("bloch_z", sigma_z())])
+    except (ValueError, RuntimeError) as exc:  # t_end overflows; norm drift (--dt too large)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     rows = []
     tracked = {label: vals for label, vals in traj.observables_tracked}

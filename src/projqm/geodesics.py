@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .projective import Ray, SpannedSphere, _gauge_fix, project
 
@@ -645,13 +644,13 @@ def _shoot(a_chart: ChartPoint, e0, e1, cos_d, sin_d, chi, length, dt, sphere):
     w = np.exp(1j * chi) * e1
     k = a_chart.base_index
     keep = np.arange(a_chart.dim) != k
-    tdot = (w[keep] * a_rep[k] - a_rep[keep] * w[k]) / a_rep[k] ** 2
-    v = np.column_stack((tdot.real, tdot.imag)).ravel()
-    path = integrate_geodesic(a_chart, v, length, dt)
-
-    arcl = np.array([s for s, _ in path.samples])
-    z = _homogeneous(np.array([pt.base_index for _, pt in path.samples]),
-                     np.array([pt.coords for _, pt in path.samples]))
+    t0 = a_chart.coords[None, :]
+    w0 = ((w[keep] * a_rep[k] - a_rep[keep] * w[k]) / a_rep[k] ** 2)[None, :]
+    speed = math.sqrt(float(_speed2(t0, w0)[0]))  # unit speed, as integrate_geodesic
+    arcl, bases, ts, _ = zip(*_march(np.array([k]), t0, w0 / speed, length, dt,
+                                     RECHART_THRESHOLD))
+    arcl = np.array(arcl)
+    z = _homogeneous(np.concatenate(bases), np.concatenate(ts))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     alphas = z @ e0.conj()
     betas = z @ e1.conj()
@@ -665,6 +664,71 @@ def _shoot(a_chart: ChartPoint, e0, e1, cos_d, sin_d, chi, length, dt, sphere):
     return signed, abs(arrival_miss), float(s_star[0]), member_max
 
 
+#: Relative root tolerance of Brent's method: scipy's ``brentq`` default.
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _brent_root(f, a: float, b: float, xtol: float, maxiter: int) -> tuple[float, bool]:
+    """Root of ``f`` bracketed by ``[a, b]`` by Brent's method: ``(root, converged)``.
+
+    A line-for-line port of the loop of scipy's ``brentq.c`` (Brent 1973,
+    *Algorithms for Minimization Without Derivatives*, ch. 4), so it calls
+    ``f`` at the same points and returns the same bits, with the rules of
+    scipy's ``brentq`` wrapper: relative tolerance ``4 eps``; a NaN value
+    or a bracket whose ends have the same sign raises ``ValueError``; an
+    end where ``f`` is exactly 0 is returned at once; ``converged`` is
+    False only when ``maxiter`` iterations run out, with the last point
+    evaluated as the root.
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = a, b
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre, True
+    if fcur == 0:
+        return xcur, True
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    return xcur, False
+
+
 def total_geodesy_certificate(a: Ray, b: Ray, ambient_dim: int | None = None,
                               dt: float = 5e-3, arrival_tol: float = 1e-8,
                               max_iterations: int = 200) -> TotalGeodesyCertificate:
@@ -673,8 +737,10 @@ def total_geodesy_certificate(a: Ray, b: Ray, ambient_dim: int | None = None,
     The geodesic is integrated with the full chart metric of the ambient
     projective space - nothing constrains it to the sphere - with the
     initial direction restricted to the sphere's tangent plane at ``a``,
-    parametrized by one angle.  A bracketing root search (Brent) on the
-    signed transverse miss aims the path at ``b`` to ``arrival_tol``;
+    parametrized by one angle.  A bracketing root search on the signed
+    transverse miss aims the path at ``b`` to ``arrival_tol``: Brent's method
+    (Brent 1973, ch. 4) as :func:`_brent_root` ports it from scipy's
+    ``brentq.c``, bit for bit, so scipy is not imported at run time;
     non-convergence within ``max_iterations`` integrations is reported in
     the certificate rather than raised.  The certificate reads the shot
     Brent already made at its root; no aim angle is integrated twice.
@@ -704,12 +770,10 @@ def total_geodesy_certificate(a: Ray, b: Ray, ambient_dim: int | None = None,
         chi_star = 0.0
     else:
         try:
-            chi_star, info = brentq(lambda chi: shoot(chi)[0], -0.6, 0.6, xtol=1e-12,
-                                    maxiter=max_iterations, full_output=True,
-                                    disp=False)
-            converged = bool(info.converged)
+            chi_star, converged = _brent_root(lambda chi: shoot(chi)[0], -0.6, 0.6,
+                                              xtol=1e-12, maxiter=max_iterations)
         except ValueError:
-            # no sign change in the bracket: report the midpoint aim
+            # no sign change in the bracket, or a NaN miss: report the midpoint aim
             chi_star = 0.0
             converged = False
     _, miss, s_star, member_max = shoot(chi_star)

@@ -1,5 +1,7 @@
 """Unit tests for affine charts, the chart metric, and geodesic integration."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,13 +191,13 @@ class TestClosedFormConnection:
 
     def test_iterations_count_integrations_without_repeats(self, rng, monkeypatch):
         velocities = []
-        original = geodesics.integrate_geodesic
+        original = geodesics._march
 
-        def counting(start, velocity, *args, **kwargs):
-            velocities.append(tuple(velocity))
-            return original(start, velocity, *args, **kwargs)
+        def counting(base, t, w, *args):
+            velocities.append(tuple(w.ravel()))
+            return original(base, t, w, *args)
 
-        monkeypatch.setattr(geodesics, "integrate_geodesic", counting)
+        monkeypatch.setattr(geodesics, "_march", counting)
         a = project(random_unit(rng, 4))
         b = project(random_unit(rng, 4))
         cert = total_geodesy_certificate(a, b, ambient_dim=4)
@@ -354,6 +356,107 @@ class TestTotalGeodesyCertificate:
         b = project(random_unit(rng, 3))
         with pytest.raises(ValueError):
             total_geodesy_certificate(a, b, ambient_dim=4)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_shot_starts_where_integrate_geodesic_would(self, rng, dim, monkeypatch):
+        """A shot marches the exact unit-speed row ``integrate_geodesic`` builds."""
+        starts = []
+        original = geodesics._march
+
+        def recording(*args):
+            starts.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(geodesics, "_march", recording)
+        a, b = project(random_unit(rng, dim)), project(random_unit(rng, dim))
+        e0, e1, cos_d, sin_d, _ = geodesics._aligned_frame(a, b)
+        a_chart, chi = ray_to_chart(a), 0.3
+        geodesics._shoot(a_chart, e0, e1, cos_d, sin_d, chi, 1.2, 5e-3,
+                         SpannedSphere(rep0=e0, rep1=e1))
+        w = np.exp(1j * chi) * e1
+        k = a_chart.base_index
+        keep = np.arange(dim) != k
+        tdot = (w[keep] * e0[k] - e0[keep] * w[k]) / e0[k] ** 2
+        integrate_geodesic(a_chart, np.column_stack((tdot.real, tdot.imag)).ravel(), 1.2, 5e-3)
+        shot, path = starts
+        assert [np.asarray(x).tobytes() for x in shot] == [np.asarray(x).tobytes() for x in path]
+
+
+def _smooth_function(rng):
+    """A smooth function on [-0.6, 0.6], most often with a sign change there."""
+    r = float(rng.uniform(-0.7, 0.7))
+    s, c, q = (float(v) for v in rng.uniform(0.2, 4.0, 3) * rng.choice([-1.0, 1.0], 3))
+    family = int(rng.integers(4))
+    if family == 0:
+        return lambda x: math.tanh(s * (x - r)) + 0.1 * c * (x - r) ** 2
+    if family == 1:
+        return lambda x: (x - r) * (1.0 + c * c + math.sin(q * x) ** 2)
+    if family == 2:
+        return lambda x: math.atan(s * (x - r)) ** 3 + 1e-9 * c * (x - r)
+    return lambda x: math.expm1(q * (x - r)) + 0.5 * math.sin(c * (x - r))
+
+
+def _calls(f):
+    """``f`` with a record of the points it is called at, kept in ``.xs``."""
+    def g(x):
+        g.xs.append(x)
+        return f(x)
+    g.xs = []
+    return g
+
+
+class TestBrentRoot:
+    """``_brent_root`` against scipy's ``brentq``, the code it ports."""
+
+    @staticmethod
+    def _both(f, a=-0.6, b=0.6, maxiter=200):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        theirs, ours = _calls(f), _calls(f)
+        root, info = brentq(theirs, a, b, xtol=1e-12, maxiter=maxiter,
+                            full_output=True, disp=False)
+        port, converged = geodesics._brent_root(ours, a, b, xtol=1e-12, maxiter=maxiter)
+        assert info.function_calls == len(theirs.xs)
+        return (root, info.converged, theirs.xs), (port, converged, ours.xs)
+
+    def test_matches_brentq_bit_for_bit(self):
+        pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(4)
+        compared = 0
+        while compared < 1200:
+            f = _smooth_function(rng)
+            if (f(-0.6) < 0) == (f(0.6) < 0):
+                continue
+            theirs, ours = self._both(f)
+            assert ours[0].hex() == theirs[0].hex()
+            assert ours[1:] == theirs[1:]
+            compared += 1
+
+    @pytest.mark.parametrize("f, root", [(lambda x: x + 0.6, -0.6),
+                                         (lambda x: 0.6 - x, 0.6)])
+    def test_exact_zero_at_an_end_is_returned(self, f, root):
+        theirs, ours = self._both(f)
+        assert ours == theirs
+        assert ours[:2] == (root, True)
+
+    @pytest.mark.parametrize("f", [
+        lambda x: 1.0 + x * x,                                  # same sign at both ends
+        lambda x: -math.cosh(x),
+        lambda x: math.nan if x > 0 else x,                     # NaN at an end
+        lambda x: math.nan if abs(x - 0.01) < 0.05 else x - 0.01,  # NaN mid-search
+    ])
+    def test_bad_bracket_or_nan_raises(self, f):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        with pytest.raises(ValueError):
+            brentq(f, -0.6, 0.6, xtol=1e-12)
+        with pytest.raises(ValueError):
+            geodesics._brent_root(f, -0.6, 0.6, xtol=1e-12, maxiter=200)
+
+    @pytest.mark.parametrize("maxiter", [0, 1, 3])
+    def test_running_out_of_iterations_is_not_converged(self, maxiter):
+        theirs, ours = self._both(lambda x: math.atan(3.0 * (x - 0.123)) ** 3, maxiter=maxiter)
+        assert ours[0].hex() == theirs[0].hex()
+        assert ours[1:] == theirs[1:]
+        assert ours[1] is False
 
 
 def test_geodesic_rows_layout():

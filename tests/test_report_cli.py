@@ -1,12 +1,16 @@
 """Tests for report serialization and the command-line entry points."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import projqm
 from projqm.cli import main
 from projqm.report import (Report, ReportEntry, digest_inputs, format_real,
                            write_csv)
@@ -242,3 +246,28 @@ class TestCliOutputs:
         assert "precession_cosine" in names
         assert "period_return" in names
         assert data["all_pass"] is True
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test-only dependency; importing it costs most of start-up."""
+    script = ("import sys, projqm, projqm.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(projqm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("dt", ["0", "nan", "-1", "0.5"])
+def test_spin_precession_script_bad_dt_exits_two(tmp_path, dt):
+    out = tmp_path / "spin.csv"
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scripts", "spin_precession.py")
+    done = subprocess.run([sys.executable, script, "--dt", dt, "--out", str(out)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "error: " in done.stderr.strip().splitlines()[-1]
+    assert not out.exists()
