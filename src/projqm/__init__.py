@@ -23,7 +23,7 @@ dynamics
     RK4 integration of the projective Schrodinger flow with drift checks,
     comparison against exact evolution, Ehrenfest residuals.
 geodesics
-    Chart metric, closed-form Kaehler connection, batched geodesic
+    Chart metric, closed-form Kaehler connection, RK4 geodesic
     integration with re-charting, induced-metric and Lie-derivative slice
     checks, shooting certificates of total geodesy.
 interference

@@ -19,8 +19,8 @@ has the closed form ``Gamma^i_jk = -(delta_ij conj(t_k) + delta_ik conj(t_j))
 
 (Bengtsson & Zyczkowski, *Geometry of Quantum States*, ch. 4; Ashtekar &
 Schilling, gr-qc/9706069).  A constant metric factor cancels from it.  One
-fixed-step RK4 engine integrates it on complex state ``(t, t')`` for a batch
-of rows at once; each row re-charts to its largest homogeneous component
+fixed-step RK4 engine integrates it on the stacked complex state
+``(t, t')`` of one point and re-charts to the largest homogeneous component
 when a coordinate's modulus exceeds a threshold.  The finite-difference
 Christoffel contraction survives only in the tests, as an independent
 oracle for the connection.
@@ -126,16 +126,14 @@ def ray_to_chart(ray: Ray, base_index: int | None = None) -> ChartPoint:
     return ChartPoint(base_index=base_index, coords=t)
 
 
-def _homogeneous(base: np.ndarray, coords: np.ndarray, fill: complex = 1.0) -> np.ndarray:
-    """Homogeneous rows of shape (B, m + 1) from chart rows of shape (B, m).
+def _homogeneous(base: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Representatives of shape (n, m + 1) from chart rows of shape (n, m).
 
-    Row ``i`` gets ``fill`` in slot ``base[i]`` and ``coords[i]`` elsewhere:
-    ``fill = 1`` turns chart coordinates into representatives, ``fill = 0``
-    turns chart velocities into the matching homogeneous velocities.
+    Row ``i`` gets 1 in slot ``base[i]`` and ``coords[i]`` elsewhere.
     """
-    B, m = coords.shape
+    n, m = coords.shape
     off_base = np.arange(m + 1) != base[:, None]
-    z = np.full((B, m + 1), fill, dtype=np.complex128)
+    z = np.ones((n, m + 1), dtype=np.complex128)
     z[off_base] = coords.ravel()
     return z
 
@@ -372,74 +370,71 @@ def _speed2(t: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _acceleration(t: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Closed-form geodesic acceleration ``2 (conj(t).w) w / (1 + |t|^2)``.
 
-    ``t`` and ``w`` are chart coordinates and velocities of shape (B, m);
-    the metric factor cancels from the connection.
+    ``t`` and ``w`` are the chart coordinates and velocity of one point,
+    shape (m,); the metric factor cancels from the connection.
     """
     tc = t.conj()
-    s = 1.0 + (tc * t).real.sum(axis=-1, keepdims=True)
-    return (2.0 * (tc * w).sum(axis=-1, keepdims=True) / s) * w
+    return (2.0 * (tc * w).sum() / (1.0 + (tc * t).real.sum())) * w
 
 
-def _rk4_step(t, w, h):
-    a1 = _acceleration(t, w)
-    t2, w2 = t + 0.5 * h * w, w + 0.5 * h * a1
-    a2 = _acceleration(t2, w2)
-    t3, w3 = t + 0.5 * h * w2, w + 0.5 * h * a2
-    a3 = _acceleration(t3, w3)
-    t4, w4 = t + h * w3, w + h * a3
-    a4 = _acceleration(t4, w4)
-    tn = t + (h / 6.0) * (w + 2 * w2 + 2 * w3 + w4)
-    wn = w + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
-    return tn, wn
+def _rk4_step(y: np.ndarray, h: float) -> np.ndarray:
+    """One RK4 step of the stacked state ``y = (t, t')``, shape (2m,)."""
+    m = y.size // 2
+
+    def f(y):
+        return np.concatenate((y[m:], _acceleration(y[:m], y[m:])))
+
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _rechart(base: np.ndarray, t: np.ndarray, w: np.ndarray, threshold: float):
-    """Switch rows to the chart of their largest homogeneous component.
+def _rechart(base: int, y: np.ndarray, threshold: float):
+    """Switch the stacked state ``y = (t, t')`` to its largest component's chart.
 
-    Only rows with a coordinate modulus above ``threshold`` switch.  The new
-    base is the row's argmax, which puts every coordinate modulus at or
-    below one - comfortably inside ``threshold / RECHART_HYSTERESIS`` - so
+    Only a state with a coordinate modulus above ``threshold`` switches.  The
+    new base is the argmax, which puts every coordinate modulus at or below
+    one - comfortably inside ``threshold / RECHART_HYSTERESIS`` - so
     switching cannot thrash.  For one coordinate this is the flip
-    ``t -> 1/t``.  Returns new arrays; the inputs are not modified.
+    ``t -> 1/t``.  Returns ``(base, y)``; the input is not modified.
     """
-    far = np.max(np.abs(t), axis=1) > threshold
-    if not np.any(far):
-        return base, t, w
-    z, zdot = _homogeneous(base[far], t[far]), _homogeneous(base[far], w[far], fill=0.0)
-    new_base = np.argmax(np.abs(z), axis=1)
-    rows = np.arange(new_base.size)
-    zl, zldot = z[rows, new_base][:, None], zdot[rows, new_base][:, None]
-    keep = np.arange(z.shape[1]) != new_base[:, None]
-    zk, zkdot = z[keep].reshape(-1, t.shape[1]), zdot[keep].reshape(-1, t.shape[1])
-    base, t, w = base.copy(), t.copy(), w.copy()
-    base[far], t[far], w[far] = new_base, zk / zl, (zkdot * zl - zk * zldot) / zl**2
-    return base, t, w
+    m = y.size // 2
+    if not np.abs(y[:m]).max() > threshold:
+        return base, y
+    z, zdot = np.insert(y[:m], base, 1.0), np.insert(y[m:], base, 0.0)
+    k = int(np.argmax(np.abs(z)))
+    # one-element slices, not scalars: a complex scalar divisor rounds differently
+    zl, zldot = z[k:k + 1], zdot[k:k + 1]
+    zk, zkdot = np.delete(z, k), np.delete(zdot, k)
+    return k, np.concatenate((zk / zl, (zkdot * zl - zk * zldot) / zl**2))
 
 
-def _march(base, t, w, length: float, dt: float, threshold: float):
-    """Integrate the geodesic equation for a batch of rows at once.
+def _march(base: int, t, w, length: float, dt: float, threshold: float):
+    """Integrate the geodesic equation from one chart point.
 
-    ``base`` (B,) holds each row's chart base index and ``t``, ``w`` (B, m)
-    its chart coordinates and velocity.  Each RK4 step of ``dt`` (the last
-    one shortened to land on ``length``) is followed by :func:`_rechart`.
+    ``base`` is the chart base index and ``t``, ``w`` (m,) the chart
+    coordinates and velocity.  Each RK4 step of ``dt`` (the last one
+    shortened to land on ``length``) is followed by :func:`_rechart`.
     Yields ``(arclength, base, t, w)`` at the start and after every step.
     """
-    s = 0.0
+    m = t.size
+    s, y = 0.0, np.concatenate((t, w))
     yield s, base, t, w
     while s < length - 1e-15:
         h = min(dt, length - s)
-        t, w = _rk4_step(t, w, h)
         s += h
-        base, t, w = _rechart(base, t, w, threshold)
-        yield s, base, t, w
+        base, y = _rechart(base, _rk4_step(y, h), threshold)
+        yield s, base, y[:m], y[m:]
 
 
 def _closest_approach(arcl: np.ndarray, ov: np.ndarray):
-    """Closest approach to a target along B paths sampled at arclengths ``arcl``.
+    """Closest approach of a path sampled at arclengths ``arcl`` to B targets.
 
     ``ov`` (n, B) holds ``|<target|psi>|``; the squared ray distance is fitted
     by a parabola through its smallest sample and both neighbours.  Returns,
-    per path, the index of that sample and the fitted arclength.
+    per target, the index of that sample and the fitted arclength.
     """
     ov = np.clip(ov, 0.0, 1.0)
     dist2 = np.arctan2(np.sqrt(1.0 - ov**2), ov) ** 2
@@ -503,17 +498,16 @@ def integrate_geodesic(start: ChartPoint, velocity, length: float, dt: float,
         raise ValueError(
             f"velocity must have {2 * start.coords.size} real components, got {v.shape}"
         )
-    t0 = start.coords[None, :]
-    w0 = _reals_to_coords(v)[None, :]
-    speed = math.sqrt(metric_factor * float(_speed2(t0, w0)[0]))
+    w0 = _reals_to_coords(v)
+    speed = math.sqrt(metric_factor * float(_speed2(start.coords, w0)))
     if speed < 1e-14:
         raise ValueError("velocity must be nonzero")
 
-    arcl, bases, ts, ws = zip(*_march(np.array([start.base_index]), t0, w0 / speed,
+    arcl, bases, ts, ws = zip(*_march(start.base_index, start.coords, w0 / speed,
                                       length, dt, rechart_threshold))
-    ts, ws = np.concatenate(ts), np.concatenate(ws)
+    ts, ws = np.array(ts), np.array(ws)
     speeds = np.sqrt(metric_factor * _speed2(ts[1:], ws[1:]))
-    samples = [(0.0, start)] + [(s, ChartPoint(base_index=int(k[0]), coords=t))
+    samples = [(0.0, start)] + [(s, ChartPoint(base_index=k, coords=t))
                                 for s, k, t in zip(arcl[1:], bases[1:], ts[1:])]
     return GeodesicPath(samples=samples, total_length=arcl[-1],
                         max_speed_drift=float(np.max(np.abs(speeds - 1.0), initial=0.0)))
@@ -564,29 +558,31 @@ def geodesic_between(a: Ray, b: Ray, num_samples: int = 65) -> GeodesicPath:
 def integrated_pair_distances(pairs, dt: float = 2e-3) -> np.ndarray:
     """Distance between ray pairs measured by geodesic integration.
 
-    For each pair the geodesic is integrated (one batched RK4 run, one row
-    per pair) in the chart of the superposition sphere the pair spans,
-    starting at the first ray and aimed at the second; the returned value is
-    the arclength at the closest approach to the second ray, extracted by a
-    parabolic fit of the squared ray distance around its minimum.  No arccos
-    of the overlap enters the measurement; comparing ``cos**2`` of the result
-    with ``|<a|b>|**2`` is therefore a genuine check, not a tautology.
+    For each pair the geodesic is integrated in the chart of the
+    superposition sphere the pair spans, starting at the first ray and aimed
+    at the second; the returned value is the arclength at the closest
+    approach to the second ray, extracted by a parabolic fit of the squared
+    ray distance around its minimum.  No arccos of the overlap enters the
+    measurement; comparing ``cos**2`` of the result with ``|<a|b>|**2`` is
+    therefore a genuine check, not a tautology.
+
+    In the frame ``(e0, e1)`` of :func:`_aligned_frame` every pair's geodesic
+    is the same great circle ``cos(s) e0 + sin(s) e1``; only the target
+    ``cos_d e0 + sin_d e1`` differs.  So one integration serves all pairs.
     """
     frames = [_aligned_frame(a, b) for a, b in pairs]
     cos_d = np.array([f[2] for f in frames])
     sin_d = np.array([f[3] for f in frames])
-    B = len(frames)
     # t = 0 is the first ray, unit speed (the metric is I there) aims at the
     # second.  RK4's chart error grows with |t|: re-charting at |t| > 2, not
     # RECHART_THRESHOLD, holds the acceptance sweep's worst pair at 2e-11, not 6e-10.
-    arcl, ov = [], []
-    for s, base, t, _ in _march(np.zeros(B, dtype=int), np.zeros((B, 1), dtype=np.complex128),
-                                np.ones((B, 1), dtype=np.complex128),
-                                math.pi / 2.0 + 0.25, dt, 2.0):
-        z = _homogeneous(base, t)
-        arcl.append(s)
-        ov.append(np.abs(cos_d * z[:, 0] + sin_d * z[:, 1]) / np.linalg.norm(z, axis=1))
-    return _closest_approach(np.array(arcl), np.array(ov))[1]
+    arcl, bases, ts, _ = zip(*_march(0, np.zeros(1, dtype=np.complex128),
+                                     np.ones(1, dtype=np.complex128),
+                                     math.pi / 2.0 + 0.25, dt, 2.0))
+    z = _homogeneous(np.array(bases), np.array(ts))
+    ov = np.abs(cos_d * z[:, :1] + sin_d * z[:, 1:])
+    ov /= np.linalg.norm(z, axis=1, keepdims=True)
+    return _closest_approach(np.array(arcl), ov)[1]
 
 
 def integrated_pair_distance(a: Ray, b: Ray, dt: float = 2e-3) -> float:
@@ -644,13 +640,12 @@ def _shoot(a_chart: ChartPoint, e0, e1, cos_d, sin_d, chi, length, dt, sphere):
     w = np.exp(1j * chi) * e1
     k = a_chart.base_index
     keep = np.arange(a_chart.dim) != k
-    t0 = a_chart.coords[None, :]
-    w0 = ((w[keep] * a_rep[k] - a_rep[keep] * w[k]) / a_rep[k] ** 2)[None, :]
-    speed = math.sqrt(float(_speed2(t0, w0)[0]))  # unit speed, as integrate_geodesic
-    arcl, bases, ts, _ = zip(*_march(np.array([k]), t0, w0 / speed, length, dt,
-                                     RECHART_THRESHOLD))
+    t0 = a_chart.coords
+    w0 = (w[keep] * a_rep[k] - a_rep[keep] * w[k]) / a_rep[k] ** 2
+    speed = math.sqrt(float(_speed2(t0, w0)))  # unit speed, as integrate_geodesic
+    arcl, bases, ts, _ = zip(*_march(k, t0, w0 / speed, length, dt, RECHART_THRESHOLD))
     arcl = np.array(arcl)
-    z = _homogeneous(np.concatenate(bases), np.concatenate(ts))
+    z = _homogeneous(np.array(bases), np.array(ts))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     alphas = z @ e0.conj()
     betas = z @ e1.conj()

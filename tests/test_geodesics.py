@@ -166,6 +166,83 @@ def fd_acceleration(point: ChartPoint, v: np.ndarray, h: float = 1e-5) -> np.nda
     return -np.einsum("kij,i,j->k", gamma, v, v)
 
 
+def batch_acceleration(t, w):
+    """Oracle engine: the earlier batched connection on (B, m) rows."""
+    tc = t.conj()
+    s = 1.0 + (tc * t).real.sum(axis=-1, keepdims=True)
+    return (2.0 * (tc * w).sum(axis=-1, keepdims=True) / s) * w
+
+
+def batch_rk4_step(t, w, h):
+    a1 = batch_acceleration(t, w)
+    t2, w2 = t + 0.5 * h * w, w + 0.5 * h * a1
+    a2 = batch_acceleration(t2, w2)
+    t3, w3 = t + 0.5 * h * w2, w + 0.5 * h * a2
+    a3 = batch_acceleration(t3, w3)
+    t4, w4 = t + h * w3, w + h * a3
+    a4 = batch_acceleration(t4, w4)
+    tn = t + (h / 6.0) * (w + 2 * w2 + 2 * w3 + w4)
+    wn = w + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
+    return tn, wn
+
+
+def batch_homogeneous(base, coords, fill):
+    B, m = coords.shape
+    off_base = np.arange(m + 1) != base[:, None]
+    z = np.full((B, m + 1), fill, dtype=np.complex128)
+    z[off_base] = coords.ravel()
+    return z
+
+
+def batch_rechart(base, t, w, threshold):
+    far = np.max(np.abs(t), axis=1) > threshold
+    if not np.any(far):
+        return base, t, w
+    z = batch_homogeneous(base[far], t[far], 1.0)
+    zdot = batch_homogeneous(base[far], w[far], 0.0)
+    new_base = np.argmax(np.abs(z), axis=1)
+    rows = np.arange(new_base.size)
+    zl, zldot = z[rows, new_base][:, None], zdot[rows, new_base][:, None]
+    keep = np.arange(z.shape[1]) != new_base[:, None]
+    zk, zkdot = z[keep].reshape(-1, t.shape[1]), zdot[keep].reshape(-1, t.shape[1])
+    base, t, w = base.copy(), t.copy(), w.copy()
+    base[far], t[far], w[far] = new_base, zk / zl, (zkdot * zl - zk * zldot) / zl**2
+    return base, t, w
+
+
+def batch_march(base, t, w, length, dt, threshold):
+    """The earlier ``(B, m)`` engine, kept bit for bit as the one-row engine's oracle."""
+    s = 0.0
+    yield s, base, t, w
+    while s < length - 1e-15:
+        h = min(dt, length - s)
+        t, w = batch_rk4_step(t, w, h)
+        s += h
+        base, t, w = batch_rechart(base, t, w, threshold)
+        yield s, base, t, w
+
+
+class TestOneRowEngine:
+    @pytest.mark.parametrize("threshold", [2.0, 10.0])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
+    def test_matches_batched_oracle_bit_for_bit(self, rng, dim, threshold):
+        """Rows start near a chart origin, so each path leaves the chart by s = pi/2."""
+        rows, m = 3, dim - 1
+        base = rng.integers(dim, size=rows)
+        t = 0.01 * (rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m)))
+        w = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        length, dt = math.pi / 2.0 + 0.3, 7e-3
+        batch = list(batch_march(base, t, w, length, dt, threshold))
+        for i in range(rows):
+            one = list(geodesics._march(int(base[i]), t[i], w[i], length, dt, threshold))
+            assert len(one) == len(batch)
+            assert [(s, k) for s, k, _, _ in one] == [(s, int(k[i])) for s, k, _, _ in batch]
+            assert all(ti.tobytes() == tb[i].tobytes() and wi.tobytes() == wb[i].tobytes()
+                       for (_, _, ti, wi), (_, _, tb, wb) in zip(one, batch))
+            assert len({k for _, k, _, _ in one}) > 1  # the path re-charted
+
+
 class TestClosedFormConnection:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_matches_finite_difference_oracle(self, rng, dim):
@@ -175,7 +252,7 @@ class TestClosedFormConnection:
             point = ChartPoint(base_index=int(rng.integers(dim)), coords=coords)
             v = rng.standard_normal(2 * (dim - 1))
             w = v[0::2] + 1j * v[1::2]
-            acc = geodesics._acceleration(coords[None, :], w[None, :])[0]
+            acc = geodesics._acceleration(coords, w)
             closed = np.column_stack((acc.real, acc.imag)).ravel()
             oracle = fd_acceleration(point, v)
             worst = max(worst, np.max(np.abs(closed - oracle)) / np.max(np.abs(closed)))
@@ -324,6 +401,32 @@ class TestIntegratedDistances:
         dists = integrated_pair_distances(pairs)
         for (a, b), d in zip(pairs, dists):
             assert abs(d - fs_distance(a, b)) < 1e-8
+
+    def test_sweep_equals_single_pairs_bit_for_bit(self, rng):
+        pairs = [(project(random_unit(rng, dim)), project(random_unit(rng, dim)))
+                 for dim in (2, 3, 5) for _ in range(4)]
+        singles = [integrated_pair_distance(a, b) for a, b in pairs]
+        assert integrated_pair_distances(pairs).tobytes() == np.array(singles).tobytes()
+
+    @pytest.mark.parametrize("n_pairs", [1, 7, 40])
+    def test_one_integration_whatever_the_batch(self, rng, monkeypatch, n_pairs):
+        calls = []
+        original = geodesics._march
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(geodesics, "_march", counting)
+        pairs = [(project(random_unit(rng, 3)), project(random_unit(rng, 3)))
+                 for _ in range(n_pairs)]
+        assert integrated_pair_distances(pairs).shape == (n_pairs,)
+        assert len(calls) == 1
+
+    def test_no_pairs_give_an_empty_float_array(self):
+        dists = integrated_pair_distances([])
+        assert dists.shape == (0,)
+        assert dists.dtype == np.float64
 
     def test_single_pair_helper(self, rng):
         a = project(random_unit(rng, 3))

@@ -271,3 +271,18 @@ def test_spin_precession_script_bad_dt_exits_two(tmp_path, dt):
     assert "Traceback" not in done.stderr
     assert "error: " in done.stderr.strip().splitlines()[-1]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--separations", "abc"], ["--separations", "nan"],
+                                  ["--separations", "0"], ["--separations=-1e-4"],
+                                  ["--separations", "1e-9"]])  # 1e-9: the slits overlap
+def test_fringe_scan_script_bad_separation_exits_two(tmp_path, args):
+    out = tmp_path / "fringes.csv"
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scripts", "fringe_scan.py")
+    done = subprocess.run([sys.executable, script, *args, "--out", str(out)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "error: " in done.stderr.strip().splitlines()[-1]
+    assert not out.exists()
