@@ -105,7 +105,6 @@ from .geodesics import (
     classify_induced_form,
     classify_lie_form,
     fs_metric,
-    geodesic_between,
     induced_sphere_metric,
     integrate_geodesic,
     integrated_pair_distance,

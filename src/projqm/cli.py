@@ -17,8 +17,10 @@ demo-spin
 Every command writes ``<command>.json`` (and CSV artifacts) into ``--out``
 and returns exit code 0 when all checks pass, 1 when any check fails, and
 2 for usage, configuration, or I/O errors.  Outputs are byte-identical for
-fixed flags and seed: randomness is drawn from a single seeded generator
-and reports carry no timestamps.
+fixed flags and seed (one seeded generator, no timestamps) on one Python,
+one numpy build, one BLAS core type and one SIMD dispatch: numpy picks its
+SIMD kernels at run time, and under ``NPY_DISABLE_CPU_FEATURES`` every
+command's output changed although every check passed.
 
 Exit 2 always means an ``error:`` line on stderr (after the usage text, for
 a parse-time error), no traceback and no report.  Numbers are checked at

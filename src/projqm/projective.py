@@ -362,12 +362,6 @@ def riemann_coordinate(x, sphere: SpannedSphere) -> RiemannCoordinate:
     return RiemannCoordinate.from_pair(w0, w1)
 
 
-def _sphere_point(sphere: SpannedSphere, theta: float, phi: float) -> np.ndarray:
-    return math.cos(theta / 2.0) * sphere.rep0 + (
-        math.sin(theta / 2.0) * np.exp(1j * phi)
-    ) * sphere.rep1
-
-
 def _area_element(sphere: SpannedSphere, theta, phi, metric_factor: float) -> np.ndarray:
     """sqrt(det) of the pulled-back statistical metric at grid points.
 

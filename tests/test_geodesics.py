@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 
 import projqm.geodesics as geodesics
 from projqm.geodesics import (ChartPoint, chart_to_ray, classify_induced_form,
-                              classify_lie_form, fs_metric, geodesic_between,
-                              geodesic_rows, induced_sphere_metric,
+                              classify_lie_form, fs_metric, induced_sphere_metric,
                               integrate_geodesic, integrated_pair_distance,
                               integrated_pair_distances, lie_derivative_normal,
                               candidate_induced_coefficient, ray_to_chart,
                               total_geodesy_certificate)
-from projqm.hilbert import gram_schmidt
-from projqm.projective import (SpannedSphere, fs_distance, project,
-                               sphere_membership)
+from projqm.projective import SpannedSphere, fs_distance, project
 from tests.conftest import random_unit, state_pairs, unit_vectors
 
 
@@ -225,8 +222,9 @@ def batch_march(base, t, w, length, dt, threshold):
 class TestOneRowEngine:
     @pytest.mark.parametrize("threshold", [2.0, 10.0])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
-    def test_matches_batched_oracle_bit_for_bit(self, rng, dim, threshold):
+    def test_matches_batched_oracle_bit_for_bit(self, rng, dim, threshold, monkeypatch):
         """Rows start near a chart origin, so each path leaves the chart by s = pi/2."""
+        monkeypatch.setattr(geodesics, "RECHART_THRESHOLD", threshold)
         rows, m = 3, dim - 1
         base = rng.integers(dim, size=rows)
         t = 0.01 * (rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m)))
@@ -235,7 +233,7 @@ class TestOneRowEngine:
         length, dt = math.pi / 2.0 + 0.3, 7e-3
         batch = list(batch_march(base, t, w, length, dt, threshold))
         for i in range(rows):
-            one = list(geodesics._march(int(base[i]), t[i], w[i], length, dt, threshold))
+            one = list(geodesics._march(int(base[i]), t[i], w[i], length, dt))
             assert len(one) == len(batch)
             assert [(s, k) for s, k, _, _ in one] == [(s, int(k[i])) for s, k, _, _ in batch]
             assert all(ti.tobytes() == tb[i].tobytes() and wi.tobytes() == wb[i].tobytes()
@@ -315,12 +313,15 @@ class TestIntegrateGeodesic:
         path = integrate_geodesic(start, np.array([1.0, 0.0]), np.pi, 1e-3)
         assert fs_distance(chart_to_ray(path.final), chart_to_ray(start)) < 1e-7
 
-    def test_rechart_threshold_does_not_change_endpoint(self):
+    def test_rechart_threshold_does_not_change_endpoint(self, monkeypatch):
         start = ChartPoint(base_index=0, coords=np.array([0.1 + 0.05j]))
         v = np.array([1.0, 0.2])
         kw = dict(length=1.4, dt=1e-3)
-        eager = integrate_geodesic(start, v, rechart_threshold=1.5, **kw)
-        lazy = integrate_geodesic(start, v, rechart_threshold=10.0, **kw)
+        eager = integrate_geodesic(start, v, **kw)
+        monkeypatch.setattr(geodesics, "RECHART_THRESHOLD", 10.0)
+        lazy = integrate_geodesic(start, v, **kw)
+        # the paths switch charts at different steps, and end at the same ray
+        assert [p.base_index for _, p in eager.samples] != [p.base_index for _, p in lazy.samples]
         assert fs_distance(chart_to_ray(eager.final),
                            chart_to_ray(lazy.final)) < 1e-8
 
@@ -335,57 +336,35 @@ class TestIntegrateGeodesic:
                            chart_to_ray(obs.final)) < 1e-7
 
 
-class TestGeodesicBetween:
-    def test_length_equals_distance(self, rng):
-        a = project(random_unit(rng, 4))
-        b = project(random_unit(rng, 4))
-        path = geodesic_between(a, b)
-        assert abs(path.total_length - fs_distance(a, b)) < 1e-10
+_BAD_STEPS = [0.0, -1e-3, math.nan, math.inf]
+_GUARD = "need 0 < dt < inf and 0 <= length < inf"
 
-    def test_endpoints(self, rng):
-        a = project(random_unit(rng, 3))
-        b = project(random_unit(rng, 3))
-        path = geodesic_between(a, b)
-        rays = path.rays()
-        assert fs_distance(rays[0], a) < 1e-10
-        assert fs_distance(rays[-1], b) < 1e-10
 
-    def test_path_stays_on_spanned_sphere(self, rng):
-        a = random_unit(rng, 3)
-        b = random_unit(rng, 3)
-        u, v = gram_schmidt([a, b])
-        sphere = SpannedSphere.from_rays(project(u), project(v))
-        path = geodesic_between(project(a), project(b))
-        for ray in path.rays():
-            assert sphere_membership(ray, sphere) < 1e-10
+class TestEngineInputGuard:
+    """Every public entry rejects a step or length the engine cannot march."""
 
-    def test_orthogonal_endpoints_flagged_degenerate(self):
-        a = project(np.array([1.0, 0.0, 0.0]))
-        b = project(np.array([0.0, 1.0, 0.0]))
-        path = geodesic_between(a, b)
-        assert path.phase_degenerate
-        assert abs(path.total_length - np.pi / 2.0) < 1e-12
+    origin = ChartPoint(base_index=0, coords=np.zeros(1, dtype=np.complex128))
+    pair = (project(np.array([1.0, 0.2, 0.1])), project(np.array([0.3, 1.0, -0.4])))
 
-    def test_generic_pair_not_degenerate(self):
-        a = project(np.array([1.0, 0.0, 0.0]))
-        b = project(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
-        assert not geodesic_between(a, b).phase_degenerate
+    @pytest.mark.parametrize("dt", _BAD_STEPS)
+    def test_integrate_geodesic_rejects_step(self, dt):
+        with pytest.raises(ValueError, match=_GUARD):
+            integrate_geodesic(self.origin, np.array([1.0, 0.0]), 1.0, dt)
 
-    def test_sphere_determined_by_interior_points(self, rng):
-        """Two interior samples pin down the same great sphere."""
-        a = project(random_unit(rng, 4))
-        b = project(random_unit(rng, 4))
-        path = geodesic_between(a, b, num_samples=33)
-        rays = path.rays()
-        u, v = gram_schmidt([rays[10].rep, rays[20].rep])
-        sphere = SpannedSphere.from_rays(project(u), project(v))
-        for ray in (a, b, rays[5], rays[28]):
-            assert sphere_membership(ray, sphere) < 1e-10
+    @pytest.mark.parametrize("length", [math.inf, math.nan, -1.0])
+    def test_integrate_geodesic_rejects_length(self, length):
+        with pytest.raises(ValueError, match=_GUARD):
+            integrate_geodesic(self.origin, np.array([1.0, 0.0]), length, 1e-3)
 
-    def test_coincident_rays_rejected(self, rng):
-        a = project(random_unit(rng, 3))
-        with pytest.raises(ValueError):
-            geodesic_between(a, project(np.exp(0.4j) * a.rep))
+    @pytest.mark.parametrize("dt", _BAD_STEPS)
+    def test_pair_sweep_rejects_step(self, dt):
+        with pytest.raises(ValueError, match=_GUARD):
+            integrated_pair_distances([self.pair], dt=dt)
+
+    @pytest.mark.parametrize("dt", _BAD_STEPS)
+    def test_certificate_rejects_step(self, dt):
+        with pytest.raises(ValueError, match=_GUARD):
+            total_geodesy_certificate(*self.pair, dt=dt)
 
 
 class TestIntegratedDistances:
@@ -485,6 +464,25 @@ class TestTotalGeodesyCertificate:
         assert [np.asarray(x).tobytes() for x in shot] == [np.asarray(x).tobytes() for x in path]
 
 
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_certificate_shot_rows_stay_inside_the_chart_limit(rng, dim, monkeypatch):
+    """Every row a shot yields lies in a chart with |t| <= RECHART_THRESHOLD (2)."""
+    peaks = []
+    original = geodesics._march
+
+    def recording(*args):
+        for row in original(*args):
+            peaks.append(float(np.abs(row[2]).max()))
+            yield row
+
+    monkeypatch.setattr(geodesics, "_march", recording)
+    for _ in range(3):
+        a, b = project(random_unit(rng, dim)), project(random_unit(rng, dim))
+        assert total_geodesy_certificate(a, b, ambient_dim=dim).converged
+    assert geodesics.RECHART_THRESHOLD == 2.0
+    assert 1.0 < max(peaks) <= geodesics.RECHART_THRESHOLD
+
+
 def _smooth_function(rng):
     """A smooth function on [-0.6, 0.6], most often with a sign change there."""
     r = float(rng.uniform(-0.7, 0.7))
@@ -561,13 +559,3 @@ class TestBrentRoot:
         assert ours[1:] == theirs[1:]
         assert ours[1] is False
 
-
-def test_geodesic_rows_layout():
-    start = ChartPoint(base_index=0, coords=np.zeros(2, dtype=np.complex128))
-    path = integrate_geodesic(start, np.array([1.0, 0.0, 0.0, 0.0]), 0.2, 1e-2)
-    header, rows = geodesic_rows(path)
-    assert header[0] == "arclength"
-    assert header[1] == "base_index"
-    assert header[2:] == ["u1", "v1", "u2", "v2"]
-    assert all(len(row) == len(header) for row in rows)
-    assert abs(rows[-1][0] - 0.2) < 1e-12
