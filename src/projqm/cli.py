@@ -60,7 +60,7 @@ from .interference import (TwoSlitConfig, fringe_spacing, noncommuting_control,
 from .kahler import (derive_observable_scale_factor, hamiltonian_vector_field,
                      killing_residual, poisson_bracket, riemannian_product,
                      uncertainty_audit)
-from .projective import SpannedSphere, fs_distance, project, sphere_area
+from .projective import Ray, SpannedSphere, fs_distance, project, sphere_area
 from .report import Report, ensure_outdir, write_csv
 
 #: Exit codes of the CLI contract.
@@ -485,7 +485,7 @@ def _run_evolution(hamiltonian, start, t_end: float, dt: float, track,
     # Probe observable: a fixed Hermitian that generically fails to commute
     # with the Hamiltonian, so the bracket side of the identity is nonzero.
     probe = _random_hermitian(np.random.default_rng(20260814), H.shape[0])
-    report.add("ehrenfest_residual", ehrenfest_residual(probe, H, traj.points[0]),
+    report.add("ehrenfest_residual", ehrenfest_residual(probe, H, Ray(rep=traj.reps[0])),
                2e-8 * scale, **ins, probe=probe)
 
     path = os.path.join(outdir, f"{command}.json")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .hilbert import (_expectation, as_hermitian, as_state, commutator_expectation,
                       evolve_exact, expectation)
-from .projective import Ray, _fs_sin_cos, _ray, project
+from .projective import Ray, _fs_sin_cos, _gauge_fix, project
 
 __all__ = [
     "Trajectory",
@@ -38,22 +38,36 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time grid, ray samples, and tracked expectation values of one flow run."""
+    """Samples of one flow run.
+
+    ``times`` (N,) is the time grid, ``reps`` a read-only (N, d) array whose
+    row k is the gauge-fixed representative at ``times[k]``, and
+    ``observables_tracked`` a list of ``(label, values)`` with one value per
+    sample.  :attr:`points` and :attr:`final` build validated :class:`Ray`
+    objects on demand.
+    """
 
     times: np.ndarray
-    points: list[Ray]
+    reps: np.ndarray
     observables_tracked: list[tuple[str, np.ndarray]] = field(default_factory=list)
 
     def __post_init__(self):
-        if len(self.points) != self.times.shape[0]:
-            raise ValueError("times and points must have equal length")
+        reps = np.ascontiguousarray(self.reps, dtype=np.complex128).view()
+        reps.setflags(write=False)
+        object.__setattr__(self, "reps", reps)
+        if reps.ndim != 2 or reps.shape[0] != self.times.shape[0]:
+            raise ValueError("times and reps must have equal length")
         for label, vals in self.observables_tracked:
             if vals.shape[0] != self.times.shape[0]:
                 raise ValueError(f"tracked observable {label!r} has wrong length")
 
     @property
+    def points(self) -> list[Ray]:
+        return [Ray(rep=rep) for rep in self.reps]
+
+    @property
     def final(self) -> Ray:
-        return self.points[-1]
+        return Ray(rep=self.reps[-1])
 
 
 def _generator(H: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -113,7 +127,7 @@ def flow_integrate(hamiltonian, start, t_end: float, dt: float,
         tracked.append((str(label), F))
 
     times = [0.0]
-    points = [ray0]
+    samples = [ray0.rep]
     values = {label: [_expectation(op, ray0.rep)] for label, op in tracked}
 
     psi = ray0.rep.copy()
@@ -131,17 +145,16 @@ def flow_integrate(hamiltonian, start, t_end: float, dt: float,
                 f"norm drift {drift:.3e} in one step at t={t + h:.6g}; "
                 "reduce dt"
             )
-        ray = _ray(psi)
-        psi = ray.rep.copy()
+        psi = _gauge_fix(psi)
         t += h
         times.append(t)
-        points.append(ray)
+        samples.append(psi)
         for label, op in tracked:
             values[label].append(_expectation(op, psi))
 
     return Trajectory(
         times=np.array(times),
-        points=points,
+        reps=np.array(samples),
         observables_tracked=[(label, np.array(values[label])) for label, _ in tracked],
     )
 
@@ -156,7 +169,7 @@ def flow_vs_exact_deviation(hamiltonian, traj: Trajectory) -> float:
     Scales as ``dt**4``.
     """
     H = as_hermitian(hamiltonian, name="hamiltonian")
-    reps = np.array([ray.rep for ray in traj.points])
+    reps = traj.reps
     if H.shape[0] != reps.shape[1]:
         raise ValueError("hamiltonian dimension does not match the trajectory")
     evals, vecs = np.linalg.eigh(H)
@@ -185,22 +198,16 @@ def ehrenfest_residual(op, hamiltonian, at, eps: float = 1e-4) -> float:
     return abs(derivative - commutator_expectation(F, H, ray.rep))
 
 
-def trajectory_rows(traj: Trajectory) -> tuple[list[str], list[list[float]]]:
-    """Flatten a trajectory to CSV-ready header and rows.
+def trajectory_rows(traj: Trajectory) -> tuple[list[str], np.ndarray]:
+    """Flatten a trajectory to a CSV-ready header and one (N, columns) array.
 
     Columns: time, then re/im of every representative component, then one
     column per tracked observable.
     """
-    dim = traj.points[0].dim
     header = ["time"]
-    for i in range(dim):
+    for i in range(traj.reps.shape[1]):
         header += [f"psi{i}_re", f"psi{i}_im"]
     header += [label for label, _ in traj.observables_tracked]
-    rows = []
-    for k, (t, ray) in enumerate(zip(traj.times, traj.points)):
-        row = [float(t)]
-        for c in ray.rep:
-            row += [float(c.real), float(c.imag)]
-        row += [float(vals[k]) for _, vals in traj.observables_tracked]
-        rows.append(row)
+    rows = np.column_stack((traj.times, traj.reps.view(np.float64),
+                            *(vals for _, vals in traj.observables_tracked)))
     return header, rows

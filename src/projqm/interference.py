@@ -404,23 +404,16 @@ def noncommuting_control(wall: SlitWall, at: Ray) -> float:
     return abs(poisson_bracket(wall.slit_projector(0).matrix, mixing.matrix, at))
 
 
-def pattern_rows(pattern: InterferencePattern) -> tuple[list[str], list[list[float]]]:
-    """Flatten a pattern to CSV-ready header and rows.
+def pattern_rows(pattern: InterferencePattern) -> tuple[list[str], np.ndarray]:
+    """Flatten a pattern to a CSV-ready header and one (n_screen, columns) array.
 
     Columns: x, intensity_total, one intensity per slit, cross_term.
     """
     header = ["x", "intensity_total"]
     header += [f"intensity_slit_{i + 1}" for i in range(pattern.n_slits)]
     header += ["cross_term"]
-    total = pattern.total_intensity
-    singles = pattern.slit_intensities
-    cross = pattern.cross_term
-    rows = []
-    for k in range(pattern.screen_positions.size):
-        row = [float(pattern.screen_positions[k]), float(total[k])]
-        row += [float(s[k]) for s in singles]
-        row.append(float(cross[k]))
-        rows.append(row)
+    rows = np.column_stack((pattern.screen_positions, pattern.total_intensity,
+                            *pattern.slit_intensities, pattern.cross_term))
     return header, rows
 
 

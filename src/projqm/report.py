@@ -125,10 +125,18 @@ def format_real(x: float) -> str:
 
 
 def write_csv(path: str, header: list[str], rows) -> str:
-    """Write rows of reals as CSV with a header and 17 significant digits."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_real(v) for v in row))
+    """Write a table of reals as CSV with a header and 17 significant digits.
+
+    ``rows`` is an (n, len(header)) array or a list of equal-length lists;
+    each value is written as :func:`format_real` writes it.
+    """
+    table = np.asarray(rows, dtype=np.float64)
+    if table.size == 0:
+        table = table.reshape(0, len(header))
+    if table.ndim != 2 or table.shape[1] != len(header):
+        raise ValueError(f"expected rows of {len(header)} values, got shape {table.shape}")
+    fmt = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [fmt % tuple(row) for row in table.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path

@@ -196,5 +196,5 @@ class TestTrajectoryRows:
 
 
 def test_trajectory_validates_lengths():
-    with pytest.raises(ValueError):
-        Trajectory(times=np.array([0.0, 1.0]), points=[project(PLUS)])
+    with pytest.raises(ValueError, match="equal length"):
+        Trajectory(times=np.array([0.0, 1.0]), reps=project(PLUS).rep[None, :])

@@ -78,6 +78,44 @@ def test_write_csv_roundtrip(tmp_path):
     assert float(lines[2].split(",")[1]) == 1.0 / 3.0
 
 
+class TestWriteCsvBytes:
+    """``write_csv`` writes exactly the bytes of a per-value ``format_real``
+    join, one line per row."""
+
+    AWKWARD = [[-0.0, 5e-324, 1e-320, 1.7e308], [-1.7e308, 1.0 / 3.0, 0, -7],
+               [2.0**53 + 1, 1e-300, 0.1, np.nextafter(1.0, 2.0)],
+               [float("nan"), float("inf"), -float("inf"), 10**22]]
+
+    @staticmethod
+    def _expected(header, rows):
+        lines = [",".join(header)] + [",".join(format_real(v) for v in row) for row in rows]
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_awkward_values(self, tmp_path, as_array):
+        header = ["a", "b", "c", "d"]
+        rows = np.array(self.AWKWARD) if as_array else self.AWKWARD
+        path = write_csv(str(tmp_path / "t.csv"), header, rows)
+        assert open(path, "rb").read() == self._expected(header, self.AWKWARD)
+
+    @pytest.mark.parametrize("rows", [[], np.empty((0, 3))])
+    def test_zero_rows_give_the_header_line_only(self, tmp_path, rows):
+        path = write_csv(str(tmp_path / "t.csv"), ["x", "y", "z"], rows)
+        assert open(path, "rb").read() == b"x,y,z\n"
+
+    def test_one_row_trajectory(self, tmp_path):
+        traj = projqm.flow_integrate(projqm.sigma_z(), [0.6, 0.8j], 0.0, 1e-3,
+                                     track=[("x", projqm.sigma_x())])
+        header, rows = projqm.trajectory_rows(traj)
+        assert rows.shape == (1, len(header))
+        path = write_csv(str(tmp_path / "t.csv"), header, rows)
+        assert open(path, "rb").read() == self._expected(header, rows.tolist())
+
+    def test_rows_must_match_the_header(self, tmp_path):
+        with pytest.raises(ValueError, match="rows of 2 values"):
+            write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[1.0, 2.0, 3.0]])
+
+
 class TestCliExitCodes:
     def test_pass_run_exits_zero(self, tmp_path):
         code = main(["kahler-audit", "--dims", "2", "--trials", "2",
