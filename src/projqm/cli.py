@@ -230,6 +230,7 @@ def cmd_geodesic_verify(args) -> int:
 
     if args.pairs > 0:
         rng = np.random.default_rng(args.seed)
+        draws = []  # (dim, pairs, sphere basis) per dim, in the generator's order
         for dim in dims:
             pairs = []
             while len(pairs) < args.pairs:
@@ -238,21 +239,25 @@ def cmd_geodesic_verify(args) -> int:
                 c = abs(a.overlap_with(b))
                 if 1e-3 < c < 0.999:
                     pairs.append((a, b))
+            u = _random_state(rng, dim)
+            w = _random_state(rng, dim)
+            draws.append((dim, pairs, gram_schmidt([u, w])))
+        # one great circle serves every pair of every dim
+        integrated = integrated_pair_distances(
+            [pair for _, pairs, _ in draws for pair in pairs], dt=min(args.dt, 2e-3))
+        for i, (dim, pairs, basis) in enumerate(draws):
+            integ = integrated[i * args.pairs:(i + 1) * args.pairs]
             overlaps = np.array([abs(a.overlap_with(b)) for a, b in pairs])
             closed = np.array([fs_distance(a, b) for a, b in pairs])
             report.add("closed_form_distance_vs_overlap",
                        float(np.max(np.abs(np.cos(closed) ** 2 - overlaps**2))),
                        1e-12 * scale, dim=dim, seed=args.seed,
                        overlaps=overlaps)
-            integ = integrated_pair_distances(pairs, dt=min(args.dt, 2e-3))
             report.add("integrated_distance_vs_overlap",
                        float(np.max(np.abs(np.cos(integ) ** 2 - overlaps**2))),
                        tol_integrated, dim=dim, seed=args.seed,
                        overlaps=overlaps)
 
-            u = _random_state(rng, dim)
-            w = _random_state(rng, dim)
-            basis = gram_schmidt([u, w])
             area = sphere_area(SpannedSphere(rep0=basis[0], rep1=basis[1]))
             report.add("sphere_area_statistical_pi", abs(area - math.pi),
                        1e-6 * scale, dim=dim, seed=args.seed, rep0=basis[0],

@@ -631,6 +631,11 @@ def _shoot(a_chart: ChartPoint, e0, e1, cos_d, sin_d, chi, length, dt, sphere):
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
 
 
+class _NoRootBracketed(ValueError):
+    """:func:`_brent_root` found no sign change to search: a bracket whose
+    ends have the same sign, or a NaN value."""
+
+
 def _brent_root(f, a: float, b: float, xtol: float, maxiter: int) -> tuple[float, bool]:
     """Root of ``f`` bracketed by ``[a, b]`` by Brent's method: ``(root, converged)``.
 
@@ -638,15 +643,16 @@ def _brent_root(f, a: float, b: float, xtol: float, maxiter: int) -> tuple[float
     *Algorithms for Minimization Without Derivatives*, ch. 4), so it calls
     ``f`` at the same points and returns the same bits, with the rules of
     scipy's ``brentq`` wrapper: relative tolerance ``4 eps``; a NaN value
-    or a bracket whose ends have the same sign raises ``ValueError``; an
-    end where ``f`` is exactly 0 is returned at once; ``converged`` is
-    False only when ``maxiter`` iterations run out, with the last point
-    evaluated as the root.
+    or a bracket whose ends have the same sign raises
+    :class:`_NoRootBracketed`, a ``ValueError``; an end where ``f`` is
+    exactly 0 is returned at once; ``converged`` is False only when
+    ``maxiter`` iterations run out, with the last point evaluated as the
+    root.
     """
     def value(x):
         fx = f(x)
         if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
+            raise _NoRootBracketed(f"the function value at x={x} is NaN")
         return fx
 
     xpre, xcur = a, b
@@ -657,7 +663,7 @@ def _brent_root(f, a: float, b: float, xtol: float, maxiter: int) -> tuple[float
     if fcur == 0:
         return xcur, True
     if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
+        raise _NoRootBracketed("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
@@ -735,7 +741,7 @@ def total_geodesy_certificate(a: Ray, b: Ray, ambient_dim: int | None = None,
         try:
             chi_star, converged = _brent_root(lambda chi: shoot(chi)[0], -0.6, 0.6,
                                               xtol=1e-12, maxiter=max_iterations)
-        except ValueError:
+        except _NoRootBracketed:
             # no sign change in the bracket, or a NaN miss: report the midpoint aim
             chi_star = 0.0
             converged = False

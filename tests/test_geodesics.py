@@ -463,6 +463,35 @@ class TestTotalGeodesyCertificate:
         shot, path = starts
         assert [np.asarray(x).tobytes() for x in shot] == [np.asarray(x).tobytes() for x in path]
 
+    @staticmethod
+    def _aims_of(monkeypatch, shot):
+        aims = []
+
+        def recording(a_chart, e0, e1, cos_d, sin_d, chi, *args):
+            aims.append(chi)
+            return shot()
+
+        monkeypatch.setattr(geodesics, "_shoot", recording)
+        return aims
+
+    def test_error_inside_a_shot_propagates_without_a_second_shot(self, rng, monkeypatch):
+        def failing():
+            raise ValueError("step guard")
+
+        aims = self._aims_of(monkeypatch, failing)
+        a, b = project(random_unit(rng, 3)), project(random_unit(rng, 3))
+        with pytest.raises(ValueError, match="step guard"):
+            total_geodesy_certificate(a, b)
+        assert aims == [-0.6]
+
+    def test_no_sign_change_reports_the_midpoint_aim(self, rng, monkeypatch):
+        aims = self._aims_of(monkeypatch, lambda: (1.0, 1.0, 0.5, 0.0))
+        a, b = project(random_unit(rng, 3)), project(random_unit(rng, 3))
+        cert = total_geodesy_certificate(a, b)
+        assert aims == [-0.6, 0.6, 0.0]
+        assert cert.aim_angle == 0.0
+        assert not cert.converged
+
 
 @pytest.mark.parametrize("dim", [3, 4, 5])
 def test_certificate_shot_rows_stay_inside_the_chart_limit(rng, dim, monkeypatch):

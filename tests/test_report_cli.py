@@ -252,6 +252,23 @@ class TestCliOutputs:
         assert "closed_form_distance_vs_overlap" in names
         assert "sphere_area_statistical_pi" in names
 
+    def test_geodesic_verify_integrates_one_great_circle(self, tmp_path, monkeypatch):
+        sweeps = []
+        original = projqm.geodesics._march
+
+        def counting(*args):
+            sweeps.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(projqm.geodesics, "_march", counting)
+        code = main(["geodesic-verify", "--ambient-dims", "2,3,4", "--pairs", "4",
+                     "--certificates", "0", "--out", str(tmp_path)])
+        assert code == 0
+        data = json.loads((tmp_path / "geodesic-verify.json").read_text())
+        checks = [e["check_name"] for e in data["entries"]]
+        assert checks.count("integrated_distance_vs_overlap") == 3
+        assert len(sweeps) == 1
+
     def test_two_slit_writes_pattern_and_report(self, tmp_path):
         assert main(["two-slit", "--out", str(tmp_path)]) == 0
         data = json.loads((tmp_path / "two-slit.json").read_text())
