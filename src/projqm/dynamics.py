@@ -155,10 +155,10 @@ def flow_integrate(hamiltonian, start, t_end: float, dt: float,
 
     # the flow carries no global phase, so the gauge matters only for output
     reps = np.array(samples)
-    if reps.shape[0] > 1:
-        reps[1:] = _gauge_fix(reps[1:])
-    values = [(label, (reps.conj() * (reps @ F.T)).sum(1).real
-               / (reps.conj() * reps).sum(1).real) for label, F in tracked]
+    reps[1:] = _gauge_fix(reps[1:])
+    bras = reps.conj()
+    norms2 = (bras * reps).sum(1).real
+    values = [(label, (bras * (reps @ F.T)).sum(1).real / norms2) for label, F in tracked]
     return Trajectory(times=np.array(times), reps=reps, observables_tracked=values)
 
 

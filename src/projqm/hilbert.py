@@ -142,12 +142,6 @@ def expectation(op, psi) -> float:
         raise ValueError(f"dimension mismatch: operator {F.shape[0]}, state {v.shape[0]}")
     if float(np.vdot(v, v).real) <= 0.0:
         raise ValueError("state has zero norm")
-    return _expectation(F, v)
-
-
-def _expectation(F: np.ndarray, v: np.ndarray) -> float:
-    """:func:`expectation` of a validated operator in a nonzero state of its
-    dimension, without re-validating either."""
     return float(np.vdot(v, F @ v).real) / float(np.vdot(v, v).real)
 
 

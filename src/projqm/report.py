@@ -131,7 +131,7 @@ def write_csv(path: str, header: list[str], rows) -> str:
     each value is written as :func:`format_real` writes it.
     """
     table = np.asarray(rows, dtype=np.float64)
-    if table.size == 0:
+    if table.shape == (0,):
         table = table.reshape(0, len(header))
     if table.ndim != 2 or table.shape[1] != len(header):
         raise ValueError(f"expected rows of {len(header)} values, got shape {table.shape}")
