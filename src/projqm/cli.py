@@ -26,16 +26,16 @@ Exit 2 always means an ``error:`` line on stderr (after the usage text, for
 a parse-time error), no traceback and no report.  Numbers are checked at
 parse time: ``--dt`` must be finite and positive (``demo-spin`` admits 0,
 see below), ``--t-end`` and ``--tolerance-scale`` finite and nonnegative (a
-zero scale demands exact residuals, so checks fail with exit 1), and every
-float of a two-slit config finite.  A ``ValueError`` that the library
-raises on the user's input - a zero or mis-sized state, a non-Hermitian or
-mis-sized operator of ``evolve``, a two-slit geometry it cannot build or
-measure fringes on - exits 2, and so does the flow integrator's norm-drift
-``RuntimeError``, which means ``--dt`` is too large for the Hamiltonian.
-Any other exception is a defect and propagates with its traceback; that
-includes ``demo-spin --dt 0``, whose ``ValueError`` from
-:func:`~projqm.dynamics.flow_integrate` the benchmark's own tests use as
-their example of a job that raises.
+zero scale demands exact residuals, so checks fail with exit 1), every
+float of a two-slit config finite, and every comma list of dimensions or
+seeds nonempty.  A ``ValueError`` that the library raises on the user's
+input - a zero or mis-sized state, a non-Hermitian or mis-sized operator of
+``evolve``, a two-slit geometry it cannot build or measure fringes on -
+exits 2, and so does the flow integrator's norm-drift ``RuntimeError``,
+which means ``--dt`` is too large for the Hamiltonian.  Any other exception
+is a defect and propagates with its traceback; that includes ``demo-spin
+--dt 0``, whose ``ValueError`` from :func:`~projqm.dynamics.flow_integrate`
+the benchmark's own tests use as their example of a job that raises.
 """
 
 from __future__ import annotations
@@ -109,10 +109,14 @@ def _flow(H, start, t_end: float, dt: float, track):
 
 
 def _parse_int_list(text: str) -> list[int]:
+    """A nonempty comma-separated integer list; empty tokens are skipped."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise CliError(f"expected a comma-separated integer list, got {text!r}") from exc
+    if not values:
+        raise CliError(f"expected at least one integer, got {text!r}")
+    return values
 
 
 def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -273,9 +277,10 @@ def cmd_geodesic_verify(args) -> int:
                                cert.max_offslice_residual, tol_certificate, **ins)
                     report.add("certificate_length_match",
                                cert.length_match, tol_certificate, **ins)
-                    report.add("certificate_arrival",
-                               cert.arrival_miss if cert.converged else float("inf"),
-                               1e-8 * scale * (1e4 if degraded else 1.0), **ins)
+                    failure = None if cert.converged else "shooting did not converge"
+                    report.add("certificate_arrival", cert.arrival_miss,
+                               1e-8 * scale * (1e4 if degraded else 1.0),
+                               failure=failure, **ins)
 
     path = os.path.join(ensure_outdir(args.out), "geodesic-verify.json")
     report.write(path)

@@ -27,6 +27,14 @@ every geodesic.  RK4's chart error grows with |t|: re-charting the shots at
 in as many steps.  The finite-difference Christoffel contraction survives
 only in the tests, as an independent oracle for the connection.
 
+The engine's step runs on lists of Python complex numbers, not numpy
+arrays.  Every caller marches m <= 7 coordinates, and at that size each
+numpy call costs more than the arithmetic it does: on a 2-core x86 host one
+RK4 step took 54-66 us with numpy at every m <= 7, and 10-14 us (m = 1) to
+24-39 us (m = 7) in Python; the two break even near m = 13-16.  The rows
+a march yields are stacked into one numpy array by each caller, and all
+later work stays in numpy.
+
 The module also certifies that superposition spheres are totally geodesic:
 a shooting method aims a full-chart geodesic at the second basis ray,
 restricting the initial direction to the sphere's two-real-dimensional
@@ -363,65 +371,82 @@ def _speed2(t: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (s * np.sum(np.abs(w) ** 2, axis=-1) - np.abs(tw) ** 2) / s**2
 
 
-def _acceleration(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _acceleration(t, w) -> list:
     """Closed-form geodesic acceleration ``2 (conj(t).w) w / (1 + |t|^2)``.
 
-    ``t`` and ``w`` are the chart coordinates and velocity of one point,
-    shape (m,); the metric factor cancels from the connection.
+    ``t`` and ``w`` are the chart coordinates and velocity of one point, as
+    sequences of ``m`` Python complex numbers; the result is a list.  The
+    metric factor cancels from the connection.
     """
-    tc = t.conj()
-    return (2.0 * (tc * w).sum() / (1.0 + (tc * t).real.sum())) * w
+    tw, tt = 0j, 0.0
+    for ti, wi in zip(t, w):
+        tc = ti.conjugate()
+        tw += tc * wi
+        tt += (tc * ti).real
+    c = 2.0 * tw / (1.0 + tt)
+    return [c * wi for wi in w]
 
 
-def _rk4_step(y: np.ndarray, h: float) -> np.ndarray:
-    """One RK4 step of the stacked state ``y = (t, t')``, shape (2m,)."""
-    m = y.size // 2
+def _rk4_step(y: list, h: float) -> list:
+    """One RK4 step of the stacked state ``y = t + t'``, a list of 2m complex numbers."""
+    m = len(y) // 2
 
     def f(y):
-        return np.concatenate((y[m:], _acceleration(y[:m], y[m:])))
+        return y[m:] + _acceleration(y[:m], y[m:])
 
+    hh = 0.5 * h
     k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    k2 = f([yi + hh * ki for yi, ki in zip(y, k1)])
+    k3 = f([yi + hh * ki for yi, ki in zip(y, k2)])
+    k4 = f([yi + h * ki for yi, ki in zip(y, k3)])
+    h6 = h / 6.0
+    return [yi + h6 * (a + 2 * b + 2 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
-def _rechart(base: int, y: np.ndarray):
-    """Switch the stacked state ``y = (t, t')`` to its largest component's chart.
+def _rechart(base: int, y: list):
+    """Switch the stacked state ``y = t + t'`` to its largest component's chart.
 
     Only a state with a coordinate modulus above ``RECHART_THRESHOLD``
     switches.  The new base is the argmax, which puts every coordinate
     modulus at or below one - half the threshold - so switching cannot
     thrash.  For one coordinate this is the flip ``t -> 1/t``.  Returns
-    ``(base, y)``; the input is not modified.
+    ``(base, y)``; the input list is not modified.
     """
-    m = y.size // 2
-    if not np.abs(y[:m]).max() > RECHART_THRESHOLD:
+    m = len(y) // 2
+    if not max(map(abs, y[:m])) > RECHART_THRESHOLD:
         return base, y
-    z, zdot = np.insert(y[:m], base, 1.0), np.insert(y[m:], base, 0.0)
-    k = int(np.argmax(np.abs(z)))
-    # one-element slices, not scalars: a complex scalar divisor rounds differently
-    zl, zldot = z[k:k + 1], zdot[k:k + 1]
-    zk, zkdot = np.delete(z, k), np.delete(zdot, k)
-    return k, np.concatenate((zk / zl, (zkdot * zl - zk * zldot) / zl**2))
+    z, zdot = y[:m], y[m:]
+    z.insert(base, 1 + 0j)
+    zdot.insert(base, 0j)
+    moduli = [abs(zi) for zi in z]
+    k = moduli.index(max(moduli))
+    zl, zldot = z.pop(k), zdot.pop(k)
+    zl2 = zl * zl
+    return k, ([zi / zl for zi in z]
+               + [(zdi * zl - zi * zldot) / zl2 for zi, zdi in zip(z, zdot)])
 
 
 def _march(base: int, t, w, length: float, dt: float):
     """Integrate the geodesic equation from one chart point.
 
-    ``base`` is the chart base index and ``t``, ``w`` (m,) the chart
-    coordinates and velocity.  Each RK4 step of ``dt`` (the last one
+    ``base`` is the chart base index and ``t``, ``w`` (m numbers each) the
+    chart coordinates and velocity.  Each RK4 step of ``dt`` (the last one
     shortened to land on ``length``) is followed by :func:`_rechart`.
-    Yields ``(arclength, base, t, w)`` at the start and after every step.
-    The first ``next`` raises ``ValueError`` unless ``0 < dt < inf`` and
-    ``0 <= length < inf``.
+    Yields ``(arclength, base, t, w)`` at the start and after every step,
+    with ``t`` and ``w`` lists of Python complex numbers; callers stack the
+    rows once with ``np.array``.  The first ``next`` raises ``ValueError``
+    unless ``0 < dt < inf`` and ``0 <= length < inf``.
+
+    The step runs on Python complex numbers rather than numpy arrays: at
+    the sizes used here (m <= 7) numpy's per-call overhead is most of a
+    step's cost, and the Python step is 1.6-5x faster; the two break even
+    near m = 13-16 (see the module docstring).
     """
     if not (0.0 < dt < math.inf and 0.0 <= length < math.inf):
         raise ValueError(f"need 0 < dt < inf and 0 <= length < inf, got {dt}, {length}")
-    m = t.size
-    s, y = 0.0, np.concatenate((t, w))
-    yield s, base, t, w
+    m = len(t)
+    s, y = 0.0, [complex(x) for x in t] + [complex(x) for x in w]
+    yield s, base, y[:m], y[m:]
     while s < length - 1e-15:
         h = min(dt, length - s)
         s += h
@@ -544,9 +569,7 @@ def integrated_pair_distances(pairs, dt: float = 2e-3) -> np.ndarray:
     cos_d = np.array([f[2] for f in frames])
     sin_d = np.array([f[3] for f in frames])
     # t = 0 is the first ray; unit speed (the metric is I there) aims at the second
-    arcl, bases, ts, _ = zip(*_march(0, np.zeros(1, dtype=np.complex128),
-                                     np.ones(1, dtype=np.complex128),
-                                     math.pi / 2.0 + 0.25, dt))
+    arcl, bases, ts, _ = zip(*_march(0, [0j], [1 + 0j], math.pi / 2.0 + 0.25, dt))
     z = _homogeneous(np.array(bases), np.array(ts))
     ov = np.abs(cos_d * z[:, :1] + sin_d * z[:, 1:])
     ov /= np.linalg.norm(z, axis=1, keepdims=True)

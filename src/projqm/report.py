@@ -2,12 +2,12 @@
 
 Reports are JSON files holding a metadata header and a list of check
 entries; an entry passes exactly when its residual is at most its
-tolerance.  Determinism is part of the output contract - identical inputs
-must produce byte-identical files - so the writer sorts keys, relies on
-Python's shortest-roundtrip float repr, and records no timestamps.  Each
-entry carries a short digest of the inputs that produced it (arrays are
-hashed by their bytes), which identifies reruns of the same draw without
-bloating the file.
+tolerance and it names no ``failure``.  Determinism is part of the output
+contract - identical inputs must produce byte-identical files - so the
+writer sorts keys, relies on Python's shortest-roundtrip float repr, and
+records no timestamps.  Each entry carries a short digest of the inputs
+that produced it (arrays are hashed by their bytes), which identifies
+reruns of the same draw without bloating the file.
 """
 
 from __future__ import annotations
@@ -60,25 +60,34 @@ def digest_inputs(**inputs) -> str:
 
 @dataclass(frozen=True)
 class ReportEntry:
-    """One verification check: named, digested, and graded."""
+    """One verification check: named, digested, and graded.
+
+    ``failure``, when set, says why the check fails whatever its residual -
+    a solver that did not converge still records its finite residual.  The
+    key is written only when set, so other entries serialize unchanged.
+    """
 
     check_name: str
     inputs_digest: str
     residual: float
     tolerance: float
+    failure: str | None = None
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tolerance
+        return self.failure is None and self.residual <= self.tolerance
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "check_name": self.check_name,
             "inputs_digest": self.inputs_digest,
             "residual": float(self.residual),
             "tolerance": float(self.tolerance),
             "pass": self.passed,
         }
+        if self.failure is not None:
+            out["failure"] = self.failure
+        return out
 
 
 @dataclass
@@ -89,13 +98,14 @@ class Report:
     metadata: dict = field(default_factory=dict)
     entries: list[ReportEntry] = field(default_factory=list)
 
-    def add(self, check_name: str, residual: float, tolerance: float,
-            **inputs) -> ReportEntry:
+    def add(self, check_name: str, residual: float, tolerance: float, *,
+            failure: str | None = None, **inputs) -> ReportEntry:
         entry = ReportEntry(
             check_name=check_name,
             inputs_digest=digest_inputs(**inputs),
             residual=float(residual),
             tolerance=float(tolerance),
+            failure=failure,
         )
         self.entries.append(entry)
         return entry

@@ -222,8 +222,32 @@ def batch_march(base, t, w, length, dt, threshold):
 class TestOneRowEngine:
     @pytest.mark.parametrize("threshold", [2.0, 10.0])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
-    def test_matches_batched_oracle_bit_for_bit(self, rng, dim, threshold, monkeypatch):
-        """Rows start near a chart origin, so each path leaves the chart by s = pi/2."""
+    def test_matches_batched_oracle_within_rounding(self, rng, dim, threshold, monkeypatch):
+        """The scalar engine tracks the numpy oracle to ``n_steps * m * eps``.
+
+        Rows start near a chart origin, so each path leaves the chart by
+        s = pi/2.  Both engines make the same operations in the same order
+        on the same float64 values, so the arclengths and the chart bases
+        must agree exactly.  The coordinates differ only where numpy's
+        complex arithmetic rounds differently from CPython's:
+
+        - numpy's complex multiply fuses multiply and add (FMA) under AVX2
+          and AVX-512 dispatch, one rounding per component instead of two;
+        - numpy divides by a real or complex number by multiplying with its
+          reciprocal, two roundings instead of one (the acceleration's
+          ``/ (1 + |t|^2)`` and a re-chart's ``/ z_l``);
+        - numpy sums four or more complex terms pairwise, not in order.
+
+        Each source moves one stage's ``conj(t).w`` sum of m products, or
+        one division, by a few ulp of the operands, so a step - whose stage
+        accelerations enter the state multiplied by ``h < 1`` - adds at most
+        m eps of the state's size.  Nothing amplifies these differences
+        exponentially: the metric's curvature is positive, so nearby
+        geodesics stay a bounded distance apart, and a re-chart divides by a
+        component of modulus above 1.  They add at most linearly, so after n
+        steps each coordinate differs by at most ``n * m * eps`` times
+        ``max(1, |row|)``, the row's largest modulus.
+        """
         monkeypatch.setattr(geodesics, "RECHART_THRESHOLD", threshold)
         rows, m = 3, dim - 1
         base = rng.integers(dim, size=rows)
@@ -232,13 +256,105 @@ class TestOneRowEngine:
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         length, dt = math.pi / 2.0 + 0.3, 7e-3
         batch = list(batch_march(base, t, w, length, dt, threshold))
+        n_steps = len(batch) - 1
+        oracle = np.array([np.concatenate((tb, wb), axis=1) for _, _, tb, wb in batch])
         for i in range(rows):
             one = list(geodesics._march(int(base[i]), t[i], w[i], length, dt))
-            assert len(one) == len(batch)
             assert [(s, k) for s, k, _, _ in one] == [(s, int(k[i])) for s, k, _, _ in batch]
-            assert all(ti.tobytes() == tb[i].tobytes() and wi.tobytes() == wb[i].tobytes()
-                       for (_, _, ti, wi), (_, _, tb, wb) in zip(one, batch))
             assert len({k for _, k, _, _ in one}) > 1  # the path re-charted
+            y, y_oracle = np.array([t + w for _, _, t, w in one]), oracle[:, i]
+            size = np.maximum(1.0, np.abs(y_oracle).max(axis=1, keepdims=True))
+            assert np.all(np.abs(y - y_oracle) <= n_steps * m * np.finfo(float).eps * size)
+
+
+class TestMarch:
+    """Engine properties, checked on :func:`geodesics._march` itself."""
+
+    @staticmethod
+    def _rows(base, t, w, length, dt=1e-3):
+        arcl, bases, ts, ws = zip(*geodesics._march(base, t, w, length, dt))
+        return np.array(arcl), np.array(bases), np.array(ts), np.array(ws)
+
+    @staticmethod
+    def _rays(bases, ts):
+        return [chart_to_ray(ChartPoint(base_index=int(k), coords=t)) for k, t in zip(bases, ts)]
+
+    def test_great_circle_length(self):
+        """From the origin at unit speed the path reaches the orthogonal ray at
+        pi/2 and comes home at pi, each sample at distance min(s, pi - s)."""
+        start, e1 = project(np.array([1.0, 0.0])), project(np.array([0.0, 1.0]))
+        arcl, bases, ts, _ = self._rows(0, [0j], [1 + 0j], math.pi / 2.0)
+        assert arcl[-1] == math.pi / 2.0
+        assert fs_distance(self._rays(bases[-1:], ts[-1:])[0], e1) < 1e-8
+        arcl, bases, ts, _ = self._rows(0, [0j], [1 + 0j], math.pi)
+        rays = self._rays(bases, ts)
+        assert arcl[-1] == math.pi
+        assert fs_distance(rays[-1], start) < 1e-7
+        dist = np.array([fs_distance(start, r) for r in rays])
+        assert np.max(np.abs(dist - np.minimum(arcl, math.pi - arcl))) < 1e-7
+
+    def test_rechart_threshold_does_not_change_the_path(self, monkeypatch):
+        t, w = [0.1 + 0.05j, -0.2j], [0.8 + 0.1j, 0.3 - 0.4j]
+        eager = self._rows(0, t, w, 1.4)
+        monkeypatch.setattr(geodesics, "RECHART_THRESHOLD", 10.0)
+        lazy = self._rows(0, t, w, 1.4)
+        # the paths switch charts at different steps, and pass the same rays
+        assert list(eager[1]) != list(lazy[1])
+        assert list(eager[0]) == list(lazy[0])
+        gaps = [fs_distance(a, b) for a, b in zip(self._rays(*eager[1:3]),
+                                                  self._rays(*lazy[1:3]))]
+        assert max(gaps) < 1e-8
+
+    def test_metric_factor_scales_lengths_not_paths(self):
+        """A metric factor c**2 scales arclength by c and leaves the paths: the
+        acceleration is quadratic in the velocity, so marching velocity c w
+        for length L with step h passes, sample for sample, the points of
+        velocity w for length c L with step c h."""
+        c = math.sqrt(2.0)
+        unit = self._rows(1, [0.2 - 0.1j, 0.3j], [0.6 + 0.0j, -0.2 + 0.5j], 0.5 * c, 1e-3 * c)
+        fast = self._rows(1, [0.2 - 0.1j, 0.3j], [0.6 * c, (-0.2 + 0.5j) * c], 0.5, 1e-3)
+        assert len(unit[0]) == len(fast[0])
+        assert list(unit[1]) == list(fast[1])
+        assert np.max(np.abs(unit[2] - fast[2])) < 1e-12
+        assert np.max(np.abs(unit[3] * c - fast[3])) < 1e-12
+
+
+class TestRechart:
+    """The contract of :func:`geodesics._rechart` on the stacked state ``t + t'``."""
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_below_the_threshold_the_state_is_unchanged(self, rng, m):
+        y = (rng.uniform(-1.4, 1.4, 2 * m) + 1j * rng.uniform(-1.4, 1.4, 2 * m)).tolist()
+        copy = list(y)
+        assert geodesics._rechart(3, y) == (3, y)
+        assert y == copy
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 7])
+    def test_a_switch_puts_every_coordinate_inside_the_unit_disc(self, rng, m):
+        for _ in range(20):
+            t = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            t[rng.integers(m)] = 2.5 * np.exp(2j * math.pi * rng.random())
+            w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            y = t.tolist() + w.tolist()
+            copy = list(y)
+            base, out = geodesics._rechart(0, y)
+            assert y == copy
+            assert base != 0 and len(out) == 2 * m
+            assert max(abs(x) for x in out[:m]) <= 1.0
+            # the same ray, and the same velocity: a short step along zdot in
+            # the old chart moves the new chart's coordinates by eps * w_new
+            z, zdot, eps = np.insert(t, 0, 1.0), np.insert(w, 0, 0.0), 1e-7
+            assert np.max(np.abs(np.delete(z / z[base], base) - out[:m])) < 1e-15
+            moved = (z + eps * zdot) / (z[base] + eps * zdot[base])
+            w_fd = (np.delete(moved, base) - out[:m]) / eps
+            assert np.max(np.abs(w_fd - out[m:])) < 1e-6 * max(1.0, max(map(abs, out[m:])))
+
+    def test_one_coordinate_flips_to_the_reciprocal(self):
+        t, w = 2.5 - 1.0j, 0.3 + 0.7j
+        base, (t_new, w_new) = geodesics._rechart(0, [t, w])
+        assert base == 1
+        assert t_new == 1.0 / t
+        assert abs(w_new - (-w / t**2)) < 1e-15
 
 
 class TestClosedFormConnection:
@@ -250,7 +366,7 @@ class TestClosedFormConnection:
             point = ChartPoint(base_index=int(rng.integers(dim)), coords=coords)
             v = rng.standard_normal(2 * (dim - 1))
             w = v[0::2] + 1j * v[1::2]
-            acc = geodesics._acceleration(coords, w)
+            acc = np.array(geodesics._acceleration(coords.tolist(), w.tolist()))
             closed = np.column_stack((acc.real, acc.imag)).ravel()
             oracle = fd_acceleration(point, v)
             worst = max(worst, np.max(np.abs(closed - oracle)) / np.max(np.abs(closed)))

@@ -1,6 +1,8 @@
 """Tests for report serialization and the command-line entry points."""
 
+import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -38,8 +40,12 @@ class TestReport:
                          residual=1e-13, tolerance=1e-12)
         bad = ReportEntry(check_name="c", inputs_digest="d",
                           residual=2e-12, tolerance=1e-12)
-        assert ok.passed and not bad.passed
+        named = ReportEntry(check_name="c", inputs_digest="d", residual=1e-13,
+                            tolerance=1e-12, failure="did not converge")
+        assert ok.passed and not bad.passed and not named.passed
         assert ok.to_dict()["pass"] is True
+        assert "failure" not in ok.to_dict()
+        assert named.to_dict()["failure"] == "did not converge"
 
     def test_json_shape(self, tmp_path):
         rep = Report(command="demo", metadata={"k": 1})
@@ -146,6 +152,28 @@ class TestCliExitCodes:
         with pytest.raises(ValueError, match="broadcast"):
             main(["two-slit", "--out", str(tmp_path)])
 
+    def test_unconverged_certificate_fails_in_strict_json(self, tmp_path, monkeypatch):
+        """A certificate out of Brent iterations records its finite miss and
+        fails by name; the report has no ``Infinity`` or ``NaN`` token."""
+        one_iteration = functools.partial(projqm.geodesics.total_geodesy_certificate,
+                                          max_iterations=1)
+        monkeypatch.setattr("projqm.cli.total_geodesy_certificate", one_iteration)
+        code = main(["geodesic-verify", "--ambient-dims", "3", "--pairs", "2",
+                     "--certificates", "1", "--out", str(tmp_path)])
+        assert code == 1
+
+        def reject(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        text = (tmp_path / "geodesic-verify.json").read_text()
+        entries = json.loads(text, parse_constant=reject)["entries"]
+        arrival = [e for e in entries if e["check_name"] == "certificate_arrival"]
+        assert len(arrival) == 1
+        assert arrival[0]["pass"] is False
+        assert arrival[0]["failure"] == "shooting did not converge"
+        assert math.isfinite(arrival[0]["residual"])
+        assert all("failure" not in e for e in entries if e["check_name"] != "certificate_arrival")
+
     def test_usage_error_exits_two(self, tmp_path, capsys):
         assert main(["kahler-audit", "--dims", "1", "--out", str(tmp_path)]) == 2
         assert main(["evolve", "--hamiltonian", "nope", "--start", "plus",
@@ -200,6 +228,10 @@ def _write_inputs(tmp_path):
     ["kahler-audit", "--dims", "2", "--tolerance-scale", "-1"],
     ["kahler-audit", "--dims", "2", "--tolerance-scale", "nan"],
     ["kahler-audit", "--dims", "2", "--tolerance-scale", "inf"],
+    ["kahler-audit", "--dims", ""],
+    ["kahler-audit", "--dims", ","],
+    ["geodesic-verify", "--ambient-dims", ""],
+    ["geodesic-verify", "--ambient-dims", ","],
     ["evolve", "--hamiltonian", "sigma_z", "--start", "{dir}/zero.json"],
     ["evolve", "--hamiltonian", "sigma_z", "--start", "{dir}/ragged.json"],
     ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--track",
