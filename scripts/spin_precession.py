@@ -49,11 +49,9 @@ def main() -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    rows = []
-    tracked = {label: vals for label, vals in traj.observables_tracked}
-    for k, t in enumerate(traj.times):
-        rows.append([float(t), float(tracked["bloch_x"][k]),
-                     float(tracked["bloch_y"][k]), float(tracked["bloch_z"][k])])
+    tracked = dict(traj.observables_tracked)
+    rows = np.column_stack([traj.times, tracked["bloch_x"], tracked["bloch_y"],
+                            tracked["bloch_z"]])
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     write_csv(args.out, ["time", "bloch_x", "bloch_y", "bloch_z"], rows)
     print(f"wrote {args.out} ({len(rows)} samples)")

@@ -22,26 +22,31 @@ one numpy build, one BLAS core type and one SIMD dispatch: numpy picks its
 SIMD kernels at run time, and under ``NPY_DISABLE_CPU_FEATURES`` every
 command's output changed although every check passed.
 
-Exit 2 always means an ``error:`` line on stderr (after the usage text, for
-a parse-time error), no traceback and no report.  Numbers are checked at
-parse time: ``--dt`` must be finite and positive (``demo-spin`` admits 0,
-see below), ``--t-end`` and ``--tolerance-scale`` finite and nonnegative (a
-zero scale demands exact residuals, so checks fail with exit 1), every
-float of a two-slit config finite, and every comma list of dimensions or
-seeds nonempty.  A ``ValueError`` that the library raises on the user's
-input - a zero or mis-sized state, a non-Hermitian or mis-sized operator of
-``evolve``, a two-slit geometry it cannot build or measure fringes on -
-exits 2, and so does the flow integrator's norm-drift ``RuntimeError``,
-which means ``--dt`` is too large for the Hamiltonian.  Any other exception
-is a defect and propagates with its traceback; that includes ``demo-spin
---dt 0``, whose ``ValueError`` from :func:`~projqm.dynamics.flow_integrate`
-the benchmark's own tests use as their example of a job that raises.
+Nothing is written until every check has run, so exit 2 always means an
+``error:`` line on stderr (after the usage text, for a parse-time error),
+no traceback and no output at all, not even the ``--out`` directory.
+Numbers are checked at parse time: ``--dt`` must be finite and positive
+(at most 1 for ``geodesic-verify``; ``demo-spin`` admits 0, see below),
+``--t-end`` and ``--tolerance-scale`` finite and nonnegative (a zero scale
+demands exact residuals, so checks fail with exit 1), ``--trials``,
+``--pairs``, ``--certificates``, ``--seed`` and every ``--seeds`` entry
+nonnegative integers, every float of a two-slit config finite, and every
+comma list of dimensions or seeds nonempty.  A ``ValueError`` that the
+library raises on the user's input - a zero or mis-sized state, a
+non-Hermitian or mis-sized operator of ``evolve``, a two-slit geometry it
+cannot build or measure fringes on - exits 2, and so does the flow
+integrator's norm-drift ``RuntimeError``, which means ``--dt`` is too large
+for the Hamiltonian.  Any other exception is a defect and propagates with
+its traceback; that includes ``demo-spin --dt 0``, whose ``ValueError``
+from :func:`~projqm.dynamics.flow_integrate` the benchmark's own tests use
+as their example of a job that raises.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -55,13 +60,13 @@ from .dynamics import (ehrenfest_residual, flow_integrate,
 from .geodesics import integrated_pair_distances, total_geodesy_certificate
 from .hilbert import as_hermitian, expectation, gram_schmidt, sigma_x, sigma_y, sigma_z
 from .interference import (TwoSlitConfig, fringe_spacing, noncommuting_control,
-                           pattern_rows, phase_invariance_check,
-                           projector_poisson_check, slit_states)
+                           pattern_rows, phase_invariance_check, projector_poisson_check,
+                           propagate_to_screen, slit_states)
 from .kahler import (derive_observable_scale_factor, hamiltonian_vector_field,
                      killing_residual, poisson_bracket, riemannian_product,
                      uncertainty_audit)
 from .projective import Ray, SpannedSphere, fs_distance, project, sphere_area
-from .report import Report, ensure_outdir, write_csv
+from .report import Report, write_csv
 
 #: Exit codes of the CLI contract.
 EXIT_OK = 0
@@ -73,13 +78,15 @@ class CliError(Exception):
     """Usage/configuration/I-O error: message printed, exit code 2."""
 
 
-def _number_type(ok, what: str):
-    """argparse ``type`` for a float that must satisfy ``ok``."""
-    def parse(text: str) -> float:
+def _number_type(ok, what: str, kind=float):
+    """argparse ``type`` for a ``kind`` (float or int) that must satisfy ``ok``."""
+    noun = "an integer" if kind is int else "a number"
+
+    def parse(text: str):
         try:
-            value = float(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
@@ -88,6 +95,19 @@ def _number_type(ok, what: str):
 
 _positive = _number_type(lambda v: 0.0 < v < math.inf, "finite and positive")
 _nonnegative = _number_type(lambda v: 0.0 <= v < math.inf, "finite and nonnegative")
+_integer = _number_type(lambda v: True, "an integer", kind=int)
+_count = _number_type(lambda v: v >= 0, "nonnegative", kind=int)
+
+
+def _list_type(item):
+    """argparse ``type`` for a nonempty comma list of ``item``s; empty tokens
+    are skipped."""
+    def parse(text: str) -> list:
+        values = [item(tok) for tok in text.split(",") if tok.strip() != ""]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+        return values
+    return parse
 
 
 @contextlib.contextmanager
@@ -108,15 +128,19 @@ def _flow(H, start, t_end: float, dt: float, track):
         raise CliError(str(exc)) from exc
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """A nonempty comma-separated integer list; empty tokens are skipped."""
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise CliError(f"expected a comma-separated integer list, got {text!r}") from exc
-    if not values:
-        raise CliError(f"expected at least one integer, got {text!r}")
-    return values
+def _finish(report: Report, out: str, csv=None) -> int:
+    """Every command's one way out, once all its checks have run: create
+    ``out``, write the CSV ``(name, header, rows)`` if given and then
+    ``<command>.json``, print one summary line and return the exit code."""
+    os.makedirs(out, exist_ok=True)
+    paths = []
+    if csv is not None:
+        name, header, rows = csv
+        paths.append(write_csv(os.path.join(out, name), header, rows))
+    paths.append(report.write(os.path.join(out, f"{report.command}.json")))
+    print(f"wrote {' and '.join(paths)}: {len(report.entries)} checks, "
+          f"{'all pass' if report.all_passed else 'FAILURES'}")
+    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
 def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -134,12 +158,10 @@ def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 # kahler-audit
 
 def cmd_kahler_audit(args) -> int:
-    dims = _parse_int_list(args.dims)
+    dims = args.dims
     if any(d < 2 or d > 8 for d in dims):
         raise CliError("dims must lie in 2..8")
-    seeds = _parse_int_list(args.seeds) if args.seeds else [args.seed]
-    if args.trials < 0:
-        raise CliError("trials must be nonnegative")
+    seeds = args.seeds or [args.seed]
     scale = args.tolerance_scale
 
     report = Report(command="kahler-audit", metadata={
@@ -196,22 +218,16 @@ def cmd_kahler_audit(args) -> int:
                            killing_residual(op, ray, rng=np.random.default_rng(seed + dim)),
                            1e-10 * scale, seed=seed, dim=dim, op=op, state=ray.rep)
 
-    path = os.path.join(ensure_outdir(args.out), "kahler-audit.json")
-    report.write(path)
-    print(f"wrote {path}: {len(report.entries)} checks, "
-          f"{'all pass' if report.all_passed else 'FAILURES'}")
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    return _finish(report, args.out)
 
 
 # ---------------------------------------------------------------------------
 # geodesic-verify
 
 def cmd_geodesic_verify(args) -> int:
-    dims = _parse_int_list(args.ambient_dims)
+    dims = args.ambient_dims
     if any(d < 2 for d in dims):
         raise CliError("ambient dims must be at least 2")
-    if args.pairs < 0:
-        raise CliError("pairs must be nonnegative")
     scale = args.tolerance_scale
 
     degraded = args.dt > 1e-1
@@ -282,11 +298,7 @@ def cmd_geodesic_verify(args) -> int:
                                1e-8 * scale * (1e4 if degraded else 1.0),
                                failure=failure, **ins)
 
-    path = os.path.join(ensure_outdir(args.out), "geodesic-verify.json")
-    report.write(path)
-    print(f"wrote {path}: {len(report.entries)} checks, "
-          f"{'all pass' if report.all_passed else 'FAILURES'}")
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    return _finish(report, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -351,22 +363,16 @@ def cmd_two_slit(args) -> int:
     config = parse_two_slit_config(args.config) if args.config else TwoSlitConfig()
     scale = args.tolerance_scale
     with _input_errors():  # a geometry or profile the library cannot build
-        pattern = config.run()
         wall = config.make_wall()
         psi_in = config.make_input(wall)
-
-    outdir = ensure_outdir(args.out)
-    # written with the report, after every check: a usage error leaves no output
-    csv_path = os.path.join(outdir, "pattern.csv")
+        pattern = propagate_to_screen(wall, psi_in, config.wavelength, config.distance,
+                                      config.screen_halfwidth, config.n_screen)
 
     report = Report(command="two-slit", metadata={
         "version": __version__, "tolerance_scale": scale,
-        "config": {k: getattr(config, k) for k in (
-            "wavelength", "distance", "slit_centers", "slit_width",
-            "wall_halfwidth", "n_wall", "screen_halfwidth", "n_screen",
-            "input_profile", "waist")},
+        "config": dataclasses.asdict(config),
         "paraxial_ok": pattern.paraxial_ok,
-        "pattern_csv": os.path.basename(csv_path),
+        "pattern_csv": "pattern.csv",
     })
     cfg_ins = dict(config=str(config))
 
@@ -382,13 +388,8 @@ def cmd_two_slit(args) -> int:
                1e-12 * scale, lambda_phase=math.pi / 3.0, **cfg_ins)
 
     if len(config.slit_centers) >= 2:
-        coarse = TwoSlitConfig(
-            wavelength=config.wavelength, distance=config.distance,
-            slit_centers=config.slit_centers, slit_width=config.slit_width,
-            wall_halfwidth=config.wall_halfwidth, n_wall=128,
-        )
         with _input_errors():  # slits narrower than a coarse cell
-            cwall = coarse.make_wall()
+            cwall = dataclasses.replace(config, n_wall=128).make_wall()
         s = slit_states(cwall)
         at = project(s[0] + s[1])  # the equal which-slit superposition
         report.add("projector_poisson_disjoint",
@@ -406,12 +407,7 @@ def cmd_two_slit(args) -> int:
                    abs(measured - config.expected_fringe_spacing),
                    pattern.dx * scale, measured=measured, **cfg_ins)
 
-    write_csv(csv_path, *pattern_rows(pattern))
-    path = os.path.join(outdir, "two-slit.json")
-    report.write(path)
-    print(f"wrote {csv_path} and {path}: {len(report.entries)} checks, "
-          f"{'all pass' if report.all_passed else 'FAILURES'}")
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    return _finish(report, args.out, ("pattern.csv", *pattern_rows(pattern)))
 
 
 # ---------------------------------------------------------------------------
@@ -452,90 +448,65 @@ def _load_complex_json(path: str, expect_matrix: bool) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _resolve_operator(source: str) -> np.ndarray:
-    if source in _BUILTIN_OPERATORS:
-        return _BUILTIN_OPERATORS[source]()
+def _resolve(source: str, builtins: dict, what: str) -> np.ndarray:
+    """A builtin ``what`` ("operator" or "state") by name, or a .json file."""
+    if source in builtins:
+        return builtins[source]()
     if source.endswith(".json"):
-        return _load_complex_json(source, expect_matrix=True)
-    known = ", ".join(sorted(_BUILTIN_OPERATORS))
-    raise CliError(f"unknown operator {source!r} (builtins: {known}; "
+        return _load_complex_json(source, expect_matrix=what == "operator")
+    known = ", ".join(sorted(builtins))
+    raise CliError(f"unknown {what} {source!r} (builtins: {known}; "
                    "or a .json file of [re, im] pairs)")
 
 
-def _resolve_state(source: str) -> np.ndarray:
-    if source in _BUILTIN_STATES:
-        return _BUILTIN_STATES[source]()
-    if source.endswith(".json"):
-        return _load_complex_json(source, expect_matrix=False)
-    known = ", ".join(sorted(_BUILTIN_STATES))
-    raise CliError(f"unknown state {source!r} (builtins: {known}; "
-                   "or a .json file of [re, im] pairs)")
+def _add_flow_deviation(report: Report, H, traj, scale: float, ins: dict) -> None:
+    """RK4 flow against the exact one; the bound grows as dt**4 and with t_end."""
+    dt, t_end = ins["dt"], ins["t_end"]
+    report.add("flow_vs_exact_deviation", flow_vs_exact_deviation(H, traj),
+               1e-8 * scale * max(1.0, (dt / 1e-3) ** 4) * max(1.0, t_end), **ins)
 
 
-def _run_evolution(hamiltonian, start, t_end: float, dt: float, track,
-                   outdir: str, command: str, scale: float,
-                   extra_metadata: dict) -> int:
+def cmd_evolve(args) -> int:
+    H = _resolve(args.hamiltonian, _BUILTIN_OPERATORS, "operator")
+    psi = _resolve(args.start, _BUILTIN_STATES, "state")
+    if H.shape[0] != psi.shape[0]:
+        raise CliError(f"hamiltonian dim {H.shape[0]} != start dim {psi.shape[0]}")
+    track = None
+    if args.track:
+        track = [(name, _resolve(name, _BUILTIN_OPERATORS, "operator"))
+                 for name in args.track.split(",")]
+    t_end, dt, scale = args.t_end, args.dt, args.tolerance_scale
     with _input_errors():  # the user's operators and start state
-        H = as_hermitian(hamiltonian, name="hamiltonian")
-        traj = _flow(H, start, t_end, dt, track)
-    header, rows = trajectory_rows(traj)
-    csv_path = write_csv(os.path.join(outdir, "trajectory.csv"), header, rows)
+        H = as_hermitian(H, name="hamiltonian")
+        traj = _flow(H, psi, t_end, dt, track)
 
-    report = Report(command=command, metadata={
+    report = Report(command="evolve", metadata={
         "version": __version__, "t_end": t_end, "dt": dt,
-        "tolerance_scale": scale, "trajectory_csv": os.path.basename(csv_path),
-        **extra_metadata,
+        "tolerance_scale": scale, "trajectory_csv": "trajectory.csv",
+        "hamiltonian": args.hamiltonian, "start": args.start,
     })
-    ins = dict(hamiltonian=H, start=np.asarray(start, dtype=np.complex128),
-               t_end=t_end, dt=dt)
+    ins = dict(hamiltonian=H, start=psi, t_end=t_end, dt=dt)
     if t_end > 0:
-        deviation = flow_vs_exact_deviation(H, traj)
-        tol = 1e-8 * scale * max(1.0, (dt / 1e-3) ** 4) * max(1.0, t_end)
-        report.add("flow_vs_exact_deviation", deviation, tol, **ins)
+        _add_flow_deviation(report, H, traj, scale, ins)
     # Probe observable: a fixed Hermitian that generically fails to commute
     # with the Hamiltonian, so the bracket side of the identity is nonzero.
     probe = _random_hermitian(np.random.default_rng(20260814), H.shape[0])
     report.add("ehrenfest_residual", ehrenfest_residual(probe, H, Ray(rep=traj.reps[0])),
                2e-8 * scale, **ins, probe=probe)
-
-    path = os.path.join(outdir, f"{command}.json")
-    report.write(path)
-    print(f"wrote {csv_path} and {path}: {len(report.entries)} checks, "
-          f"{'all pass' if report.all_passed else 'FAILURES'}")
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
-
-
-def cmd_evolve(args) -> int:
-    H = _resolve_operator(args.hamiltonian)
-    psi = _resolve_state(args.start)
-    if H.shape[0] != psi.shape[0]:
-        raise CliError(f"hamiltonian dim {H.shape[0]} != start dim {psi.shape[0]}")
-    track = None
-    if args.track:
-        track = [(name, _resolve_operator(name)) for name in args.track.split(",")]
-    outdir = ensure_outdir(args.out)
-    return _run_evolution(H, psi, args.t_end, args.dt, track, outdir, "evolve",
-                          args.tolerance_scale,
-                          {"hamiltonian": args.hamiltonian, "start": args.start})
+    return _finish(report, args.out, ("trajectory.csv", *trajectory_rows(traj)))
 
 
 def cmd_demo_spin(args) -> int:
     """Spin precession: H = sigma_z from the +x ray, one full vector period."""
-    outdir = ensure_outdir(args.out)
     H = sigma_z()
     psi = _BUILTIN_STATES["plus"]()
     track = [("sigma_x", sigma_x()), ("sigma_y", sigma_y()), ("sigma_z", sigma_z())]
-    t_end = 2.0 * math.pi
-    dt = args.dt
-
+    t_end, dt, scale = 2.0 * math.pi, args.dt, args.tolerance_scale
     traj = _flow(H, psi, t_end, dt, track)
-    header, rows = trajectory_rows(traj)
-    csv_path = write_csv(os.path.join(outdir, "demo-spin.csv"), header, rows)
 
-    scale = args.tolerance_scale
     report = Report(command="demo-spin", metadata={
         "version": __version__, "t_end": t_end, "dt": dt,
-        "tolerance_scale": scale, "trajectory_csv": os.path.basename(csv_path),
+        "tolerance_scale": scale, "trajectory_csv": "demo-spin.csv",
     })
     ins = dict(hamiltonian=H, start=psi, t_end=t_end, dt=dt)
 
@@ -545,22 +516,15 @@ def cmd_demo_spin(args) -> int:
     report.add("precession_cosine", residual, 1e-8 * scale * 10.0, **ins)
     report.add("period_return", fs_distance(traj.final, project(psi)),
                1e-8 * scale * 10.0, **ins)
-    report.add("flow_vs_exact_deviation",
-               flow_vs_exact_deviation(H, traj),
-               1e-8 * scale * max(1.0, (dt / 1e-3) ** 4) * t_end, **ins)
-
-    path = os.path.join(outdir, "demo-spin.json")
-    report.write(path)
-    print(f"wrote {csv_path} and {path}: {len(report.entries)} checks, "
-          f"{'all pass' if report.all_passed else 'FAILURES'}")
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    _add_flow_deviation(report, H, traj, scale, ins)
+    return _finish(report, args.out, ("demo-spin.csv", *trajectory_rows(traj)))
 
 
 # ---------------------------------------------------------------------------
 # parser plumbing
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    p.add_argument("--seed", type=_count, default=0, help="base RNG seed")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--tolerance-scale", type=_nonnegative, default=1.0,
                    help="multiply every tolerance (>= 1 loosens)")
@@ -576,17 +540,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kahler-audit", help="bracket/metric/uncertainty sweeps")
     _add_common(p)
-    p.add_argument("--dims", default="2,3,4", help="comma list of dimensions (2..8)")
-    p.add_argument("--trials", type=int, default=25, help="trials per dimension")
-    p.add_argument("--seeds", default="", help="comma list of seeds (overrides --seed)")
+    p.add_argument("--dims", type=_list_type(_integer), default="2,3,4",
+                   help="comma list of dimensions (2..8)")
+    p.add_argument("--trials", type=_count, default=25, help="trials per dimension")
+    p.add_argument("--seeds", type=_list_type(_count),
+                   help="comma list of seeds (overrides --seed)")
     p.set_defaults(func=cmd_kahler_audit)
 
     p = sub.add_parser("geodesic-verify", help="distances, areas, certificates")
     _add_common(p)
-    p.add_argument("--ambient-dims", default="2,3,4", help="comma list of dimensions")
-    p.add_argument("--pairs", type=int, default=20, help="ray pairs per dimension")
-    p.add_argument("--dt", type=_positive, default=5e-3, help="integrator step")
-    p.add_argument("--certificates", type=int, default=2,
+    p.add_argument("--ambient-dims", type=_list_type(_integer), default="2,3,4",
+                   help="comma list of dimensions")
+    p.add_argument("--pairs", type=_count, default=20, help="ray pairs per dimension")
+    p.add_argument("--dt", type=_number_type(lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+                   default=5e-3, help="integrator step (tolerances degrade above 0.1)")
+    p.add_argument("--certificates", type=_count, default=2,
                    help="shooting certificates per dimension (dims >= 3)")
     p.set_defaults(func=cmd_geodesic_verify)
 

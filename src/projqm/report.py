@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,6 @@ __all__ = [
     "digest_inputs",
     "write_csv",
     "format_real",
-    "ensure_outdir",
 ]
 
 
@@ -149,10 +147,4 @@ def write_csv(path: str, header: list[str], rows) -> str:
     lines = [",".join(header)] + [fmt % tuple(row) for row in table.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    return path
-
-
-def ensure_outdir(path: str) -> str:
-    """Create the output directory if needed; errors surface to the caller."""
-    os.makedirs(path, exist_ok=True)
     return path

@@ -232,6 +232,16 @@ def _write_inputs(tmp_path):
     ["kahler-audit", "--dims", ","],
     ["geodesic-verify", "--ambient-dims", ""],
     ["geodesic-verify", "--ambient-dims", ","],
+    ["kahler-audit", "--dims", "2,a"],
+    ["kahler-audit", "--dims", "2", "--trials", "-3"],
+    ["kahler-audit", "--dims", "2", "--seed", "-1"],
+    ["kahler-audit", "--dims", "2", "--seeds", "-5"],
+    ["kahler-audit", "--dims", "2", "--seeds", "0,-1"],
+    ["geodesic-verify", "--ambient-dims", "3", "--pairs", "-1"],
+    ["geodesic-verify", "--ambient-dims", "3", "--pairs", "2", "--certificates", "-1"],
+    ["geodesic-verify", "--ambient-dims", "2", "--pairs", "1", "--seed", "-1"],
+    ["geodesic-verify", "--ambient-dims", "2", "--pairs", "1", "--dt", "1e160"],
+    ["geodesic-verify", "--ambient-dims", "2", "--pairs", "1", "--dt", "1.5"],
     ["evolve", "--hamiltonian", "sigma_z", "--start", "{dir}/zero.json"],
     ["evolve", "--hamiltonian", "sigma_z", "--start", "{dir}/ragged.json"],
     ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--track",
@@ -254,9 +264,35 @@ def test_bad_inputs_exit_two_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error: " in err.strip().splitlines()[-1]
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
     if argv[0] == "two-slit" and "narrow" not in argv[2]:
         assert ":2:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kahler-audit", "--dims", "2", "--trials", "1"],
+    ["geodesic-verify", "--ambient-dims", "2", "--pairs", "2", "--certificates", "0"],
+    ["two-slit"],
+    ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--t-end", "0.1"],
+    ["demo-spin", "--dt", "1e-2"],
+], ids=lambda argv: argv[0])
+def test_one_wrote_line_names_every_output(tmp_path, capsys, argv):
+    out = tmp_path / "new" / "out"  # created by the command, parents included
+    assert main(argv + ["--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("wrote ")
+    named = lines[0][len("wrote "):].split(": ")[0].split(" and ")
+    assert sorted(named) == sorted(str(p) for p in out.iterdir())
+    assert named[-1] == str(out / f"{argv[0]}.json")
+
+
+def test_geodesic_dt_up_to_one_records_degraded_tolerances(tmp_path, capsys):
+    code = main(["geodesic-verify", "--ambient-dims", "3", "--pairs", "1",
+                 "--certificates", "1", "--dt", "1", "--out", str(tmp_path)])
+    assert code in (0, 1)
+    assert "degraded tolerances" in capsys.readouterr().err
+    data = json.loads((tmp_path / "geodesic-verify.json").read_text())
+    assert data["metadata"]["dt_degraded"] is True
 
 
 class TestCliOutputs:
