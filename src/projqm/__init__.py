@@ -102,8 +102,6 @@ from .geodesics import (
     TotalGeodesyCertificate,
     chart_to_ray,
     chart_to_vector,
-    classify_induced_form,
-    classify_lie_form,
     fs_metric,
     induced_sphere_metric,
     integrate_geodesic,

@@ -6,6 +6,9 @@ kahler-audit
     Random sweeps over the bracket/metric/uncertainty invariants.
 geodesic-verify
     Distance consistency, sphere areas, and totally-geodesic certificates.
+    The pair sweep steps ``min(dt, 2e-3)`` and the certificates 5e-3, or
+    ``dt`` above 0.1 with degraded tolerances: a ``--dt`` from 2e-3 to 0.1
+    changes no residual.
 two-slit
     Runs the interference demo, writes the pattern CSV and a report.
 evolve
@@ -35,11 +38,12 @@ comma list of dimensions or seeds nonempty.  A ``ValueError`` that the
 library raises on the user's input - a zero or mis-sized state, a
 non-Hermitian or mis-sized operator of ``evolve``, a two-slit geometry it
 cannot build or measure fringes on - exits 2, and so does the flow
-integrator's norm-drift ``RuntimeError``, which means ``--dt`` is too large
-for the Hamiltonian.  Any other exception is a defect and propagates with
-its traceback; that includes ``demo-spin --dt 0``, whose ``ValueError``
-from :func:`~projqm.dynamics.flow_integrate` the benchmark's own tests use
-as their example of a job that raises.
+integrator's ``RuntimeError``: a norm drift, which means ``--dt`` is too
+large for the Hamiltonian, or an overflow, which means the Hamiltonian's
+scale is too large for floating point.  Any other exception is a defect
+and propagates with its traceback; that includes ``demo-spin --dt 0``,
+whose ``ValueError`` from :func:`~projqm.dynamics.flow_integrate` the
+benchmark's own tests use as their example of a job that raises.
 """
 
 from __future__ import annotations
@@ -121,7 +125,8 @@ def _input_errors():
 
 
 def _flow(H, start, t_end: float, dt: float, track):
-    """:func:`flow_integrate`, with its norm-drift abort as a usage error."""
+    """:func:`flow_integrate`, with its norm-drift or overflow abort as a
+    usage error."""
     try:
         return flow_integrate(H, start, t_end, dt, track=track)
     except RuntimeError as exc:
@@ -553,7 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of dimensions")
     p.add_argument("--pairs", type=_count, default=20, help="ray pairs per dimension")
     p.add_argument("--dt", type=_number_type(lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-                   default=5e-3, help="integrator step (tolerances degrade above 0.1)")
+                   default=5e-3,
+                   help="integrator step: the pair sweep uses min(dt, 2e-3); the "
+                        "certificates use 5e-3, or dt above 0.1 with degraded tolerances")
     p.add_argument("--certificates", type=_count, default=2,
                    help="shooting certificates per dimension (dims >= 3)")
     p.set_defaults(func=cmd_geodesic_verify)

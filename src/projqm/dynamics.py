@@ -111,8 +111,11 @@ def flow_integrate(hamiltonian, start, t_end: float, dt: float,
         (nonnegative for ``t_end``).
     RuntimeError
         If the representative's norm drifts by more than 1e-8 in a single
-        step before renormalization (or overflows to NaN), which signals a
-        step too large for the generator rather than roundoff.
+        step before renormalization (or becomes NaN), which signals a step
+        too large for the generator rather than roundoff; or if a step
+        overflows, which signals a Hamiltonian whose scale is too large for
+        floating point.  The steps run under one ``np.errstate`` that turns
+        overflow and invalid operations into errors.
     """
     H = as_hermitian(hamiltonian, name="hamiltonian")
     ray0 = start if isinstance(start, Ray) else project(as_state(start, name="start"))
@@ -134,24 +137,31 @@ def flow_integrate(hamiltonian, start, t_end: float, dt: float,
     samples = [ray0.rep]
     psi = ray0.rep
     t = 0.0
-    while t < t_end - 1e-15:
-        h = min(dt, t_end - t)
-        k1 = _generator(H, psi)
-        k2 = _generator(H, psi + 0.5 * h * k1)
-        k3 = _generator(H, psi + 0.5 * h * k2)
-        k4 = _generator(H, psi + h * k3)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        norm = float(np.linalg.norm(psi))
-        drift = abs(norm - 1.0)
-        if not drift <= 1e-8:  # NaN included
-            raise RuntimeError(
-                f"norm drift {drift:.3e} in one step at t={t + h:.6g}; "
-                "reduce dt"
-            )
-        psi = psi / norm
-        t += h
-        times.append(t)
-        samples.append(psi)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            while t < t_end - 1e-15:
+                h = min(dt, t_end - t)
+                k1 = _generator(H, psi)
+                k2 = _generator(H, psi + 0.5 * h * k1)
+                k3 = _generator(H, psi + 0.5 * h * k2)
+                k4 = _generator(H, psi + h * k3)
+                psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                norm = float(np.linalg.norm(psi))
+                drift = abs(norm - 1.0)
+                if not drift <= 1e-8:  # NaN included
+                    raise RuntimeError(
+                        f"norm drift {drift:.3e} in one step at t={t + h:.6g}; "
+                        "reduce dt"
+                    )
+                psi = psi / norm
+                t += h
+                times.append(t)
+                samples.append(psi)
+    except FloatingPointError as exc:
+        raise RuntimeError(
+            f"RK4 step overflows at t={t + h:.6g} ({exc}): the hamiltonian's scale "
+            f"max|H| = {float(np.max(np.abs(H))):.3e} is too large for floating "
+            f"point at dt={dt:g}; rescale the hamiltonian") from exc
 
     # the flow carries no global phase, so the gauge matters only for output
     reps = np.array(samples)

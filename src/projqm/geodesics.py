@@ -63,10 +63,6 @@ __all__ = [
     "fs_metric",
     "induced_sphere_metric",
     "lie_derivative_normal",
-    "candidate_induced_coefficient",
-    "candidate_lie_coefficient",
-    "classify_induced_form",
-    "classify_lie_form",
     "integrate_geodesic",
     "integrated_pair_distance",
     "integrated_pair_distances",
@@ -233,132 +229,27 @@ def induced_sphere_metric(point: ChartPoint) -> MetricAtPoint:
     return MetricAtPoint(point=slice_point, g=_induced_block(point.reals))
 
 
-def lie_derivative_normal(point: ChartPoint, normal: str, eps: float = 1e-4) -> np.ndarray:
+def lie_derivative_normal(point: ChartPoint, normal: str) -> np.ndarray:
     """Finite-difference Lie derivative of the induced block along a normal.
 
     ``normal`` is ``"u2"`` or ``"v2"``: the constant coordinate vector field
     of the second chart coordinate's real or imaginary part.  For such a
     field the Lie derivative of the induced-block tensor is the plain
-    central difference of the block's components.  It vanishes on the
-    ``t2 = 0`` slice - that is the geometric content certified here - and is
-    generically nonzero off it.
+    central difference (step ``1e-4``) of the block's components.  It
+    vanishes on the ``t2 = 0`` slice - that is the geometric content
+    certified here - and is generically nonzero off it.
     """
     if point.coords.size < 2:
         raise ValueError("need at least two chart coordinates")
     if normal not in ("u2", "v2"):
         raise ValueError(f"normal must be 'u2' or 'v2', got {normal!r}")
     idx = 2 if normal == "u2" else 3
-    xp = point.reals
+    eps = 1e-4
+    xp = point.reals  # a fresh array
     xm = xp.copy()
-    xp = xp.copy()
     xp[idx] += eps
     xm[idx] -= eps
     return (_induced_block(xp) - _induced_block(xm)) / (2.0 * eps)
-
-
-def candidate_induced_coefficient(u1: float, v1: float, u2: float, v2: float,
-                              power: int) -> float:
-    """Candidate closed form for the induced-block coefficient.
-
-    ``(1 + u2^2 + v2^2) / (1 + u1^2 + v1^2 + u2^2 + v2^2)**power`` - both
-    denominator powers are plausible a priori (the homogeneous line element
-    suggests the square); :func:`classify_induced_form` grades them against
-    the actual chart metric.
-    """
-    s = 1.0 + u1 * u1 + v1 * v1 + u2 * u2 + v2 * v2
-    return (1.0 + u2 * u2 + v2 * v2) / s**power
-
-
-def candidate_lie_coefficient(u1: float, v1: float, u2: float, v2: float,
-                          normal: str, power: int) -> float:
-    """Candidate closed form ``2 n (1 + u1^2 + v1^2) / (1 + s)**power``.
-
-    ``n`` is the off-slice normal coordinate (u2 or v2).  Like the induced
-    coefficient, the denominator power is the ambiguous part; the
-    finite-difference computation is the ground truth against which
-    :func:`classify_lie_form` grades both candidates.
-    """
-    n = u2 if normal == "u2" else v2
-    s = 1.0 + u1 * u1 + v1 * v1 + u2 * u2 + v2 * v2
-    return 2.0 * n * (1.0 + u1 * u1 + v1 * v1) / s**power
-
-
-def _grid_points(values, u2: float, v2: float) -> list[ChartPoint]:
-    pts = []
-    for u1 in values:
-        for v1 in values:
-            pts.append(ChartPoint(base_index=0,
-                                  coords=np.array([u1 + 1j * v1, u2 + 1j * v2])))
-    return pts
-
-
-def classify_induced_form(samples=None) -> dict:
-    """Grade the candidate induced-metric closed forms against the metric.
-
-    Compares the (u1, v1)-block coefficient from the chart metric with the
-    two denominator powers of :func:`candidate_induced_coefficient` over a grid
-    of on- and off-slice points.  Returns the max relative errors and a
-    verdict: ``"power2"`` here (the squared denominator reproduces the
-    metric exactly; the first power does not).
-    """
-    if samples is None:
-        samples = []
-        for u2, v2 in [(0.0, 0.0), (0.0, 0.1), (0.3, -0.2), (0.0, 0.5)]:
-            samples += _grid_points([-0.8, -0.3, 0.0, 0.4, 0.9], u2, v2)
-    errs = {1: 0.0, 2: 0.0}
-    for pt in samples:
-        truth = _induced_block(pt.reals)[0, 0]
-        u1, v1 = pt.coords[0].real, pt.coords[0].imag
-        u2, v2 = pt.coords[1].real, pt.coords[1].imag
-        for p in (1, 2):
-            cand = candidate_induced_coefficient(u1, v1, u2, v2, p)
-            errs[p] = max(errs[p], abs(cand - truth) / max(abs(truth), 1e-30))
-    verdict = "neither"
-    if errs[2] < 1e-10:
-        verdict = "power2"
-    elif errs[1] < 1e-10:
-        verdict = "power1"
-    return {"power1_max_rel": errs[1], "power2_max_rel": errs[2], "verdict": verdict}
-
-
-def classify_lie_form(normal: str = "v2", samples=None, eps: float = 1e-4) -> dict:
-    """Grade the candidate Lie-derivative closed forms against the FD oracle.
-
-    The comparison is on magnitudes at off-slice points.  Neither power
-    reproduces the finite-difference values everywhere (the squared
-    denominator matches exactly on the u1 = v1 = 0 axis, the first power
-    nowhere), so the expected verdict is ``"neither"``, with the on-axis
-    agreement reported separately.
-    """
-    if samples is None:
-        samples = []
-        for off in (0.05, 0.1, 0.25):
-            u2, v2 = (off, 0.0) if normal == "u2" else (0.0, off)
-            samples += _grid_points([-0.7, -0.2, 0.0, 0.5], u2, v2)
-    errs = {1: 0.0, 2: 0.0}
-    on_axis_err2 = 0.0
-    for pt in samples:
-        fd = lie_derivative_normal(pt, normal, eps)[0, 0]
-        u1, v1 = pt.coords[0].real, pt.coords[0].imag
-        u2, v2 = pt.coords[1].real, pt.coords[1].imag
-        scale = max(abs(fd), 1e-12)
-        for p in (1, 2):
-            cand = candidate_lie_coefficient(u1, v1, u2, v2, normal, p)
-            rel = abs(abs(cand) - abs(fd)) / scale
-            errs[p] = max(errs[p], rel)
-            if p == 2 and abs(u1) < 1e-14 and abs(v1) < 1e-14:
-                on_axis_err2 = max(on_axis_err2, rel)
-    verdict = "neither"
-    if errs[2] < 1e-3:
-        verdict = "power2"
-    elif errs[1] < 1e-3:
-        verdict = "power1"
-    return {
-        "power1_max_rel": errs[1],
-        "power2_max_rel": errs[2],
-        "on_axis_power2_max_rel": on_axis_err2,
-        "verdict": verdict,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +541,9 @@ def _shoot(a_chart: ChartPoint, e0, e1, cos_d, sin_d, chi, length, dt, sphere):
     return signed, abs(arrival_miss), float(s_star[0]), member_max
 
 
+#: Largest arrival miss of a converged shooting certificate.
+_ARRIVAL_TOL = 1e-8
+
 #: Relative root tolerance of Brent's method: scipy's ``brentq`` default.
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
 
@@ -721,8 +615,7 @@ def _brent_root(f, a: float, b: float, xtol: float, maxiter: int) -> tuple[float
     return xcur, False
 
 
-def total_geodesy_certificate(a: Ray, b: Ray, ambient_dim: int | None = None,
-                              dt: float = 5e-3, arrival_tol: float = 1e-8,
+def total_geodesy_certificate(a: Ray, b: Ray, ambient_dim: int | None = None, dt: float = 5e-3,
                               max_iterations: int = 200) -> TotalGeodesyCertificate:
     """Certify by shooting that the sphere spanned by two rays is geodesic.
 
@@ -730,12 +623,14 @@ def total_geodesy_certificate(a: Ray, b: Ray, ambient_dim: int | None = None,
     projective space - nothing constrains it to the sphere - with the
     initial direction restricted to the sphere's tangent plane at ``a``,
     parametrized by one angle.  A bracketing root search on the signed
-    transverse miss aims the path at ``b`` to ``arrival_tol``: Brent's method
-    (Brent 1973, ch. 4) as :func:`_brent_root` ports it from scipy's
-    ``brentq.c``, bit for bit, so scipy is not imported at run time;
-    non-convergence within ``max_iterations`` integrations is reported in
-    the certificate rather than raised.  The certificate reads the shot
-    Brent already made at its root; no aim angle is integrated twice.
+    transverse miss aims the path at ``b``: Brent's method (Brent 1973,
+    ch. 4) as :func:`_brent_root` ports it from scipy's ``brentq.c``, bit
+    for bit, so scipy is not imported at run time.  The certificate is
+    ``converged`` when Brent converged within ``max_iterations``
+    integrations and the arrival miss is at most ``1e-8``; otherwise the
+    failure is reported in the certificate rather than raised.  The
+    certificate reads the shot Brent already made at its root; no aim
+    angle is integrated twice.
 
     ``ambient_dim``, when given, is cross-checked against the rays.
     """
@@ -779,6 +674,6 @@ def total_geodesy_certificate(a: Ray, b: Ray, ambient_dim: int | None = None,
         max_offslice_residual=member_max,
         arrival_miss=miss,
         iterations=evals,
-        converged=converged and miss <= arrival_tol and evals <= max_iterations + 1,
+        converged=converged and miss <= _ARRIVAL_TOL and evals <= max_iterations + 1,
     )
 

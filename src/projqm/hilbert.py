@@ -130,19 +130,29 @@ def inner_product_split(psi, phi) -> InnerProductSplit:
     return InnerProductSplit(g_part=float(ov.real), omega_part=float(-ov.imag))
 
 
+def _operands(psi, **ops):
+    """Validate Hermitian operators (named by keyword), then the state, then
+    their dimensions, then the state's norm; return the operators, the
+    state and its squared norm."""
+    mats = [as_hermitian(op, name=name) for name, op in ops.items()]
+    v = as_state(psi, name="psi")
+    if any(m.shape[0] != v.shape[0] for m in mats):
+        sizes = ", ".join(f"{name} {m.shape[0]}" for name, m in zip(ops, mats))
+        raise ValueError(f"dimension mismatch: {sizes}, state {v.shape[0]}")
+    nrm2 = float(np.vdot(v, v).real)
+    if nrm2 <= 0.0:
+        raise ValueError("state has zero norm")
+    return (*mats, v, nrm2)
+
+
 def expectation(op, psi) -> float:
     """Expectation value ``<psi|F|psi> / <psi|psi>`` of a Hermitian ``op``.
 
     Computed as ``Re<F psi|psi>`` so the result is real by construction; the
     normalization makes the value invariant under rescaling of ``psi``.
     """
-    F = as_hermitian(op, name="op")
-    v = as_state(psi, name="psi")
-    if F.shape[0] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: operator {F.shape[0]}, state {v.shape[0]}")
-    if float(np.vdot(v, v).real) <= 0.0:
-        raise ValueError("state has zero norm")
-    return float(np.vdot(v, F @ v).real) / float(np.vdot(v, v).real)
+    F, v, nrm2 = _operands(psi, op=op)
+    return float(np.vdot(v, F @ v).real) / nrm2
 
 
 def variance(op, psi) -> float:
@@ -157,14 +167,7 @@ def commutator_expectation(op_f, op_g, psi) -> float:
     F, G, which is real by construction and exactly antisymmetric under
     swapping the operators.
     """
-    F = as_hermitian(op_f, name="op_f")
-    G = as_hermitian(op_g, name="op_g")
-    v = as_state(psi, name="psi")
-    if not (F.shape[0] == G.shape[0] == v.shape[0]):
-        raise ValueError("dimension mismatch between operators and state")
-    nrm2 = float(np.vdot(v, v).real)
-    if nrm2 <= 0.0:
-        raise ValueError("state has zero norm")
+    F, G, v, nrm2 = _operands(psi, op_f=op_f, op_g=op_g)
     return 2.0 * float(np.vdot(F @ v, G @ v).imag) / nrm2
 
 
@@ -174,14 +177,7 @@ def symmetrized_covariance(op_f, op_m, psi) -> float:
     Computed as ``Re <F psi|M psi> - <F><M>`` (normalized), which is real by
     construction and symmetric in the two operators.
     """
-    F = as_hermitian(op_f, name="op_f")
-    M = as_hermitian(op_m, name="op_m")
-    v = as_state(psi, name="psi")
-    if not (F.shape[0] == M.shape[0] == v.shape[0]):
-        raise ValueError("dimension mismatch between operators and state")
-    nrm2 = float(np.vdot(v, v).real)
-    if nrm2 <= 0.0:
-        raise ValueError("state has zero norm")
+    F, M, v, nrm2 = _operands(psi, op_f=op_f, op_m=op_m)
     fv = F @ v
     mv = M @ v
     cross = float(np.vdot(fv, mv).real) / nrm2

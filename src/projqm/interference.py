@@ -124,9 +124,8 @@ def build_wall(grid_spec, slit_centers, slit_width: float) -> SlitWall:
 
     Parameters
     ----------
-    grid_spec : (halfwidth, n) or array_like
-        Either the halfwidth and cell count of a uniform grid of cell
-        centers, or the positions themselves (must be uniformly spaced).
+    grid_spec : (halfwidth, n)
+        Halfwidth and cell count of a uniform grid of cell centers.
     slit_centers : sequence of float
         One center per slit.
     slit_width : float
@@ -142,22 +141,12 @@ def build_wall(grid_spec, slit_centers, slit_width: float) -> SlitWall:
     """
     if slit_width <= 0.0:
         raise ValueError("slit_width must be positive")
-    if isinstance(grid_spec, tuple) and len(grid_spec) == 2:
-        halfwidth, n = grid_spec
-        if halfwidth <= 0.0 or int(n) < 8:
-            raise ValueError("grid needs positive halfwidth and at least 8 cells")
-        n = int(n)
-        dy = 2.0 * halfwidth / n
-        y = -halfwidth + dy * (np.arange(n) + 0.5)
-    else:
-        y = np.asarray(grid_spec, dtype=float)
-        if y.ndim != 1 or y.size < 8:
-            raise ValueError("grid must be a 1-d array of at least 8 positions")
-        steps = np.diff(y)
-        dy = float(steps[0])
-        if dy <= 0 or np.max(np.abs(steps - dy)) > 1e-9 * abs(dy):
-            raise ValueError("grid positions must be uniformly increasing")
-
+    halfwidth, n = grid_spec
+    if halfwidth <= 0.0 or int(n) < 8:
+        raise ValueError("grid needs positive halfwidth and at least 8 cells")
+    n = int(n)
+    dy = 2.0 * halfwidth / n
+    y = -halfwidth + dy * (np.arange(n) + 0.5)
     supports = []
     for k, c in enumerate(slit_centers):
         inside = np.abs(y - float(c)) <= slit_width / 2.0
@@ -321,11 +310,11 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
     )
 
 
-def fringe_spacing(pattern: InterferencePattern, window: float | None = None) -> float:
+def fringe_spacing(pattern: InterferencePattern) -> float:
     """Distance between adjacent maxima of the cross term.
 
     The period is estimated as twice the mean gap between consecutive zero
-    crossings of the cross term inside a central window (default 65% of the
+    crossings of the cross term inside a central window (65% of the
     screen).  Crossing positions are envelope-immune - the cross term is a
     positive envelope times an oscillation there, so its zeros are zeros of
     the oscillation alone - whereas the maxima themselves are dragged by
@@ -333,9 +322,7 @@ def fringe_spacing(pattern: InterferencePattern, window: float | None = None) ->
     window also cancels the odd part of the residual phase distortion.
     """
     x = pattern.screen_positions
-    if window is None:
-        window = 0.65 * float(np.max(np.abs(x)))
-    sel = np.abs(x) <= window
+    sel = np.abs(x) <= 0.65 * float(np.max(np.abs(x)))
     xs = x[sel]
     c = pattern.cross_term[sel]
     scale = float(np.max(np.abs(c)))
@@ -344,7 +331,7 @@ def fringe_spacing(pattern: InterferencePattern, window: float | None = None) ->
     change = np.where(np.diff(np.signbit(c)))[0]
     if change.size < 4:
         raise ValueError("fewer than four cross-term zeros in the window; "
-                         "widen the screen or the window")
+                         "widen the screen")
     x0, x1 = xs[change], xs[change + 1]
     c0, c1 = c[change], c[change + 1]
     crossings = x0 - c0 * (x1 - x0) / (c1 - c0)

@@ -108,7 +108,7 @@ def horizontal_project(base: Ray, raw) -> TangentVector:
 def random_horizontal(base: Ray, rng: np.random.Generator) -> TangentVector:
     """A random horizontal tangent vector of statistical norm one."""
     raw = rng.standard_normal(base.dim) + 1j * rng.standard_normal(base.dim)
-    h = raw - np.vdot(base.rep, raw) * base.rep
+    h = horizontal_project(base, raw).vec
     nrm = float(np.linalg.norm(h))
     if nrm < 1e-8:  # pragma: no cover - probability zero
         return random_horizontal(base, rng)
@@ -234,9 +234,7 @@ def flow_transport(op, x: TangentVector, t: float) -> TangentVector:
     # gauge phase applied by project(): recover it from the largest component
     k = int(np.argmax(np.abs(moved)))
     phase = new_base.rep[k] / moved[k]
-    evals, vecs = np.linalg.eigh(F)
-    pushed = vecs @ (np.exp(-1j * evals * t) * (vecs.conj().T @ x.vec))
-    vec = phase * pushed
+    vec = phase * evolve_exact(F, x.vec, t)
     vec = vec - np.vdot(new_base.rep, vec) * new_base.rep
     return TangentVector(base=new_base, vec=vec)
 

@@ -270,14 +270,14 @@ class SpannedSphere:
         r0 = as_state(self.rep0, name="rep0")
         r1 = as_state(self.rep1, name="rep1")
         if r0.shape != r1.shape:
-            raise ValueError("basis representatives must share a dimension")
+            raise ValueError(f"basis representatives must share a dimension: "
+                             f"{r0.shape[0]} vs {r1.shape[0]}")
         if abs(float(np.linalg.norm(r0)) - 1.0) > 1e-12 or abs(float(np.linalg.norm(r1)) - 1.0) > 1e-12:
             raise ValueError("basis representatives must be unit vectors")
-        if abs(np.vdot(r0, r1)) > 1e-10:
-            raise ValueError(
-                f"basis representatives must be orthogonal: |<0|1>| = "
-                f"{abs(np.vdot(r0, r1)):.3e}"
-            )
+        ov = abs(np.vdot(r0, r1))
+        if ov > 1e-10:
+            raise ValueError(f"basis representatives must be orthogonal: |<0|1>| = "
+                             f"{ov:.3e}; orthonormalize first (gram_schmidt)")
         object.__setattr__(self, "rep0", r0)
         object.__setattr__(self, "rep1", r1)
 
@@ -312,23 +312,16 @@ class SpannedSphere:
 def nonlinear_superpose(psi, phi, coord) -> Ray:
     """Superposition ray ``[w0 psi + w1 phi]`` labeled by a sphere coordinate.
 
-    ``psi`` and ``phi`` must be orthogonal rays (overlap below 1e-10);
-    non-orthogonal inputs are rejected with a pointer at Gram-Schmidt.  The
-    coordinate may be a :class:`RiemannCoordinate` or a plain complex ``z``
-    (shorthand for ``(1, z)``).
+    ``psi`` and ``phi`` must be orthogonal rays of one dimension (overlap
+    below 1e-10); :class:`SpannedSphere` rejects other inputs, with a
+    pointer at Gram-Schmidt.  The coordinate may be a
+    :class:`RiemannCoordinate` or a plain complex ``z`` (shorthand for
+    ``(1, z)``).
     """
-    ra, rb = _as_ray(psi), _as_ray(phi)
-    if ra.dim != rb.dim:
-        raise ValueError(f"dimension mismatch: {ra.dim} vs {rb.dim}")
-    ov = abs(np.vdot(ra.rep, rb.rep))
-    if ov > 1e-10:
-        raise ValueError(
-            f"superposition basis must be orthogonal: |<psi|phi>| = {ov:.3e}; "
-            "orthonormalize first (gram_schmidt)"
-        )
+    sphere = SpannedSphere.from_rays(_as_ray(psi), _as_ray(phi))
     if not isinstance(coord, RiemannCoordinate):
         coord = RiemannCoordinate.from_z(coord)
-    return SpannedSphere.from_rays(ra, rb).point(coord)
+    return sphere.point(coord)
 
 
 def sphere_membership(x, sphere: SpannedSphere) -> float:
@@ -388,13 +381,13 @@ def _area_element(sphere: SpannedSphere, theta, phi, metric_factor: float) -> np
     return np.sqrt(np.maximum(det, 0.0))
 
 
-def sphere_area(sphere: SpannedSphere, metric_factor: float = 1.0, tol: float = 1e-6,
-                max_level: int = 8) -> float:
+def sphere_area(sphere: SpannedSphere, metric_factor: float = 1.0) -> float:
     """Total area of a superposition sphere by direct quadrature.
 
     Integrates the statistical area element over the (theta, phi)
     parametrization, refining a Simpson (in theta) x trapezoid (in phi)
-    tensor grid until two successive refinements agree within ``tol/2``.
+    tensor grid, from 17 theta points up to 8 levels, until two successive
+    refinements agree within ``tol/2`` with ``tol = 1e-6``.
     ``metric_factor`` scales the metric; the area scales linearly with it.
 
     Raises
@@ -404,10 +397,11 @@ def sphere_area(sphere: SpannedSphere, metric_factor: float = 1.0, tol: float = 
     """
     if metric_factor <= 0.0:
         raise ValueError("metric_factor must be positive")
+    tol = 1e-6
     prev = None
     estimate = math.inf
     n_theta = 17
-    for _ in range(max_level):
+    for _ in range(8):
         n_phi = n_theta - 1
         thetas = np.linspace(0.0, math.pi, n_theta)
         phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)

@@ -1,5 +1,7 @@
 """Unit tests for the projective flow integrator and its diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,16 @@ class TestFlowIntegrate:
     def test_norm_drift_aborts(self):
         with pytest.raises(RuntimeError, match="norm drift"):
             flow_integrate(sigma_z(), PLUS, 2.0 * np.pi, 0.5)
+
+    def test_overflow_aborts_naming_the_scale(self):
+        """A finite but huge Hamiltonian overflows the step at any usable dt: one
+        RuntimeError, no RuntimeWarning, and numpy's error state restored."""
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=r"overflows.*max\|H\| = 1\.000e\+300"):
+                flow_integrate(np.diag([1e300, -1e300]), PLUS, 1.0, 1e-3)
+        assert np.geterr() == before
 
     def test_global_phase_of_start_is_irrelevant(self, rng):
         h = random_hermitian(rng, 3)

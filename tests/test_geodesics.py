@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projqm.geodesics as geodesics
-from projqm.geodesics import (ChartPoint, chart_to_ray, classify_induced_form,
-                              classify_lie_form, fs_metric, induced_sphere_metric,
+from projqm.geodesics import (ChartPoint, chart_to_ray, fs_metric, induced_sphere_metric,
                               integrate_geodesic, integrated_pair_distance,
                               integrated_pair_distances, lie_derivative_normal,
-                              candidate_induced_coefficient, ray_to_chart,
-                              total_geodesy_certificate)
+                              ray_to_chart, total_geodesy_certificate)
 from projqm.projective import SpannedSphere, fs_distance, project
 from tests.conftest import random_unit, state_pairs, unit_vectors
 
@@ -108,16 +106,15 @@ class TestInducedSphereMetric:
         with pytest.raises(ValueError):
             induced_sphere_metric(pt)
 
-    def test_classifier_prefers_squared_denominator(self):
-        result = classify_induced_form()
-        assert result["verdict"] == "power2"
-        assert result["power2_max_rel"] < 1e-8
-        assert result["power1_max_rel"] > 1e-2
-
-    def test_coefficient_helper_matches_directly(self):
-        val = candidate_induced_coefficient(0.3, -0.2, 0.1, 0.4, power=2)
-        s = 0.3**2 + 0.2**2 + 0.1**2 + 0.4**2
-        assert abs(val - (1.0 + 0.1**2 + 0.4**2) / (1.0 + s) ** 2) < 1e-15
+    def test_block_coefficient_has_squared_denominator(self):
+        """On and off the slice, g_u1u1 = (1 + |t2|^2) / (1 + |t|^2)^2."""
+        for t2 in (0.0, 0.1j, 0.3 - 0.2j, 0.5j):
+            for u1 in (-0.8, -0.3, 0.0, 0.4, 0.9):
+                for v1 in (-0.8, 0.0, 0.9):
+                    t = np.array([u1 + 1j * v1, t2])
+                    g = fs_metric(ChartPoint(base_index=0, coords=t)).g[0, 0]
+                    s = 1.0 + float(np.sum(np.abs(t) ** 2))
+                    assert abs(g - (1.0 + abs(t2) ** 2) / s**2) < 1e-15
 
 
 class TestLieDerivative:
@@ -136,11 +133,13 @@ class TestLieDerivative:
         lie = lie_derivative_normal(pt, "v2")
         assert np.max(np.abs(lie)) > 1e-2
 
-    def test_classifier_reports_on_axis_agreement_only(self):
-        result = classify_lie_form(normal="v2")
-        assert result["verdict"] == "neither"
-        assert result["on_axis_power2_max_rel"] < 1e-6
-        assert result["power2_max_rel"] > 1.0
+    def test_on_axis_value(self):
+        """On the u1 = v1 = 0 axis, |L_v2 g_u1u1| = 2 v2 / (1 + v2^2)^2."""
+        for v2 in (0.05, 0.1, 0.25):
+            pt = ChartPoint(base_index=0, coords=np.array([0.0, 1j * v2]))
+            lie = abs(lie_derivative_normal(pt, "v2")[0, 0])
+            expected = 2.0 * v2 / (1.0 + v2**2) ** 2
+            assert abs(lie - expected) < 1e-6 * expected
 
 
 def fd_acceleration(point: ChartPoint, v: np.ndarray, h: float = 1e-5) -> np.ndarray:

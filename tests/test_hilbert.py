@@ -101,6 +101,19 @@ def test_symmetrized_covariance_properties(op_f, data):
     assert abs(symmetrized_covariance(op_f, op_f, psi) - variance(op_f, psi)) < 1e-12
 
 
+@pytest.mark.parametrize("fn", [
+    expectation,
+    variance,
+    lambda op, psi: commutator_expectation(sigma_x(), op, psi),
+    lambda op, psi: symmetrized_covariance(op, sigma_z(), psi),
+], ids=["expectation", "variance", "commutator_expectation", "symmetrized_covariance"])
+def test_expectation_forms_reject_bad_operands(fn):
+    with pytest.raises(ValueError, match=r"dimension mismatch: .*\b3\b.*state 2"):
+        fn(np.eye(3), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="zero norm"):
+        fn(sigma_z(), np.zeros(2))
+
+
 class TestEvolveExact:
     def test_unitarity(self, rng):
         dim = 5

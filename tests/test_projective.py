@@ -243,6 +243,11 @@ def test_nonlinear_superpose_rejects_skew_basis():
         nonlinear_superpose(a, b, 0.5)
 
 
+def test_nonlinear_superpose_rejects_mixed_dimensions():
+    with pytest.raises(ValueError, match="2 vs 3"):
+        nonlinear_superpose(np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.0]), 0.5)
+
+
 def test_rephase_covariance_of_coordinates(rng):
     """Changing a basis vector's phase by e^{i lam} maps z -> e^{-i lam} z."""
     u, v = gram_schmidt([random_unit(rng, 4), random_unit(rng, 4)])

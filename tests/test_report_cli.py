@@ -202,6 +202,8 @@ def _write_inputs(tmp_path):
     (tmp_path / "ragged.json").write_text("[[1,0],[0]]")
     (tmp_path / "eye3.json").write_text(
         "[[[1,0],[0,0],[0,0]],[[0,0],[1,0],[0,0]],[[0,0],[0,0],[1,0]]]")
+    # finite, but the RK4 step overflows at any usable dt
+    (tmp_path / "huge.json").write_text("[[[1e300,0],[0,0]],[[0,0],[-1e300,0]]]")
     for name, line in (("nan_wavelength", "wavelength = nan"),
                        ("inf_distance", "distance = inf"),
                        ("nan_center", "slit_centers = -5e-5, nan")):
@@ -246,6 +248,7 @@ def _write_inputs(tmp_path):
     ["evolve", "--hamiltonian", "sigma_z", "--start", "{dir}/ragged.json"],
     ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--track",
      "sigma_x,{dir}/eye3.json"],
+    ["evolve", "--hamiltonian", "{dir}/huge.json", "--start", "plus"],
     ["two-slit", "--config", "{dir}/nan_wavelength.cfg"],
     ["two-slit", "--config", "{dir}/inf_distance.cfg"],
     ["two-slit", "--config", "{dir}/nan_center.cfg"],
