@@ -11,8 +11,8 @@ amplitudes.
 Modules
 -------
 hilbert
-    States, Hermitian operators, overlaps split into real/imaginary parts,
-    exact evolution, projectors.
+    States, Hermitian operators, expectations and covariances, exact
+    evolution, projectors.
 projective
     Gauge-fixed rays, ray distance and transition probability, spanned
     spheres, superposition coordinates, sphere areas.
@@ -24,8 +24,8 @@ dynamics
     comparison against exact evolution, Ehrenfest residuals.
 geodesics
     Chart metric, closed-form Kaehler connection, RK4 geodesic
-    integration with re-charting, induced-metric and Lie-derivative slice
-    checks, shooting certificates of total geodesy.
+    integration with re-charting, Lie derivatives of the induced metric
+    along a sphere's normals, shooting certificates of total geodesy.
 interference
     Slit walls as projector sums, Fresnel propagation, fringe metrology,
     commuting-projector checks.
@@ -36,7 +36,6 @@ cli / report
 __version__ = "0.1.0"
 
 from .hilbert import (
-    InnerProductSplit,
     LinearDependenceError,
     Projector,
     as_hermitian,
@@ -45,7 +44,6 @@ from .hilbert import (
     evolve_exact,
     expectation,
     gram_schmidt,
-    inner_product_split,
     lowering_operator,
     make_projector,
     momentum_operator,
@@ -71,12 +69,10 @@ from .projective import (
 )
 from .kahler import (
     KahlerScale,
-    ObservableFunction,
     TangentVector,
     UncertaintyAudit,
     commutator_closure_residual,
     derive_observable_scale_factor,
-    eigen_extrema,
     flow_transport,
     hamiltonian_vector_field,
     horizontal_project,
@@ -98,14 +94,9 @@ from .dynamics import (
 from .geodesics import (
     ChartPoint,
     GeodesicPath,
-    MetricAtPoint,
     TotalGeodesyCertificate,
     chart_to_ray,
-    chart_to_vector,
-    fs_metric,
-    induced_sphere_metric,
     integrate_geodesic,
-    integrated_pair_distance,
     integrated_pair_distances,
     lie_derivative_normal,
     ray_to_chart,

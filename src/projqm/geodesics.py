@@ -54,17 +54,12 @@ from .projective import Ray, SpannedSphere, _gauge_fix, project
 __all__ = [
     "RECHART_THRESHOLD",
     "ChartPoint",
-    "MetricAtPoint",
     "GeodesicPath",
     "TotalGeodesyCertificate",
     "ray_to_chart",
-    "chart_to_vector",
     "chart_to_ray",
-    "fs_metric",
-    "induced_sphere_metric",
     "lie_derivative_normal",
     "integrate_geodesic",
-    "integrated_pair_distance",
     "integrated_pair_distances",
     "total_geodesy_certificate",
 ]
@@ -114,15 +109,15 @@ def _reals_to_coords(x: np.ndarray) -> np.ndarray:
     return x[..., 0::2] + 1j * x[..., 1::2]
 
 
-def ray_to_chart(ray: Ray, base_index: int | None = None) -> ChartPoint:
-    """Chart coordinates of a ray; base defaults to the largest component."""
+def ray_to_chart(ray: Ray) -> ChartPoint:
+    """Chart coordinates of a ray, based at its largest component.
+
+    That component of a unit representative has modulus at least
+    ``1/sqrt(dim)``, so the division is always safe.
+    """
     rep = ray.rep
-    if base_index is None:
-        base_index = int(np.argmax(np.abs(rep)))
-    zk = rep[base_index]
-    if abs(zk) < 1e-13:
-        raise ValueError(f"component {base_index} is (numerically) zero; pick another chart")
-    t = np.delete(rep, base_index) / zk
+    base_index = int(np.argmax(np.abs(rep)))
+    t = np.delete(rep, base_index) / rep[base_index]
     return ChartPoint(base_index=base_index, coords=t)
 
 
@@ -138,20 +133,16 @@ def _homogeneous(base: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return z
 
 
-def chart_to_vector(point: ChartPoint) -> np.ndarray:
-    """Homogeneous representative with 1 in the base slot (not normalized)."""
-    return _homogeneous(np.array([point.base_index]), point.coords[None, :])[0]
-
-
 def chart_to_ray(point: ChartPoint) -> Ray:
-    return project(chart_to_vector(point))
+    """The ray of a chart point: the inverse of :func:`ray_to_chart`."""
+    return project(_homogeneous(np.array([point.base_index]), point.coords[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
 # Metric assembly.
 
-def _metric_real_batch(x: np.ndarray, metric_factor: float = 1.0) -> np.ndarray:
-    """Metric matrices at a batch of real coordinate points.
+def _metric_real_batch(x: np.ndarray) -> np.ndarray:
+    """Statistical metric matrices at a batch of real coordinate points.
 
     ``x`` has shape (..., 2m); the result has shape (..., 2m, 2m) acting on
     interleaved (u, v) displacements.
@@ -169,64 +160,12 @@ def _metric_real_batch(x: np.ndarray, metric_factor: float = 1.0) -> np.ndarray:
     g[..., 1::2, 1::2] = a
     g[..., 0::2, 1::2] = b
     g[..., 1::2, 0::2] = -b
-    return metric_factor * g
-
-
-@dataclass(frozen=True, eq=False)
-class MetricAtPoint:
-    """Validated metric matrix at a chart point (symmetric positive definite)."""
-
-    point: ChartPoint
-    g: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
-        n = 2 * self.point.coords.size
-        if g.shape != (n, n):
-            raise ValueError(f"metric must be {n}x{n}, got {g.shape}")
-        if float(np.max(np.abs(g - g.T))) > 1e-12:
-            raise ValueError("metric matrix is not symmetric")
-        if float(np.linalg.eigvalsh(g)[0]) <= 0.0:
-            raise ValueError("metric matrix is not positive definite")
-        object.__setattr__(self, "g", g)
-
-
-def fs_metric(point: ChartPoint, metric_factor: float = 1.0) -> MetricAtPoint:
-    """Statistical metric at a chart point (``metric_factor`` rescales it).
-
-    The factor-1 normalization is the one whose geodesic distance is
-    ``arccos |<a|b>|``; factor 2 is the observable normalization, which
-    multiplies all lengths by sqrt(2) and leaves geodesics unchanged.
-    """
-    if metric_factor <= 0.0:
-        raise ValueError("metric_factor must be positive")
-    g = _metric_real_batch(point.reals, metric_factor)
-    return MetricAtPoint(point=point, g=g)
+    return g
 
 
 def _induced_block(x: np.ndarray) -> np.ndarray:
     """(u1, v1) block of the chart metric at interleaved real coordinates."""
     return _metric_real_batch(x)[0:2, 0:2]
-
-
-def induced_sphere_metric(point: ChartPoint) -> MetricAtPoint:
-    """Metric induced on the ``t2 = 0`` slice of a two-coordinate chart.
-
-    The slice is a superposition sphere; its metric is the (u1, v1) block
-    of the chart metric, returned as a metric on the slice's own
-    one-coordinate chart.  Points off the slice are rejected - the slice is
-    where the embedded-sphere geometry lives; the off-slice block is only
-    meaningful inside the finite differences of
-    :func:`lie_derivative_normal`.
-    """
-    if point.coords.size != 2:
-        raise ValueError("expected a two-coordinate chart point")
-    if abs(point.coords[1]) > 1e-12:
-        raise ValueError(
-            f"point is off the slice: |t2| = {abs(point.coords[1]):.3e} > 1e-12"
-        )
-    slice_point = ChartPoint(base_index=0, coords=point.coords[:1].copy())
-    return MetricAtPoint(point=slice_point, g=_induced_block(point.reals))
 
 
 def lie_derivative_normal(point: ChartPoint, normal: str) -> np.ndarray:
@@ -375,8 +314,7 @@ class GeodesicPath:
         return self.samples[-1][1]
 
 
-def integrate_geodesic(start: ChartPoint, velocity, length: float, dt: float,
-                       metric_factor: float = 1.0) -> GeodesicPath:
+def integrate_geodesic(start: ChartPoint, velocity, length: float, dt: float) -> GeodesicPath:
     """Integrate the geodesic equation from a chart point.
 
     Parameters
@@ -385,8 +323,8 @@ def integrate_geodesic(start: ChartPoint, velocity, length: float, dt: float,
         Initial point.
     velocity : array_like
         Initial velocity in interleaved real chart coordinates; it is
-        normalized to unit metric speed, so the curve parameter is
-        arclength in the chosen ``metric_factor`` normalization.
+        normalized to unit statistical speed, so the curve parameter is
+        arclength of the statistical metric.
     length, dt : float
         Total arclength and step; the last step is shortened to land on
         ``length`` exactly; ``0 < dt < inf`` and ``0 <= length < inf``.
@@ -403,14 +341,14 @@ def integrate_geodesic(start: ChartPoint, velocity, length: float, dt: float,
             f"velocity must have {2 * start.coords.size} real components, got {v.shape}"
         )
     w0 = _reals_to_coords(v)
-    speed = math.sqrt(metric_factor * float(_speed2(start.coords, w0)))
+    speed = math.sqrt(float(_speed2(start.coords, w0)))
     if speed < 1e-14:
         raise ValueError("velocity must be nonzero")
 
     arcl, bases, ts, ws = zip(*_march(start.base_index, start.coords, w0 / speed,
                                       length, dt))
     ts, ws = np.array(ts), np.array(ws)
-    speeds = np.sqrt(metric_factor * _speed2(ts[1:], ws[1:]))
+    speeds = np.sqrt(_speed2(ts[1:], ws[1:]))
     samples = [(0.0, start)] + [(s, ChartPoint(base_index=k, coords=t))
                                 for s, k, t in zip(arcl[1:], bases[1:], ts[1:])]
     return GeodesicPath(samples=samples, total_length=arcl[-1],
@@ -465,11 +403,6 @@ def integrated_pair_distances(pairs, dt: float = 2e-3) -> np.ndarray:
     ov = np.abs(cos_d * z[:, :1] + sin_d * z[:, 1:])
     ov /= np.linalg.norm(z, axis=1, keepdims=True)
     return _closest_approach(np.array(arcl), ov)[1]
-
-
-def integrated_pair_distance(a: Ray, b: Ray, dt: float = 2e-3) -> float:
-    """Single-pair convenience wrapper over :func:`integrated_pair_distances`."""
-    return float(integrated_pair_distances([(a, b)], dt)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +548,7 @@ def _brent_root(f, a: float, b: float, xtol: float, maxiter: int) -> tuple[float
     return xcur, False
 
 
-def total_geodesy_certificate(a: Ray, b: Ray, ambient_dim: int | None = None, dt: float = 5e-3,
+def total_geodesy_certificate(a: Ray, b: Ray, dt: float = 5e-3,
                               max_iterations: int = 200) -> TotalGeodesyCertificate:
     """Certify by shooting that the sphere spanned by two rays is geodesic.
 
@@ -632,10 +565,9 @@ def total_geodesy_certificate(a: Ray, b: Ray, ambient_dim: int | None = None, dt
     certificate reads the shot Brent already made at its root; no aim
     angle is integrated twice.
 
-    ``ambient_dim``, when given, is cross-checked against the rays.
+    The rays must share one dimension, which the certificate records as
+    ``ambient_dim``; rays of different dimensions raise ``ValueError``.
     """
-    if ambient_dim is not None and ambient_dim != a.dim:
-        raise ValueError(f"ambient_dim {ambient_dim} does not match rays of dim {a.dim}")
     e0, e1, cos_d, sin_d, degenerate = _aligned_frame(a, b)
     target = math.atan2(sin_d, cos_d)
     if target < 1e-3:

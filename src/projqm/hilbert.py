@@ -2,9 +2,10 @@
 
 Everything downstream (rays, metric/symplectic structure, flows) is built on
 the handful of operations here: validated state vectors and Hermitian
-matrices, the split of the overlap into its real and imaginary parts,
-expectation values, commutator expectations, symmetrized covariances, exact
-unitary evolution, projectors and Gram-Schmidt orthonormalization.
+matrices, expectation values, commutator expectations, symmetrized
+covariances, exact unitary evolution, projectors and Gram-Schmidt
+orthonormalization.  The real and imaginary parts of the overlap, the
+metric and symplectic pairings, live in :mod:`projqm.kahler`.
 
 States are plain 1-d complex128 numpy arrays; operators are square complex128
 arrays.  Validation is done at API entry points rather than with wrapper
@@ -19,12 +20,10 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_HERMITIAN_TOL",
-    "InnerProductSplit",
     "LinearDependenceError",
     "Projector",
     "as_state",
     "as_hermitian",
-    "inner_product_split",
     "expectation",
     "variance",
     "commutator_expectation",
@@ -98,36 +97,6 @@ def as_hermitian(op, *, tol: float = DEFAULT_HERMITIAN_TOL, name: str = "operato
     if drift > 0.0:
         arr = (arr + arr.conj().T) / 2.0
     return arr
-
-
-@dataclass(frozen=True)
-class InnerProductSplit:
-    """Overlap of two states split into real and imaginary parts.
-
-    ``g_part - 1j*omega_part`` reconstructs the full overlap, i.e. the
-    omega part carries the sign of minus the imaginary part.
-    """
-
-    g_part: float
-    omega_part: float
-
-    def overlap(self) -> complex:
-        return complex(self.g_part, -self.omega_part)
-
-
-def inner_product_split(psi, phi) -> InnerProductSplit:
-    """Split ``<psi|phi>`` into its symmetric and antisymmetric real parts.
-
-    Returns ``g_part = Re<psi|phi>`` and ``omega_part = -Im<psi|phi>``, so
-    that ``<psi|phi> = g_part - i*omega_part``.  The first argument is the
-    conjugated one.
-    """
-    a = as_state(psi, name="psi")
-    b = as_state(phi, name="phi")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    ov = np.vdot(a, b)
-    return InnerProductSplit(g_part=float(ov.real), omega_part=float(-ov.imag))
 
 
 def _operands(psi, **ops):

@@ -250,16 +250,21 @@ class InterferencePattern:
         return self.total_intensity / self.total_screen_probability
 
 
+#: Largest disagreement, relative to the peak amplitude floored at 1, between
+#: the one-piece and the per-slit propagation of a wall-projected state.
+_LINEARITY_TOL = 1e-12
+
+
 def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: float,
-                        screen_halfwidth: float = 2.5e-2, n_screen: int = 2048,
-                        linearity_tol: float = 1e-12) -> InterferencePattern:
+                        screen_halfwidth: float = 2.5e-2,
+                        n_screen: int = 2048) -> InterferencePattern:
     """Project an input state through the wall and Fresnel-propagate it.
 
     The kernel is built only on the slit-support columns of the wall grid:
     every ``P_i psi`` vanishes elsewhere.  Each slit's component is
     propagated with its own block of columns; the whole wall-projected
     state is also propagated in one piece over all of them, and the two
-    routes must agree within ``linearity_tol`` (times the peak amplitude,
+    routes must agree within ``_LINEARITY_TOL`` (times the peak amplitude,
     floored at 1), or ``RuntimeError`` is raised.
 
     ``paraxial_ok`` on the result flags whether the geometry is comfortably
@@ -293,10 +298,10 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
     coherent = np.sum(amps, axis=0)
     scale = max(float(np.max(np.abs(one_piece))), 1.0)
     residual = float(np.max(np.abs(one_piece - coherent)))
-    if residual > linearity_tol * scale:
+    if residual > _LINEARITY_TOL * scale:
         raise RuntimeError(
             f"decomposition identity violated: residual {residual:.3e} exceeds "
-            f"{linearity_tol:.1e} x {scale:.3e}"
+            f"{_LINEARITY_TOL:.1e} x {scale:.3e}"
         )
     extent = float(np.max(np.abs(wall.grid))) + screen_halfwidth
     return InterferencePattern(

@@ -32,7 +32,6 @@ from .hilbert import (
     as_state,
     commutator_expectation,
     evolve_exact,
-    expectation,
     sigma_x,
     sigma_z,
     symmetrized_covariance,
@@ -42,7 +41,6 @@ from .projective import Ray, fs_distance, project, rays_close
 __all__ = [
     "KahlerScale",
     "TangentVector",
-    "ObservableFunction",
     "UncertaintyAudit",
     "horizontal_project",
     "random_horizontal",
@@ -56,7 +54,6 @@ __all__ = [
     "killing_residual",
     "commutator_closure_residual",
     "uncertainty_audit",
-    "eigen_extrema",
 ]
 
 
@@ -131,22 +128,6 @@ def hamiltonian_vector_field(op, at: Ray) -> TangentVector:
     # remove roundoff-level vertical residue so the invariant holds sharply
     vec = vec - np.vdot(at.rep, vec) * at.rep
     return TangentVector(base=at, vec=vec)
-
-
-@dataclass(frozen=True)
-class ObservableFunction:
-    """The real function ``x -> <F>_x`` induced on rays by a Hermitian F."""
-
-    op: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "op", as_hermitian(self.op, name="op"))
-
-    def value(self, at: Ray) -> float:
-        return expectation(self.op, at.rep)
-
-    def field(self, at: Ray) -> TangentVector:
-        return hamiltonian_vector_field(self.op, at)
 
 
 def _check_same_base(x: TangentVector, y: TangentVector):
@@ -239,38 +220,29 @@ def flow_transport(op, x: TangentVector, t: float) -> TangentVector:
     return TangentVector(base=new_base, vec=vec)
 
 
-def killing_residual(op, at: Ray, eps: float = 1e-3, rng=None,
-                     transport: str = "flow") -> float:
+def killing_residual(op, at: Ray, rng=None) -> float:
     """Finite-difference Lie derivative of the metric along a Hamiltonian flow.
 
-    Transports a random pair of horizontal vectors to parameter ``+/- eps``
-    along the flow of ``X_F`` and central-differences the statistical metric
-    pairings.  With ``transport="flow"`` (the honest pushforward) the flow is
-    an isometry and the residual is roundoff-level, O(eps^2) at worst.  With
-    ``transport="frozen"`` the vector components are naively held fixed and
-    merely re-horizontalized at the moved ray - a deliberately wrong
-    transport whose residual sits at the curvature scale O(eps^2) x O(1),
-    many orders above the isometry's roundoff, making it the negative
-    control that shows the flow result is not vacuous.
+    Transports a random pair of horizontal vectors (drawn from ``rng``) with
+    :func:`flow_transport` to parameter ``+/- eps``, ``eps = 1e-3``, along
+    the flow of ``X_F`` and central-differences the statistical metric
+    pairings.  The flow is an isometry, so the residual is roundoff-level,
+    O(eps^2) at worst; the tests pair it with a deliberately wrong transport
+    whose residual sits at the curvature scale, to show the check is not
+    vacuous.
 
     Returns the largest |difference| / (2 eps) over the pairings (X,X),
     (X,Y), (Y,Y).
     """
-    if transport not in ("flow", "frozen"):
-        raise ValueError(f"unknown transport {transport!r}")
+    eps = 1e-3
     F = as_hermitian(op, name="op")
     gen = np.random.default_rng(rng)
     x = random_horizontal(at, gen)
     y = random_horizontal(at, gen)
     values = {}
     for s in (-eps, eps):
-        if transport == "flow":
-            xs = flow_transport(F, x, s)
-            ys = flow_transport(F, y, s)
-        else:
-            base_s = project(evolve_exact(F, at.rep, s))
-            xs = horizontal_project(base_s, x.vec)
-            ys = horizontal_project(base_s, y.vec)
+        xs = flow_transport(F, x, s)
+        ys = flow_transport(F, y, s)
         values[s] = (
             metric_eval(KahlerScale.STATISTICAL, xs, xs),
             metric_eval(KahlerScale.STATISTICAL, xs, ys),
@@ -346,26 +318,3 @@ def uncertainty_audit(op_f, op_m, at: Ray) -> UncertaintyAudit:
         metric_term=metric_term,
         slack=lhs - symplectic_term - metric_term,
     )
-
-
-def eigen_extrema(op) -> list[tuple[Ray, float]]:
-    """Eigenrays of a Hermitian operator with their eigenvalues.
-
-    These are the critical points of the expectation function: the
-    Hamiltonian vector field vanishes exactly there, and the function's range
-    over rays is the closed interval between the extreme eigenvalues.
-    Results are sorted by eigenvalue, ties broken by the lexicographic order
-    of the gauge-fixed representatives, making the output deterministic.
-    """
-    F = as_hermitian(op, name="op")
-    evals, vecs = np.linalg.eigh(F)
-    items = [(project(vecs[:, k]), float(evals[k])) for k in range(F.shape[0])]
-
-    def key(item):
-        ray, lam = item
-        flat = []
-        for c in ray.rep:
-            flat.extend((c.real, c.imag))
-        return (lam, tuple(flat))
-
-    return sorted(items, key=key)

@@ -55,7 +55,7 @@ class Ray:
         v = self.rep
         if v.ndim != 1 or v.size == 0:
             raise ValueError("ray representative must be a nonempty vector")
-        if abs(float(np.linalg.norm(v)) - 1.0) > 1e-12:
+        if not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-12:  # NaN included
             raise ValueError("ray representative must have unit norm")
         for comp in v:
             if abs(comp) > GAUGE_TOL:
@@ -355,7 +355,7 @@ def riemann_coordinate(x, sphere: SpannedSphere) -> RiemannCoordinate:
     return RiemannCoordinate.from_pair(w0, w1)
 
 
-def _area_element(sphere: SpannedSphere, theta, phi, metric_factor: float) -> np.ndarray:
+def _area_element(sphere: SpannedSphere, theta, phi) -> np.ndarray:
     """sqrt(det) of the pulled-back statistical metric at grid points.
 
     ``theta``/``phi`` broadcast; tangent vectors are computed analytically
@@ -374,29 +374,26 @@ def _area_element(sphere: SpannedSphere, theta, phi, metric_factor: float) -> np
     # horizontal projection: remove the component along the point itself
     d_theta = d_theta - np.sum(xi.conj() * d_theta, axis=-1, keepdims=True) * xi
     d_phi = d_phi - np.sum(xi.conj() * d_phi, axis=-1, keepdims=True) * xi
-    E = metric_factor * np.sum(d_theta.conj() * d_theta, axis=-1).real
-    G = metric_factor * np.sum(d_phi.conj() * d_phi, axis=-1).real
-    F = metric_factor * np.sum(d_theta.conj() * d_phi, axis=-1).real
+    E = np.sum(d_theta.conj() * d_theta, axis=-1).real
+    G = np.sum(d_phi.conj() * d_phi, axis=-1).real
+    F = np.sum(d_theta.conj() * d_phi, axis=-1).real
     det = E * G - F * F
     return np.sqrt(np.maximum(det, 0.0))
 
 
-def sphere_area(sphere: SpannedSphere, metric_factor: float = 1.0) -> float:
+def sphere_area(sphere: SpannedSphere) -> float:
     """Total area of a superposition sphere by direct quadrature.
 
     Integrates the statistical area element over the (theta, phi)
     parametrization, refining a Simpson (in theta) x trapezoid (in phi)
     tensor grid, from 17 theta points up to 8 levels, until two successive
     refinements agree within ``tol/2`` with ``tol = 1e-6``.
-    ``metric_factor`` scales the metric; the area scales linearly with it.
 
     Raises
     ------
     RuntimeError
         If refinement stalls; the message carries the best error estimate.
     """
-    if metric_factor <= 0.0:
-        raise ValueError("metric_factor must be positive")
     tol = 1e-6
     prev = None
     estimate = math.inf
@@ -405,7 +402,7 @@ def sphere_area(sphere: SpannedSphere, metric_factor: float = 1.0) -> float:
         n_phi = n_theta - 1
         thetas = np.linspace(0.0, math.pi, n_theta)
         phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-        da = _area_element(sphere, thetas, phis, metric_factor)
+        da = _area_element(sphere, thetas, phis)
         # periodic trapezoid in phi, composite Simpson in theta
         f_theta = da.sum(axis=1) * (2.0 * math.pi / n_phi)
         h = math.pi / (n_theta - 1)

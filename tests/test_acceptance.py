@@ -80,7 +80,7 @@ def test_criterion_02_totally_geodesic_certificates_dims_3_and_4():
             b = project(random_unit(rng, dim))
             if not (1e-3 < abs(a.overlap_with(b)) < 0.999):
                 b = project(0.8 * a.rep + 0.6 * random_unit(rng, dim))
-            cert = total_geodesy_certificate(a, b, ambient_dim=dim)
+            cert = total_geodesy_certificate(a, b)
             assert cert.converged
             worst_member = max(worst_member, cert.max_offslice_residual)
             worst_length = max(worst_length, cert.length_match)

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from projqm.hilbert import (LinearDependenceError, as_hermitian, as_state,
                             commutator_expectation, evolve_exact, expectation,
-                            gram_schmidt, inner_product_split,
-                            lowering_operator, make_projector,
+                            gram_schmidt, lowering_operator, make_projector,
                             momentum_operator, position_operator, sigma_x,
                             sigma_y, sigma_z, symmetrized_covariance, variance)
 from tests.conftest import hermitians, unit_vectors
@@ -46,16 +45,6 @@ class TestAsHermitian:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             as_hermitian(np.ones((2, 3)))
-
-
-@given(unit_vectors(), st.data())
-@settings(max_examples=60, deadline=None)
-def test_inner_product_split_matches_vdot(psi, data):
-    phi = data.draw(unit_vectors(dim=psi.shape[0]))
-    split = inner_product_split(psi, phi)
-    direct = np.vdot(psi, phi)
-    assert abs(split.overlap() - direct) < 1e-14
-    assert abs(complex(split.g_part, -split.omega_part) - direct) < 1e-14
 
 
 @given(hermitians(), st.data())

@@ -1,0 +1,49 @@
+"""The public surface: each module's ``__all__``, the package exports and the
+README's Python examples."""
+
+import ast
+import importlib
+import pathlib
+import pkgutil
+import re
+
+import pytest
+
+import projqm
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(projqm.__path__))
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("short", MODULES)
+def test_every_all_entry_resolves_and_star_import_works(short):
+    mod = importlib.import_module(f"projqm.{short}")
+    exported = getattr(mod, "__all__", [])
+    assert [name for name in exported if not hasattr(mod, name)] == []
+    namespace = {}
+    exec(f"from projqm.{short} import *", namespace)
+    assert set(exported) <= set(namespace)
+
+
+def test_package_imports_only_names_in_module_all():
+    """Every name ``projqm/__init__.py`` imports is in its module's ``__all__``."""
+    tree = ast.parse(pathlib.Path(projqm.__file__).read_text())
+    imports = [(node.module, alias.name) for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names]
+    assert imports
+    stray = [f"{mod}.{name}" for mod, name in imports
+             if name not in importlib.import_module(f"projqm.{mod}").__all__]
+    assert stray == []
+
+
+def test_readme_python_blocks_run():
+    """The README's ```python blocks run, in order, in one namespace."""
+    text = README.read_text()
+    blocks = list(re.finditer(r"^```python\n(.*?)^```", text, re.M | re.S))
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        # pad with blank lines so a traceback names the README's own line
+        padded = "\n" * text.count("\n", 0, block.start(1)) + block.group(1)
+        exec(compile(padded, str(README), "exec"), namespace)
