@@ -23,8 +23,8 @@ dynamics
     RK4 integration of the projective Schrodinger flow with drift checks,
     comparison against exact evolution, Ehrenfest residuals.
 geodesics
-    Chart metric, closed-form Kaehler connection, RK4 geodesic
-    integration with re-charting, Lie derivatives of the induced metric
+    Chart metric, closed-form Kaehler connection, fixed-step DOP853
+    geodesic integration with re-charting, Lie derivatives of the induced metric
     along a sphere's normals, shooting certificates of total geodesy.
 interference
     Slit walls as projector sums, Fresnel propagation, fringe metrology,

@@ -19,21 +19,26 @@ has the closed form ``Gamma^i_jk = -(delta_ij conj(t_k) + delta_ik conj(t_j))
 
 (Bengtsson & Zyczkowski, *Geometry of Quantum States*, ch. 4; Ashtekar &
 Schilling, gr-qc/9706069).  A constant metric factor cancels from it.  One
-fixed-step RK4 engine integrates it on the stacked complex state
-``(t, t')`` of one point and re-charts to the largest homogeneous component
-when a coordinate's modulus exceeds ``RECHART_THRESHOLD`` = 2, one rule for
-every geodesic.  RK4's chart error grows with |t|: re-charting the shots at
-2 rather than 10 takes the worst certificate length match from 1e-7 to 2e-9
-in as many steps.  The finite-difference Christoffel contraction survives
-only in the tests, as an independent oracle for the connection.
+fixed-step Dormand-Prince 8(5,3) engine (Hairer, Norsett & Wanner, *Solving
+Ordinary Differential Equations I*, sec. II.5) integrates it on the stacked
+complex state ``(t, t')`` of one point, and after every step re-charts to
+the largest homogeneous component once a coordinate's modulus exceeds
+``RECHART_THRESHOLD`` = 1, so every step starts in the chart whose
+hyperplane at infinity is farthest away.  The chart error grows with |t|:
+at the default step 0.05, re-charting at 1 rather than 2 takes the worst
+pair-distance residual from 3.9e-12 to 4.6e-14 and the worst certificate
+length match from 1.5e-11 to 2.5e-13, and it keeps a 0.5 step from landing
+next to the chart's pole (pair-distance residual 5e-3 -> 1.2e-5).  The
+finite-difference Christoffel contraction survives only in the tests, as an
+independent oracle for the connection.
 
 The engine's step runs on lists of Python complex numbers, not numpy
 arrays.  Every caller marches m <= 7 coordinates, and at that size each
 numpy call costs more than the arithmetic it does: on a 2-core x86 host one
-RK4 step took 54-66 us with numpy at every m <= 7, and 10-14 us (m = 1) to
-24-39 us (m = 7) in Python; the two break even near m = 13-16.  The rows
-a march yields are stacked into one numpy array by each caller, and all
-later work stays in numpy.
+DOP853 step took 110-145 us with numpy at every m <= 7, and 40-50 us
+(m = 1), 55-70 us (m = 3) and 100-140 us (m = 7) in Python; the two break
+even near m = 7-10.  The rows a march yields are stacked into one numpy
+array by each caller, and all later work stays in numpy.
 
 The module also certifies that superposition spheres are totally geodesic:
 a shooting method aims a full-chart geodesic at the second basis ray,
@@ -64,8 +69,9 @@ __all__ = [
     "total_geodesy_certificate",
 ]
 
-#: A chart is abandoned once any coordinate modulus exceeds this.
-RECHART_THRESHOLD = 2.0
+#: A chart is abandoned once any coordinate modulus exceeds this: at 1, a
+#: step always starts in the chart of the largest homogeneous component.
+RECHART_THRESHOLD = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,20 +223,94 @@ def _acceleration(t, w) -> list:
     return [c * wi for wi in w]
 
 
-def _rk4_step(y: list, h: float) -> list:
-    """One RK4 step of the stacked state ``y = t + t'``, a list of 2m complex numbers."""
+def _dop853_step(y: list, h: float) -> list:
+    """One fixed Dormand-Prince 8(5,3) step of the stacked state ``y = t + t'``.
+
+    ``y`` is a list of 2m complex numbers.  The twelve stages and the
+    eighth-order solution are those of Hairer, Norsett & Wanner, *Solving
+    Ordinary Differential Equations I*, sec. II.5; the coefficients are
+    copied as literals from scipy's
+    ``scipy/integrate/_ivp/dop853_coefficients.py`` (rows 1-12 of ``A``,
+    row 12 being ``B``), one comprehension per stage over the row's nonzero
+    entries.  No error estimate and no dense output: the step is fixed.
+    """
     m = len(y) // 2
 
     def f(y):
         return y[m:] + _acceleration(y[:m], y[m:])
 
-    hh = 0.5 * h
     k1 = f(y)
-    k2 = f([yi + hh * ki for yi, ki in zip(y, k1)])
-    k3 = f([yi + hh * ki for yi, ki in zip(y, k2)])
-    k4 = f([yi + h * ki for yi, ki in zip(y, k3)])
-    h6 = h / 6.0
-    return [yi + h6 * (a + 2 * b + 2 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    k2 = f([yi + h * 5.26001519587677318785587544488e-2 * q1
+            for yi, q1 in zip(y, k1)])
+    k3 = f([yi + h * (1.97250569845378994544595329183e-2 * q1
+                      + 5.91751709536136983633785987549e-2 * q2)
+            for yi, q1, q2 in zip(y, k1, k2)])
+    k4 = f([yi + h * (2.95875854768068491816892993775e-2 * q1
+                      + 8.87627564304205475450678981324e-2 * q3)
+            for yi, q1, q3 in zip(y, k1, k3)])
+    k5 = f([yi + h * (2.41365134159266685502369798665e-1 * q1
+                      - 8.84549479328286085344864962717e-1 * q3
+                      + 9.24834003261792003115737966543e-1 * q4)
+            for yi, q1, q3, q4 in zip(y, k1, k3, k4)])
+    k6 = f([yi + h * (3.7037037037037037037037037037e-2 * q1
+                      + 1.70828608729473871279604482173e-1 * q4
+                      + 1.25467687566822425016691814123e-1 * q5)
+            for yi, q1, q4, q5 in zip(y, k1, k4, k5)])
+    k7 = f([yi + h * (3.7109375e-2 * q1
+                      + 1.70252211019544039314978060272e-1 * q4
+                      + 6.02165389804559606850219397283e-2 * q5
+                      - 1.7578125e-2 * q6)
+            for yi, q1, q4, q5, q6 in zip(y, k1, k4, k5, k6)])
+    k8 = f([yi + h * (3.70920001185047927108779319836e-2 * q1
+                      + 1.70383925712239993810214054705e-1 * q4
+                      + 1.07262030446373284651809199168e-1 * q5
+                      - 1.53194377486244017527936158236e-2 * q6
+                      + 8.27378916381402288758473766002e-3 * q7)
+            for yi, q1, q4, q5, q6, q7 in zip(y, k1, k4, k5, k6, k7)])
+    k9 = f([yi + h * (6.24110958716075717114429577812e-1 * q1
+                      - 3.36089262944694129406857109825 * q4
+                      - 8.68219346841726006818189891453e-1 * q5
+                      + 2.75920996994467083049415600797e1 * q6
+                      + 2.01540675504778934086186788979e1 * q7
+                      - 4.34898841810699588477366255144e1 * q8)
+            for yi, q1, q4, q5, q6, q7, q8 in zip(y, k1, k4, k5, k6, k7, k8)])
+    k10 = f([yi + h * (4.77662536438264365890433908527e-1 * q1
+                       - 2.48811461997166764192642586468 * q4
+                       - 5.90290826836842996371446475743e-1 * q5
+                       + 2.12300514481811942347288949897e1 * q6
+                       + 1.52792336328824235832596922938e1 * q7
+                       - 3.32882109689848629194453265587e1 * q8
+                       - 2.03312017085086261358222928593e-2 * q9)
+             for yi, q1, q4, q5, q6, q7, q8, q9 in zip(y, k1, k4, k5, k6, k7, k8, k9)])
+    k11 = f([yi + h * (-9.3714243008598732571704021658e-1 * q1
+                       + 5.18637242884406370830023853209 * q4
+                       + 1.09143734899672957818500254654 * q5
+                       - 8.14978701074692612513997267357 * q6
+                       - 1.85200656599969598641566180701e1 * q7
+                       + 2.27394870993505042818970056734e1 * q8
+                       + 2.49360555267965238987089396762 * q9
+                       - 3.0467644718982195003823669022 * q10)
+             for yi, q1, q4, q5, q6, q7, q8, q9, q10 in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
+    k12 = f([yi + h * (2.27331014751653820792359768449 * q1
+                       - 1.05344954667372501984066689879e1 * q4
+                       - 2.00087205822486249909675718444 * q5
+                       - 1.79589318631187989172765950534e1 * q6
+                       + 2.79488845294199600508499808837e1 * q7
+                       - 2.85899827713502369474065508674 * q8
+                       - 8.87285693353062954433549289258 * q9
+                       + 1.23605671757943030647266201528e1 * q10
+                       + 6.43392746015763530355970484046e-1 * q11)
+             for yi, q1, q4, q5, q6, q7, q8, q9, q10, q11
+                 in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
+    return [yi + h * (5.42937341165687622380535766363e-2 * q1
+                      + 4.45031289275240888144113950566 * q6
+                      + 1.89151789931450038304281599044 * q7
+                      - 5.8012039600105847814672114227 * q8
+                      + 3.1116436695781989440891606237e-1 * q9
+                      - 1.52160949662516078556178806805e-1 * q10
+                      + 2.01365400804030348374776537501e-1 * q11
+                      + 4.47106157277725905176885569043e-2 * q12)
+            for yi, q1, q6, q7, q8, q9, q10, q11, q12 in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)]
 
 
 def _rechart(base: int, y: list):
@@ -238,9 +318,10 @@ def _rechart(base: int, y: list):
 
     Only a state with a coordinate modulus above ``RECHART_THRESHOLD``
     switches.  The new base is the argmax, which puts every coordinate
-    modulus at or below one - half the threshold - so switching cannot
-    thrash.  For one coordinate this is the flip ``t -> 1/t``.  Returns
-    ``(base, y)``; the input list is not modified.
+    modulus at or below one, the threshold, so a state switches again only
+    once another component outgrows its base.  For one coordinate this is
+    the flip ``t -> 1/t``.  Returns ``(base, y)``; the input list is not
+    modified.
     """
     m = len(y) // 2
     if not max(map(abs, y[:m])) > RECHART_THRESHOLD:
@@ -260,17 +341,20 @@ def _march(base: int, t, w, length: float, dt: float):
     """Integrate the geodesic equation from one chart point.
 
     ``base`` is the chart base index and ``t``, ``w`` (m numbers each) the
-    chart coordinates and velocity.  Each RK4 step of ``dt`` (the last one
-    shortened to land on ``length``) is followed by :func:`_rechart`.
+    chart coordinates and velocity.  Each DOP853 step of ``dt`` (the last
+    one shortened to land on ``length``) is followed by :func:`_rechart`.
     Yields ``(arclength, base, t, w)`` at the start and after every step,
     with ``t`` and ``w`` lists of Python complex numbers; callers stack the
     rows once with ``np.array``.  The first ``next`` raises ``ValueError``
     unless ``0 < dt < inf`` and ``0 <= length < inf``.
 
-    The step runs on Python complex numbers rather than numpy arrays: at
-    the sizes used here (m <= 7) numpy's per-call overhead is most of a
-    step's cost, and the Python step is 1.6-5x faster; the two break even
-    near m = 13-16 (see the module docstring).
+    The step samples are all the callers need, with no dense output in
+    between: the closest-approach fit is exact on them (see
+    :func:`_closest_approach`), and a path that starts tangent to a
+    superposition sphere stays on it to rounding at every point, not only
+    at the samples.  One step costs 40-50 us at m = 1 and 100-140 us at
+    m = 7 on a 2-core x86 host: a third of the same step in numpy at m = 1,
+    and a little less than it at m = 7 (see the module docstring).
     """
     if not (0.0 < dt < math.inf and 0.0 <= length < math.inf):
         raise ValueError(f"need 0 < dt < inf and 0 <= length < inf, got {dt}, {length}")
@@ -280,7 +364,7 @@ def _march(base: int, t, w, length: float, dt: float):
     while s < length - 1e-15:
         h = min(dt, length - s)
         s += h
-        base, y = _rechart(base, _rk4_step(y, h))
+        base, y = _rechart(base, _dop853_step(y, h))
         yield s, base, y[:m], y[m:]
 
 
@@ -288,17 +372,23 @@ def _closest_approach(arcl: np.ndarray, ov: np.ndarray):
     """Closest approach of a path sampled at arclengths ``arcl`` to B targets.
 
     ``ov`` (n, B) holds ``|<target|psi>|``; the squared ray distance is fitted
-    by a parabola through its smallest sample and both neighbours.  Returns,
-    per target, the index of that sample and the fitted arclength.
+    by a parabola through its smallest sample and both neighbours, at their
+    own arclengths: the steps need not be uniform, and the last one is
+    usually shorter.  Along a geodesic through the target the squared
+    distance is ``(s - d)**2``, a parabola, so the fit is exact there at any
+    spacing.  Returns, per target, the index of that sample and the fitted
+    arclength.
     """
     ov = np.clip(ov, 0.0, 1.0)
     dist2 = np.arctan2(np.sqrt(1.0 - ov**2), ov) ** 2
     kmin = np.clip(np.argmin(dist2, axis=0), 1, len(arcl) - 2)
     cols = np.arange(dist2.shape[1])
     ym, y0, yp = dist2[kmin - 1, cols], dist2[kmin, cols], dist2[kmin + 1, cols]
-    denom = ym - 2.0 * y0 + yp
-    offset = 0.5 * (ym - yp) / np.where(np.abs(denom) > 1e-300, denom, np.inf)
-    return kmin, arcl[kmin] + offset * (arcl[1] - arcl[0])
+    p, q = arcl[kmin] - arcl[kmin - 1], arcl[kmin + 1] - arcl[kmin]
+    # vertex of the parabola through (-p, ym), (0, y0), (q, yp)
+    denom = p * (yp - y0) + q * (ym - y0)
+    offset = 0.5 * (q * q * (ym - y0) - p * p * (yp - y0))
+    return kmin, arcl[kmin] + offset / np.where(np.abs(denom) > 1e-300, denom, np.inf)
 
 
 @dataclass(frozen=True)
@@ -379,7 +469,7 @@ def _aligned_frame(a: Ray, b: Ray):
 # ---------------------------------------------------------------------------
 # Integrated distances on the superposition sphere.
 
-def integrated_pair_distances(pairs, dt: float = 2e-3) -> np.ndarray:
+def integrated_pair_distances(pairs, dt: float = 0.05) -> np.ndarray:
     """Distance between ray pairs measured by geodesic integration.
 
     For each pair the geodesic is integrated in the chart of the
@@ -548,7 +638,7 @@ def _brent_root(f, a: float, b: float, xtol: float, maxiter: int) -> tuple[float
     return xcur, False
 
 
-def total_geodesy_certificate(a: Ray, b: Ray, dt: float = 5e-3,
+def total_geodesy_certificate(a: Ray, b: Ray, dt: float = 0.05,
                               max_iterations: int = 200) -> TotalGeodesyCertificate:
     """Certify by shooting that the sphere spanned by two rays is geodesic.
 
@@ -589,8 +679,10 @@ def total_geodesy_certificate(a: Ray, b: Ray, dt: float = 5e-3,
         chi_star = 0.0
     else:
         try:
+            # xtol 1e-14 resolves the aim to rounding; at 1e-12 Brent may stop
+            # with a miss of 1e-14 to 1e-13, its own tolerance, not the path's
             chi_star, converged = _brent_root(lambda chi: shoot(chi)[0], -0.6, 0.6,
-                                              xtol=1e-12, maxiter=max_iterations)
+                                              xtol=1e-14, maxiter=max_iterations)
         except _NoRootBracketed:
             # no sign change in the bracket, or a NaN miss: report the midpoint aim
             chi_star = 0.0

@@ -6,7 +6,6 @@ the measured extremes (visible with ``pytest -s`` or in failure output).
 """
 
 import numpy as np
-import pytest
 
 from projqm.dynamics import ehrenfest_residual, flow_integrate, flow_vs_exact_deviation
 from projqm.geodesics import (ChartPoint, integrated_pair_distances,

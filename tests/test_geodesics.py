@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import projqm.geodesics as geodesics
 from projqm.geodesics import (ChartPoint, chart_to_ray, integrate_geodesic,
                               integrated_pair_distances, lie_derivative_normal,
                               ray_to_chart, total_geodesy_certificate)
 from projqm.projective import SpannedSphere, fs_distance, project
-from tests.conftest import random_unit, state_pairs, unit_vectors
+from tests.conftest import random_unit, unit_vectors
 
 
 def fs_metric(point: ChartPoint) -> np.ndarray:
@@ -146,108 +145,129 @@ def fd_acceleration(point: ChartPoint, v: np.ndarray, h: float = 1e-5) -> np.nda
     return -np.einsum("kij,i,j->k", gamma, v, v)
 
 
-def batch_acceleration(t, w):
-    """Oracle engine: the earlier batched connection on (B, m) rows."""
-    tc = t.conj()
-    s = 1.0 + (tc * t).real.sum(axis=-1, keepdims=True)
-    return (2.0 * (tc * w).sum(axis=-1, keepdims=True) / s) * w
+def real_geodesic_rhs(_, x):
+    """The chart geodesic equation ``t'' = 2 (conj(t).t') t' / (1 + |t|^2)`` in
+    real form, on ``x = (Re t, Im t, Re t', Im t')``: scipy's oracle right-hand side."""
+    m = x.size // 4
+    u, v, p, q = x[:m], x[m:2 * m], x[2 * m:3 * m], x[3 * m:]
+    s = 1.0 + u @ u + v @ v
+    re, im = u @ p + v @ q, u @ q - v @ p  # conj(t).t'
+    return np.concatenate((p, q, 2.0 * (re * p - im * q) / s, 2.0 * (re * q + im * p) / s))
 
 
-def batch_rk4_step(t, w, h):
-    a1 = batch_acceleration(t, w)
-    t2, w2 = t + 0.5 * h * w, w + 0.5 * h * a1
-    a2 = batch_acceleration(t2, w2)
-    t3, w3 = t + 0.5 * h * w2, w + 0.5 * h * a2
-    a3 = batch_acceleration(t3, w3)
-    t4, w4 = t + h * w3, w + h * a3
-    a4 = batch_acceleration(t4, w4)
-    tn = t + (h / 6.0) * (w + 2 * w2 + 2 * w3 + w4)
-    wn = w + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
-    return tn, wn
+def real_state(t, w):
+    return np.concatenate((np.real(t), np.imag(t), np.real(w), np.imag(w)))
 
 
-def batch_homogeneous(base, coords, fill):
-    B, m = coords.shape
-    off_base = np.arange(m + 1) != base[:, None]
-    z = np.full((B, m + 1), fill, dtype=np.complex128)
-    z[off_base] = coords.ravel()
-    return z
+def complex_states(x):
+    """Stacked complex states ``t + t'`` (rows) from real states (columns)."""
+    m = x.shape[0] // 4
+    return np.vstack((x[:m] + 1j * x[m:2 * m], x[2 * m:3 * m] + 1j * x[3 * m:])).T
 
 
-def batch_rechart(base, t, w, threshold):
-    far = np.max(np.abs(t), axis=1) > threshold
-    if not np.any(far):
-        return base, t, w
-    z = batch_homogeneous(base[far], t[far], 1.0)
-    zdot = batch_homogeneous(base[far], w[far], 0.0)
-    new_base = np.argmax(np.abs(z), axis=1)
-    rows = np.arange(new_base.size)
-    zl, zldot = z[rows, new_base][:, None], zdot[rows, new_base][:, None]
-    keep = np.arange(z.shape[1]) != new_base[:, None]
-    zk, zkdot = z[keep].reshape(-1, t.shape[1]), zdot[keep].reshape(-1, t.shape[1])
-    base, t, w = base.copy(), t.copy(), w.copy()
-    base[far], t[far], w[far] = new_base, zk / zl, (zkdot * zl - zk * zldot) / zl**2
-    return base, t, w
+def march_rows(base, t, w, length, dt):
+    """Arclengths and stacked states ``t + t'`` of :func:`geodesics._march`."""
+    arcl, bases, ts, ws = zip(*geodesics._march(base, t, w, length, dt))
+    return np.array(arcl), np.array(bases), np.hstack((np.array(ts), np.array(ws)))
 
 
-def batch_march(base, t, w, length, dt, threshold):
-    """The earlier ``(B, m)`` engine, kept bit for bit as the one-row engine's oracle."""
-    s = 0.0
-    yield s, base, t, w
-    while s < length - 1e-15:
-        h = min(dt, length - s)
-        t, w = batch_rk4_step(t, w, h)
-        s += h
-        base, t, w = batch_rechart(base, t, w, threshold)
-        yield s, base, t, w
+class TestDop853Engine:
+    """The fixed DOP853 step of :func:`geodesics._march` against scipy and the
+    closed form.  ``RECHART_THRESHOLD`` is lifted where a test needs the
+    whole path in one chart."""
 
-
-class TestOneRowEngine:
-    @pytest.mark.parametrize("threshold", [2.0, 10.0])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
-    def test_matches_batched_oracle_within_rounding(self, rng, dim, threshold, monkeypatch):
-        """The scalar engine tracks the numpy oracle to ``n_steps * m * eps``.
+    def test_matches_scipy_dop853_inside_one_chart(self, rng, dim, monkeypatch):
+        """The engine at h = 0.05 tracks scipy's adaptive DOP853 within a bound
+        fixed before comparing.
 
-        Rows start near a chart origin, so each path leaves the chart by
-        s = pi/2.  Both engines make the same operations in the same order
-        on the same float64 values, so the arclengths and the chart bases
-        must agree exactly.  The coordinates differ only where numpy's
-        complex arithmetic rounds differently from CPython's:
+        Three parts, from the truncation argument for an order-8 method:
 
-        - numpy's complex multiply fuses multiply and add (FMA) under AVX2
-          and AVX-512 dispatch, one rounding per component instead of two;
-        - numpy divides by a real or complex number by multiplying with its
-          reciprocal, two roundings instead of one (the acceleration's
-          ``/ (1 + |t|^2)`` and a re-chart's ``/ z_l``);
-        - numpy sums four or more complex terms pairwise, not in order.
+        - the engine's own error.  Its leading term is ``C h**8``, so the run
+          at h/2 is 256 times closer, and ``|y_h - y_{h/2}|`` is 255/256 of
+          the error at h; twice that difference bounds it with room for the
+          ``h**9`` term;
+        - scipy's error.  Each accepted step keeps its local error within
+          ``atol + rtol |y|``; over its steps (``nfev / 12``) they add at most
+          linearly;
+        - rounding: ``n_steps * m * eps * max|y|``.
 
-        Each source moves one stage's ``conj(t).w`` sum of m products, or
-        one division, by a few ulp of the operands, so a step - whose stage
-        accelerations enter the state multiplied by ``h < 1`` - adds at most
-        m eps of the state's size.  Nothing amplifies these differences
-        exponentially: the metric's curvature is positive, so nearby
-        geodesics stay a bounded distance apart, and a re-chart divides by a
-        component of modulus above 1.  They add at most linearly, so after n
-        steps each coordinate differs by at most ``n * m * eps`` times
-        ``max(1, |row|)``, the row's largest modulus.
+        The start has |t| = 0.1 and the length is 1, so the path stays within
+        distance 1.1 of the chart origin, where |t| < 2.
         """
-        monkeypatch.setattr(geodesics, "RECHART_THRESHOLD", threshold)
-        rows, m = 3, dim - 1
-        base = rng.integers(dim, size=rows)
-        t = 0.01 * (rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m)))
-        w = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-        length, dt = math.pi / 2.0 + 0.3, 7e-3
-        batch = list(batch_march(base, t, w, length, dt, threshold))
-        n_steps = len(batch) - 1
-        oracle = np.array([np.concatenate((tb, wb), axis=1) for _, _, tb, wb in batch])
-        for i in range(rows):
-            one = list(geodesics._march(int(base[i]), t[i], w[i], length, dt))
-            assert [(s, k) for s, k, _, _ in one] == [(s, int(k[i])) for s, k, _, _ in batch]
-            assert len({k for _, k, _, _ in one}) > 1  # the path re-charted
-            y, y_oracle = np.array([t + w for _, _, t, w in one]), oracle[:, i]
-            size = np.maximum(1.0, np.abs(y_oracle).max(axis=1, keepdims=True))
-            assert np.all(np.abs(y - y_oracle) <= n_steps * m * np.finfo(float).eps * size)
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        monkeypatch.setattr(geodesics, "RECHART_THRESHOLD", math.inf)
+        m, length, h = dim - 1, 1.0, 0.05
+        t = 0.1 * random_unit(rng, m)
+        w = random_unit(rng, m)
+        w = w / math.sqrt(float(geodesics._speed2(t, w)))
+        arcl, _, ours = march_rows(0, t, w, length, h)
+        half = march_rows(0, t, w, length, h / 2)[2][::2]
+        sol = solve_ivp(real_geodesic_rhs, (0.0, length), real_state(t, w), method="DOP853",
+                        rtol=1e-13, atol=1e-15, t_eval=arcl)
+        assert sol.success
+        oracle = complex_states(sol.y)
+        size = np.abs(oracle).max()
+        bound = (2.0 * np.abs(ours - half).max()
+                 + sol.nfev / 12 * (1e-15 + 1e-13 * size)
+                 + (len(arcl) - 1) * m * np.finfo(float).eps * size)
+        assert np.abs(ours - oracle).max() <= bound
+
+    def test_eighth_order_against_the_closed_form(self, monkeypatch):
+        """From the origin at unit speed the chart path is ``t = tan(s) w0``.
+        Each halving of h shrinks the error by at least 2**7 (2**8 in theory)
+        while the error is above rounding, ``n_steps * eps * max|y|``."""
+        monkeypatch.setattr(geodesics, "RECHART_THRESHOLD", math.inf)
+        rng = np.random.default_rng(3)
+        w0 = random_unit(rng, 3)
+        errors = []
+        for h in (0.2, 0.1, 0.05, 0.025, 0.0125):
+            arcl, _, y = march_rows(0, np.zeros(3), w0, 1.0, h)
+            tan, sec2 = np.tan(arcl)[:, None], 1.0 / np.cos(arcl)[:, None] ** 2
+            exact = np.hstack((tan * w0, sec2 * w0))  # t and t'
+            floor = (len(arcl) - 1) * np.finfo(float).eps * np.abs(exact).max()
+            errors.append(float(np.abs(y - exact).max()))
+            if errors[-1] <= floor:
+                break
+        else:
+            pytest.fail(f"the error never reached rounding: {errors}")
+        assert len(errors) >= 3  # at least two halvings above rounding
+        for coarse, fine in zip(errors[:-2], errors[1:-1]):
+            assert coarse / fine >= 2.0**7, errors
+
+    @pytest.mark.parametrize("dim", [3, 5, 8])
+    def test_offslice_residual_between_steps_is_the_step_maximum(self, rng, dim):
+        """Sampled every 5e-3 inside each step - scipy's dense output, started
+        from the step's state in the step's chart - a shot aimed at b leaves
+        its superposition sphere by no more than at the step samples, to
+        within 1e-14: the certificate needs no dense output of its own."""
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        a, b = project(random_unit(rng, dim)), project(random_unit(rng, dim))
+        e0, e1, cos_d, sin_d, _ = geodesics._aligned_frame(a, b)
+        sphere = SpannedSphere(rep0=e0, rep1=e1)
+        chart = ray_to_chart(a)
+        k, keep = chart.base_index, np.arange(dim) != chart.base_index
+        w0 = (e1[keep] * e0[k] - e0[keep] * e1[k]) / e0[k] ** 2  # aim chi = 0, as _shoot
+        w0 = w0 / math.sqrt(float(geodesics._speed2(chart.coords, w0)))
+        length = math.atan2(sin_d, cos_d) + 0.15
+        arcl, bases, y = march_rows(k, chart.coords, w0, length, 0.05)
+        m = dim - 1
+
+        def membership(base, t):
+            return geodesics._sphere_membership_rows(geodesics._homogeneous(base, t), sphere)
+
+        at_steps = membership(bases, y[:, :m])
+        between = []
+        for i in range(len(arcl) - 1):
+            sol = solve_ivp(real_geodesic_rhs, (arcl[i], arcl[i + 1]),
+                            real_state(y[i, :m], y[i, m:]), method="DOP853",
+                            rtol=1e-13, atol=1e-15, dense_output=True)
+            ss = np.arange(arcl[i], arcl[i + 1], 5e-3)
+            dense = complex_states(sol.sol(ss))
+            between.append(membership(np.full(ss.size, bases[i]), dense[:, :m]))
+        between = np.concatenate(between)
+        assert between.size >= 10 * (len(arcl) - 2)
+        assert np.max(between) <= np.max(at_steps) + 1e-14
 
 
 class TestMarch:
@@ -307,7 +327,8 @@ class TestRechart:
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_below_the_threshold_the_state_is_unchanged(self, rng, m):
-        y = (rng.uniform(-1.4, 1.4, 2 * m) + 1j * rng.uniform(-1.4, 1.4, 2 * m)).tolist()
+        moduli = rng.uniform(0.0, geodesics.RECHART_THRESHOLD, 2 * m)
+        y = (moduli * np.exp(2j * math.pi * rng.random(2 * m))).tolist()
         copy = list(y)
         assert geodesics._rechart(3, y) == (3, y)
         assert y == copy
@@ -456,6 +477,19 @@ class TestEngineInputGuard:
             total_geodesy_certificate(*self.pair, dt=dt)
 
 
+def test_closest_approach_fits_next_to_a_shortened_last_step():
+    """Steps of 0.5 and a last one of 0.32, with the smallest sample (s = 1.5)
+    next to the short step.  Along a geodesic through the target the squared
+    distance is ``(s - d)**2``, a parabola, so a fit on the samples' own
+    arclengths returns ``d`` to rounding; a fit that assumed uniform steps
+    would miss it by up to 0.1."""
+    arcl = np.array([0.0, 0.5, 1.0, 1.5, 1.82])
+    d = np.array([1.3, 1.45, 1.55, 1.62])
+    kmin, s_star = geodesics._closest_approach(arcl, np.cos(np.abs(arcl[:, None] - d)))
+    assert list(kmin) == [3, 3, 3, 3]
+    assert np.max(np.abs(s_star - d)) < 1e-14
+
+
 class TestIntegratedDistances:
     def test_matches_closed_form(self, rng):
         pairs = []
@@ -578,7 +612,8 @@ class TestTotalGeodesyCertificate:
 
 @pytest.mark.parametrize("dim", [3, 4, 5])
 def test_certificate_shot_rows_stay_inside_the_chart_limit(rng, dim, monkeypatch):
-    """Every row a shot yields lies in a chart with |t| <= RECHART_THRESHOLD (2)."""
+    """Every row a shot yields lies in its largest component's chart: |t| <=
+    RECHART_THRESHOLD (1)."""
     peaks = []
     original = geodesics._march
 
@@ -591,8 +626,8 @@ def test_certificate_shot_rows_stay_inside_the_chart_limit(rng, dim, monkeypatch
     for _ in range(3):
         a, b = project(random_unit(rng, dim)), project(random_unit(rng, dim))
         assert total_geodesy_certificate(a, b).converged
-    assert geodesics.RECHART_THRESHOLD == 2.0
-    assert 1.0 < max(peaks) <= geodesics.RECHART_THRESHOLD
+    assert geodesics.RECHART_THRESHOLD == 1.0
+    assert 0.9 < max(peaks) <= geodesics.RECHART_THRESHOLD
 
 
 def _smooth_function(rng):

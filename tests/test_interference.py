@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from projqm.interference import (InterferencePattern, SlitWall, TwoSlitConfig,
-                                 build_wall, fringe_spacing, gaussian_input,
-                                 noncommuting_control, pattern_rows,
+from projqm.interference import (TwoSlitConfig, build_wall, fringe_spacing,
+                                 gaussian_input, noncommuting_control, pattern_rows,
                                  phase_invariance_check, plane_wave_input,
                                  propagate_to_screen, projector_poisson_check,
                                  slit_states)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projqm.hilbert import (commutator_expectation, evolve_exact, lowering_operator,
-                            momentum_operator, position_operator, sigma_x,
-                            sigma_y, sigma_z, symmetrized_covariance, variance)
+from projqm.hilbert import (commutator_expectation, evolve_exact, momentum_operator,
+                            position_operator, sigma_x, sigma_z,
+                            symmetrized_covariance, variance)
 from projqm.kahler import (KahlerScale, TangentVector,
                            commutator_closure_residual,
                            derive_observable_scale_factor, flow_transport,

@@ -289,6 +289,13 @@ def test_one_wrote_line_names_every_output(tmp_path, capsys, argv):
     assert named[-1] == str(out / f"{argv[0]}.json")
 
 
+@pytest.mark.parametrize("dt", ["0.1", "0.2", "0.5"])
+def test_geodesic_coarse_dt_passes(tmp_path, dt):
+    """``--dt`` is the one engine step: up to 0.1 the standard tolerances hold,
+    and above it the degraded ones, for the sweep and the certificates."""
+    assert main(["geodesic-verify", "--seed", "0", "--dt", dt, "--out", str(tmp_path)]) == 0
+
+
 def test_geodesic_dt_up_to_one_records_degraded_tolerances(tmp_path, capsys):
     code = main(["geodesic-verify", "--ambient-dims", "3", "--pairs", "1",
                  "--certificates", "1", "--dt", "1", "--out", str(tmp_path)])

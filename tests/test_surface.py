@@ -47,3 +47,28 @@ def test_readme_python_blocks_run():
         # pad with blank lines so a traceback names the README's own line
         padded = "\n" * text.count("\n", 0, block.start(1)) + block.group(1)
         exec(compile(padded, str(README), "exec"), namespace)
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """Names an ``import`` in ``path`` binds and no expression reads."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((a.asname or a.name, node.lineno) for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(bound.items()) if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every module of ``src/projqm``, ``tests`` and ``scripts`` reads each name
+    it imports; ``projqm/__init__.py`` is exempt, as its imports re-export."""
+    root = README.parent
+    paths = [p for folder in ("src/projqm", "tests", "scripts")
+             for p in sorted((root / folder).glob("*.py"))
+             if p.relative_to(root).as_posix() != "src/projqm/__init__.py"]
+    assert len(paths) > 20
+    unused = {p.relative_to(root).as_posix(): _unused_imports(p) for p in paths}
+    assert {path: names for path, names in unused.items() if names} == {}
