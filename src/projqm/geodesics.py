@@ -548,7 +548,10 @@ def _shoot(a_chart: ChartPoint, e0, e1, cos_d, sin_d, chi, length, dt, sphere):
     t0 = a_chart.coords
     w0 = (w[keep] * a_rep[k] - a_rep[keep] * w[k]) / a_rep[k] ** 2
     speed = math.sqrt(float(_speed2(t0, w0)))  # unit speed, as integrate_geodesic
-    arcl, bases, ts, _ = zip(*_march(k, t0, w0 / speed, length, dt))
+    # the closest-approach fit needs three samples: a shot no longer than one
+    # step takes two equal ones (a dt that is not finite meets _march's guard)
+    step = 0.5 * length if length <= dt < math.inf else dt
+    arcl, bases, ts, _ = zip(*_march(k, t0, w0 / speed, length, step))
     arcl = np.array(arcl)
     z = _homogeneous(np.array(bases), np.array(ts))
     z /= np.linalg.norm(z, axis=1, keepdims=True)

@@ -32,7 +32,7 @@ ray-space statements with no propagation involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -187,7 +187,10 @@ class InterferencePattern:
     coherent sum is the full pattern.  ``decomposition_residual`` is the
     measured gap between propagating the wall-projected state in one piece
     and summing the per-slit propagations - a linearity identity, so it
-    sits at rounding level.
+    sits at rounding level.  A pattern from :func:`propagate_to_screen`
+    also keeps the wall and the Fresnel kernel it was built with, so that
+    :func:`phase_invariance_check` can propagate another input on the same
+    screen without building the kernel again; both go with the pattern.
     """
 
     screen_positions: np.ndarray
@@ -197,6 +200,8 @@ class InterferencePattern:
     distance: float
     paraxial_ok: bool
     decomposition_residual: float
+    _wall: SlitWall | None = field(default=None, repr=False)
+    _kernel: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_slits(self) -> int:
@@ -255,6 +260,22 @@ class InterferencePattern:
 _LINEARITY_TOL = 1e-12
 
 
+def _slit_amplitudes(wall: SlitWall, kernel: np.ndarray, pref: complex,
+                     psi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Screen amplitude of each ``P_i psi``, from slit i's block of kernel columns."""
+    edges = np.cumsum([0] + [b - a for a, b in wall.slit_supports])
+    return tuple(pref * (kernel[:, lo:hi] @ psi[a:b])
+                 for (a, b), lo, hi in zip(wall.slit_supports, edges[:-1], edges[1:]))
+
+
+def _prefactor(wall: SlitWall, dx: float, lamL: float) -> complex:
+    """``sqrt(dy dx / (i lam L))``: maps unit-norm grid states to (sub-)unit-norm
+    screen states.  The continuum Fresnel kernel is unitary on L^2, and
+    ``sqrt(dx dy)`` converts both sides between L^2 samples and plain
+    square-summable vectors."""
+    return np.sqrt(wall.dy * dx / (1j * lamL))
+
+
 def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: float,
                         screen_halfwidth: float = 2.5e-2,
                         n_screen: int = 2048) -> InterferencePattern:
@@ -286,14 +307,8 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
     cols = np.concatenate([np.arange(a, b) for a, b in wall.slit_supports])
     diff = x[:, None] - wall.grid[cols][None, :]
     kernel = np.exp(1j * math.pi * diff**2 / lamL)
-    # maps unit-norm grid states to (sub-)unit-norm screen states: the
-    # continuum Fresnel kernel is unitary on L^2, and sqrt(dx dy) converts
-    # both sides between L^2 samples and plain square-summable vectors
-    pref = np.sqrt(wall.dy * dx / (1j * lamL))
-
-    edges = np.cumsum([0] + [b - a for a, b in wall.slit_supports])
-    amps = tuple(pref * (kernel[:, lo:hi] @ psi[a:b])
-                 for (a, b), lo, hi in zip(wall.slit_supports, edges[:-1], edges[1:]))
+    pref = _prefactor(wall, dx, lamL)
+    amps = _slit_amplitudes(wall, kernel, pref, psi)
     one_piece = pref * (kernel @ psi[cols])
     coherent = np.sum(amps, axis=0)
     scale = max(float(np.max(np.abs(one_piece))), 1.0)
@@ -312,6 +327,8 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
         distance=distance,
         paraxial_ok=bool(distance >= 10.0 * extent),
         decomposition_residual=residual,
+        _wall=wall,
+        _kernel=kernel,
     )
 
 
@@ -348,21 +365,26 @@ def phase_invariance_check(base: InterferencePattern, wall: SlitWall, psi_in,
     """Max intensity change under a global phase on the input state.
 
     ``base`` must be ``propagate_to_screen(wall, psi_in, ...)``, the pattern
-    of the unrotated state; only the rotated state is propagated, on the
-    screen, wavelength and distance read from ``base``.  The pattern is a
-    ray-space functional of the input, so the result is zero up to rounding
-    for every phase.  A ``base`` with another slit count than ``wall`` is
-    rejected; one from another input state on the same wall is not
+    of the unrotated state; only the rotated state is propagated, with the
+    Fresnel kernel ``base`` keeps, so the kernel is built once for both.
+    The pattern is a ray-space functional of the input, so the result is
+    zero up to rounding for every phase.  A ``base`` propagated on another
+    wall (another grid or other slits), or not by :func:`propagate_to_screen`,
+    is rejected; one from another input state on the same wall is not
     detectable here.
     """
-    if base.n_slits != wall.n_slits:
-        raise ValueError(f"base pattern has {base.n_slits} slits, wall {wall.n_slits}")
-    x = base.screen_positions
+    built_on = base._wall
+    if built_on is None or not (built_on is wall or (
+            built_on.slit_supports == wall.slit_supports and built_on.dy == wall.dy
+            and np.array_equal(built_on.grid, wall.grid))):
+        raise ValueError(f"base pattern was not propagated on this wall "
+                         f"({wall.n_slits} slits, {wall.dim} cells)")
     psi = np.asarray(psi_in, dtype=np.complex128)
-    rot = propagate_to_screen(wall, np.exp(1j * lambda_phase) * psi, base.wavelength,
-                              base.distance, screen_halfwidth=float(x[-1]),
-                              n_screen=x.size)
-    return float(np.max(np.abs(rot.total_intensity - base.total_intensity)))
+    if psi.shape != (wall.dim,):
+        raise ValueError(f"input state must have shape ({wall.dim},), got {psi.shape}")
+    pref = _prefactor(wall, base.dx, base.wavelength * base.distance)
+    rot = _slit_amplitudes(wall, base._kernel, pref, np.exp(1j * lambda_phase) * psi)
+    return float(np.max(np.abs(np.abs(np.sum(rot, axis=0)) ** 2 - base.total_intensity)))
 
 
 def projector_poisson_check(wall: SlitWall, at: Ray) -> float:

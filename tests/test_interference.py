@@ -1,5 +1,7 @@
 """Unit tests for slit walls, Fresnel propagation, and pattern decomposition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,35 @@ class TestChecks:
         one_slit = TwoSlitConfig(slit_centers=(0.0,), n_wall=256).make_wall()
         with pytest.raises(ValueError, match="slits"):
             phase_invariance_check(base, one_slit, plane_wave_input(one_slit), 0.5)
+
+    @pytest.mark.parametrize("other", ["cells", "slits", "offset"])
+    def test_phase_invariance_rejects_a_base_on_another_grid_or_slits(self, other):
+        """Another cell count, other slits, or the same cells and slits at
+        positions shifted by one cell: each gives another kernel."""
+        cfg = TwoSlitConfig(n_wall=256, n_screen=256)
+        base = cfg.run()
+        same = cfg.make_wall()
+        wall = {"cells": lambda: dataclasses.replace(cfg, n_wall=512).make_wall(),
+                "slits": lambda: dataclasses.replace(cfg, slit_centers=(-6e-5, 6e-5)).make_wall(),
+                "offset": lambda: dataclasses.replace(same, grid=same.grid + same.dy)}[other]()
+        with pytest.raises(ValueError, match="not propagated on this wall"):
+            phase_invariance_check(base, wall, plane_wave_input(wall), 0.5)
+
+    def test_phase_invariance_reuses_the_base_kernel(self, monkeypatch):
+        """The rotated state goes through the kernel ``base`` keeps: no second
+        propagation, and the residual a second propagation gave, bit for bit."""
+        cfg = TwoSlitConfig(n_wall=512, n_screen=512, input_profile="gaussian")
+        wall = cfg.make_wall()
+        psi = cfg.make_input(wall)
+        base, rot = (propagate_to_screen(wall, p, cfg.wavelength, cfg.distance,
+                                         cfg.screen_halfwidth, cfg.n_screen)
+                     for p in (psi, np.exp(0.5j) * psi))
+        expected = float(np.max(np.abs(rot.total_intensity - base.total_intensity)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("propagate_to_screen called again")
+        monkeypatch.setattr("projqm.interference.propagate_to_screen", forbidden)
+        assert phase_invariance_check(base, wall, psi, 0.5) == expected
 
     def test_disjoint_projectors_commute_everywhere(self):
         wall = small_wall(n=128)

@@ -289,11 +289,14 @@ def test_one_wrote_line_names_every_output(tmp_path, capsys, argv):
     assert named[-1] == str(out / f"{argv[0]}.json")
 
 
-@pytest.mark.parametrize("dt", ["0.1", "0.2", "0.5"])
-def test_geodesic_coarse_dt_passes(tmp_path, dt):
+@pytest.mark.parametrize("dt, seed", [pytest.param(dt, "0", id=dt) for dt in ("0.1", "0.2", "0.5")]
+                         + [pytest.param("0.5", "6", id="0.5-seed6")])
+def test_geodesic_coarse_dt_passes(tmp_path, dt, seed):
     """``--dt`` is the one engine step: up to 0.1 the standard tolerances hold,
-    and above it the degraded ones, for the sweep and the certificates."""
-    assert main(["geodesic-verify", "--seed", "0", "--dt", dt, "--out", str(tmp_path)]) == 0
+    and above it the degraded ones, for the sweep and the certificates.  At
+    seed 6 a dim-3 pair is 0.16 apart, so its certificate shots (0.31 long)
+    are shorter than a step of 0.5."""
+    assert main(["geodesic-verify", "--seed", seed, "--dt", dt, "--out", str(tmp_path)]) == 0
 
 
 def test_geodesic_dt_up_to_one_records_degraded_tolerances(tmp_path, capsys):
