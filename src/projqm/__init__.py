@@ -87,6 +87,7 @@ from .kahler import (
 from .dynamics import (
     Trajectory,
     ehrenfest_residual,
+    expectation_rate,
     flow_integrate,
     flow_vs_exact_deviation,
     trajectory_rows,

@@ -59,17 +59,18 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dynamics import (ehrenfest_residual, flow_integrate,
-                       flow_vs_exact_deviation, trajectory_rows)
+from .dynamics import (expectation_rate, flow_integrate, flow_vs_exact_deviation,
+                       trajectory_rows)
 from .geodesics import integrated_pair_distances, total_geodesy_certificate
-from .hilbert import as_hermitian, expectation, gram_schmidt, sigma_x, sigma_y, sigma_z
+from .hilbert import (as_hermitian, commutator_expectation, expectation, gram_schmidt,
+                      sigma_x, sigma_y, sigma_z)
 from .interference import (TwoSlitConfig, fringe_spacing, noncommuting_control,
                            pattern_rows, phase_invariance_check, projector_poisson_check,
                            propagate_to_screen, slit_states)
 from .kahler import (derive_observable_scale_factor, hamiltonian_vector_field,
                      killing_residual, poisson_bracket, riemannian_product,
                      uncertainty_audit)
-from .projective import Ray, SpannedSphere, fs_distance, project, sphere_area
+from .projective import SpannedSphere, fs_distance, project, sphere_area
 from .report import Report, write_csv
 
 #: Exit codes of the CLI contract.
@@ -465,7 +466,13 @@ def _resolve(source: str, builtins: dict, what: str) -> np.ndarray:
 
 
 def _add_flow_deviation(report: Report, H, traj, scale: float, ins: dict) -> None:
-    """RK4 flow against the exact one; the bound grows as dt**4 and with t_end."""
+    """RK4 flow against the exact one; the bound grows as dt**4 and with t_end.
+
+    It has no ``||H||`` in it, so a large Hamiltonian needs a smaller ``dt``:
+    at ``||H|| = 20``, ``dt = 1e-3`` and ``t_end = 1.5`` the true RK4 error
+    (4.0e-8) fails it with exit 1.  A ``dt`` too large for RK4 altogether
+    trips the flow's norm-drift abort instead, which exits 2.
+    """
     dt, t_end = ins["dt"], ins["t_end"]
     report.add("flow_vs_exact_deviation", flow_vs_exact_deviation(H, traj),
                1e-8 * scale * max(1.0, (dt / 1e-3) ** 4) * max(1.0, t_end), **ins)
@@ -496,7 +503,9 @@ def cmd_evolve(args) -> int:
     # Probe observable: a fixed Hermitian that generically fails to commute
     # with the Hamiltonian, so the bracket side of the identity is nonzero.
     probe = _random_hermitian(np.random.default_rng(20260814), H.shape[0])
-    report.add("ehrenfest_residual", ehrenfest_residual(probe, H, Ray(rep=traj.reps[0])),
+    psi0 = traj.reps[0]
+    report.add("ehrenfest_residual",
+               abs(expectation_rate(probe, H, psi0) - commutator_expectation(probe, H, psi0)),
                2e-8 * scale, **ins, probe=probe)
     return _finish(report, args.out, ("trajectory.csv", *trajectory_rows(traj)))
 

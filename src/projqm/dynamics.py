@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import (as_hermitian, as_state, commutator_expectation, evolve_exact,
-                      expectation)
+from .hilbert import (_operands, as_hermitian, as_state, commutator_expectation,
+                      evolve_exact, expectation)
 from .projective import Ray, _fs_sin_cos, _gauge_fix, project
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "flow_integrate",
     "flow_vs_exact_deviation",
     "ehrenfest_residual",
+    "expectation_rate",
     "trajectory_rows",
 ]
 
@@ -296,6 +297,25 @@ def ehrenfest_residual(op, hamiltonian, at, eps: float = 1e-4) -> float:
     minus = expectation(F, evolve_exact(H, ray.rep, -eps))
     derivative = (plus - minus) / (2.0 * eps)
     return abs(derivative - commutator_expectation(F, H, ray.rep))
+
+
+def expectation_rate(op, hamiltonian, psi) -> float:
+    """Time derivative ``d<F>/dt`` of the exactly evolved expectation at a state.
+
+    Taken in ``H``'s eigenbasis with no stencil: with ``c = V^dagger psi``
+    and ``F_jk = (V^dagger F V)_jk``, the expectation along
+    ``exp(-iHt) psi`` is ``sum c_j* c_k F_jk exp(i (E_j - E_k) t)``, so
+    ``d<F>/dt = sum c_j* c_k F_jk i (E_j - E_k)``, divided by
+    ``<psi|psi>`` as in :func:`~projqm.hilbert.expectation`.  It matches
+    ``<-i[F, H]>`` to rounding at any ``||H||``, where the central difference
+    of :func:`ehrenfest_residual` carries an ``eps**2 f'''`` term that grows
+    as ``||H||**3``.
+    """
+    F, H, v, nrm2 = _operands(psi, op=op, hamiltonian=hamiltonian)
+    evals, vecs = np.linalg.eigh(H)
+    c = vecs.conj().T @ v
+    rate = 1j * (evals[:, None] - evals[None, :]) * (vecs.conj().T @ F @ vecs)
+    return float(np.vdot(c, rate @ c).real) / nrm2
 
 
 def trajectory_rows(traj: Trajectory) -> tuple[list[str], np.ndarray]:

@@ -368,6 +368,19 @@ class TestCliOutputs:
         rows = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert rows[0].startswith("time,psi0_re")
 
+    def test_evolve_ehrenfest_passes_at_a_large_hamiltonian(self, tmp_path):
+        """H = diag(5, -5): the flow is exact, and the Ehrenfest law holds to
+        rounding.  A central difference at eps = 1e-4 read 1.04e-7 here,
+        above the 2e-8 tolerance."""
+        op = tmp_path / "h.json"
+        op.write_text("[[[5,0],[0,0]],[[0,0],[-5,0]]]")
+        code = main(["evolve", "--hamiltonian", str(op), "--start", "plus",
+                     "--t-end", "0.1", "--dt", "1e-5", "--out", str(tmp_path)])
+        assert code == 0
+        entries = json.loads((tmp_path / "evolve.json").read_text())["entries"]
+        ehrenfest = [e for e in entries if e["check_name"] == "ehrenfest_residual"]
+        assert len(ehrenfest) == 1 and ehrenfest[0]["residual"] <= 1e-14
+
     def test_evolve_zero_duration_single_row(self, tmp_path):
         code = main(["evolve", "--hamiltonian", "sigma_z", "--start", "plus",
                      "--t-end", "0", "--out", str(tmp_path)])
