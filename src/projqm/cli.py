@@ -411,7 +411,7 @@ def cmd_two_slit(args) -> int:
             measured = fringe_spacing(pattern)
         report.add("fringe_spacing_vs_far_field",
                    abs(measured - config.expected_fringe_spacing),
-                   pattern.dx * scale, measured=measured, **cfg_ins)
+                   pattern.dx * scale, **cfg_ins)
 
     return _finish(report, args.out, ("pattern.csv", *pattern_rows(pattern)))
 

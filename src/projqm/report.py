@@ -136,15 +136,16 @@ def write_csv(path: str, header: list[str], rows) -> str:
     """Write a table of reals as CSV with a header and 17 significant digits.
 
     ``rows`` is an (n, len(header)) array or a list of equal-length lists;
-    each value is written as :func:`format_real` writes it.
+    each value is written as :func:`format_real` writes it, the whole table
+    in one format operation.
     """
     table = np.asarray(rows, dtype=np.float64)
     if table.shape == (0,):
         table = table.reshape(0, len(header))
     if table.ndim != 2 or table.shape[1] != len(header):
         raise ValueError(f"expected rows of {len(header)} values, got shape {table.shape}")
-    fmt = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)] + [fmt % tuple(row) for row in table.tolist()]
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    body = (row_fmt * len(table)) % tuple(table.ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n" + body)
     return path

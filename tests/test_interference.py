@@ -1,10 +1,15 @@
 """Unit tests for slit walls, Fresnel propagation, and pattern decomposition."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import projqm
 from projqm.interference import (TwoSlitConfig, build_wall, fringe_spacing,
                                  gaussian_input, noncommuting_control, pattern_rows,
                                  phase_invariance_check, plane_wave_input,
@@ -163,7 +168,7 @@ class TestChecks:
             phase_invariance_check(base, wall, plane_wave_input(wall), 0.5)
 
     def test_phase_invariance_reuses_the_base_kernel(self, monkeypatch):
-        """The rotated state goes through the kernel ``base`` keeps: no second
+        """The rotated state goes through the operator ``base`` keeps: no second
         propagation, and the residual a second propagation gave, bit for bit."""
         cfg = TwoSlitConfig(n_wall=512, n_screen=512, input_profile="gaussian")
         wall = cfg.make_wall()
@@ -228,7 +233,7 @@ class TestTwoSlitConfig:
 
 def dense_slit_amplitudes(wall, psi, wavelength, distance, screen_halfwidth, n_screen):
     """Per-slit screen amplitudes through the full ``n_screen x n_wall``
-    Fresnel kernel, as an oracle for the slit-column kernel."""
+    Fresnel kernel, as an oracle for the chirp-z operator."""
     lamL = wavelength * distance
     x = np.linspace(-screen_halfwidth, screen_halfwidth, n_screen)
     kernel = np.exp(1j * np.pi * (x[:, None] - wall.grid[None, :]) ** 2 / lamL)
@@ -236,14 +241,84 @@ def dense_slit_amplitudes(wall, psi, wavelength, distance, screen_halfwidth, n_s
     return [pref * (kernel @ wall.apply_slit(i, psi)) for i in range(wall.n_slits)]
 
 
-@pytest.mark.parametrize("centers", [(1e-5,), (-5e-5, 5e-5), (-8e-5, 0.0, 9e-5)])
-def test_slit_column_kernel_matches_dense_kernel(centers):
-    wall = build_wall((2e-4, 1024), centers, 2e-5)
+def rounding_bound(wall, w, wavelength, distance, screen_halfwidth, n_screen):
+    """Largest chirp-z against dense amplitude gap that rounding explains for
+    one wall state ``w`` (zero off the slits), entry by entry.
+
+    Phases, in roundings of unit ``eps / 2`` of a term no larger than ``Phi``,
+    the largest phase either route forms.  The dense route's
+    ``pi (x - y)^2 / (lam L)`` takes 7 (the difference twice, as it is
+    squared, then square, pi, product, quotient and ``lam L``).  The chirp
+    route's row phase takes 10, its chirp 6 and its column phase 11, each
+    counting the 4 of ``c = pi / (lam L)`` and its product; and it takes both
+    grids as exact progressions, which ``linspace`` (2 roundings of each x)
+    and the cell centres (2 of each y) miss, 2 each in the phase: 8.  That
+    is 42, or ``21 eps Phi`` per kernel entry.  The four complex
+    exponentials and the operator's three products add ``4 eps``, so the
+    amplitudes differ by at most ``(21 Phi + 4) eps |pref| ||w||_1``.
+
+    Sums.  The dense product adds ``m eps/2 |pref| ||w||_1`` over the ``m``
+    span cells.  Each of the three transforms of the convolution errs by at
+    most ``6.7 (eps/2) log2 L`` in 2-norm (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, Thm 24.2) of vectors whose norms the chirp's
+    transform bounds by ``n + m - 1`` times ``||w||_2``: ``10 eps log2 L
+    (n + m - 1) |pref| ||w||_2`` in all.
+    """
+    eps = np.finfo(np.float64).eps
+    lamL = wavelength * distance
+    x, a = np.linspace(-screen_halfwidth, screen_halfwidth, n_screen, retstep=True)
+    cells = np.flatnonzero(wall.wall_mask())
+    lo, hi = int(cells[0]), int(cells[-1]) + 1
+    n, m, b, c = n_screen, hi - lo, wall.dy, np.pi / lamL
+    u0 = x[0] - wall.grid[lo]
+    phi = c * max(np.max((x[:, None] - wall.grid[None, lo:hi]) ** 2),
+                  a * b * max(n - 1, m - 1) ** 2,
+                  (m - 1) ** 2 * b * abs(b - a) + 2 * abs(u0) * (m - 1) * b)
+    size = 1 << (n + m - 2).bit_length()
+    pref = np.sqrt(b * (x[1] - x[0]) / lamL)
+    norm1, norm2 = np.sum(np.abs(w)), np.linalg.norm(w)
+    return pref * eps * ((21 * phi + 4 + m / 2) * norm1
+                         + 10 * np.log2(size) * (n + m - 1) * norm2)
+
+
+@pytest.mark.parametrize("centers, n_wall, n_screen, distance", [
+    ((1e-5,), 1024, 1536, 0.8),
+    ((-5e-5, 5e-5), 1024, 1536, 0.8),
+    ((-8e-5, 0.0, 9e-5), 1024, 1536, 0.8),
+    ((1.2e-4,), 1024, 1536, 0.8),
+    ((-5e-5, 5e-5), 1024, 1537, 0.8),
+    ((-7.5e-5, 7.5e-5), 8, 1536, 0.8),
+    ((-1.9e-4, 1.9e-4), 1024, 1536, 0.8),
+    ((-5e-5, 5e-5), 1024, 1536, 0.01),
+], ids=["one-slit", "two-slits", "three-slits", "off-centre", "odd-screen",
+        "eight-cells", "grid-edges", "non-paraxial"])
+def test_chirp_z_matches_dense_kernel(centers, n_wall, n_screen, distance):
+    wall = build_wall((2e-4, n_wall), centers, 2e-5)
     psi = gaussian_input(wall, 1e-4, center=2e-5)  # uneven over the slits
-    pattern = propagate_to_screen(wall, psi, 5.5e-7, 0.8, 2e-2, 1536)
-    dense = dense_slit_amplitudes(wall, psi, 5.5e-7, 0.8, 2e-2, 1536)
-    peak = max(float(np.max(np.abs(a))) for a in dense)
+    args = (5.5e-7, distance, 2e-2, n_screen)
+    pattern = propagate_to_screen(wall, psi, *args)
+    dense = dense_slit_amplitudes(wall, psi, *args)
+    bounds = [rounding_bound(wall, wall.apply_slit(i, psi), *args)
+              for i in range(wall.n_slits)]
+    assert pattern.paraxial_ok == (distance == 0.8)
     assert len(pattern.per_slit_amplitudes) == len(centers)
-    for amp, ref in zip(pattern.per_slit_amplitudes, dense):
-        assert np.max(np.abs(amp - ref)) <= 1e-15 * peak
-    assert np.max(np.abs(pattern.total_amplitude - np.sum(dense, axis=0))) <= 1e-15 * peak
+    for amp, ref, bound in zip(pattern.per_slit_amplitudes, dense, bounds):
+        assert np.max(np.abs(amp - ref)) <= bound
+    assert np.max(np.abs(pattern.total_amplitude - np.sum(dense, axis=0))) <= sum(bounds)
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    """``numpy.fft`` loads at the first propagation, not when ``projqm.cli``
+    is imported."""
+    script = textwrap.dedent("""
+        import sys
+        import projqm.cli
+        from projqm.interference import TwoSlitConfig
+        assert "numpy.fft" not in sys.modules
+        TwoSlitConfig(n_wall=64, n_screen=64).run()
+        assert "numpy.fft" in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(projqm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-c", script], env=env, timeout=120, check=True)

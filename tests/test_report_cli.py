@@ -117,6 +117,17 @@ class TestWriteCsvBytes:
         path = write_csv(str(tmp_path / "t.csv"), header, rows)
         assert open(path, "rb").read() == self._expected(header, rows.tolist())
 
+    @pytest.mark.parametrize("n_rows", [0, 1, 3, 2000])
+    def test_one_format_operation_matches_per_row_formatting(self, tmp_path, n_rows):
+        """The whole-table format gives the bytes of one ``%`` per row."""
+        awkward = [-0.0, 1e-300, 5e-324, -5e-324, 1.7e308, 0.1, float("nan"), -float("inf")]
+        values = np.concatenate([awkward, np.random.default_rng(n_rows).standard_normal(3 * n_rows)])
+        rows = np.resize(values, (n_rows, 3))
+        fmt = ",".join(["%.17g"] * 3)
+        expected = "\n".join(["a,b,c"] + [fmt % tuple(row) for row in rows.tolist()]) + "\n"
+        path = write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], rows)
+        assert open(path, "rb").read() == expected.encode("utf-8")
+
     def test_rows_must_match_the_header(self, tmp_path):
         with pytest.raises(ValueError, match="rows of 2 values"):
             write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[1.0, 2.0, 3.0]])
