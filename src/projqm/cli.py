@@ -394,17 +394,14 @@ def cmd_two_slit(args) -> int:
                1e-12 * scale, lambda_phase=math.pi / 3.0, **cfg_ins)
 
     if len(config.slit_centers) >= 2:
-        with _input_errors():  # slits narrower than a coarse cell
-            cwall = dataclasses.replace(config, n_wall=128).make_wall()
-        s = slit_states(cwall)
+        s = slit_states(wall)
         at = project(s[0] + s[1])  # the equal which-slit superposition
         report.add("projector_poisson_disjoint",
-                   projector_poisson_check(cwall, at), 1e-12 * scale,
-                   n_wall=128, **cfg_ins)
-        control = noncommuting_control(cwall, at)
+                   projector_poisson_check(wall, at), 1e-12 * scale, **cfg_ins)
+        control = noncommuting_control(wall, at)
         # pass iff the control bracket is genuinely nonzero (>= 0.05)
         report.add("projector_poisson_mixing_control_nonzero",
-                   0.05 - control, 0.0, n_wall=128, **cfg_ins)
+                   0.05 - control, 0.0, **cfg_ins)
 
     if len(config.slit_centers) == 2:
         with _input_errors():  # a screen too narrow for four fringe zeros
@@ -502,6 +499,8 @@ def cmd_evolve(args) -> int:
         _add_flow_deviation(report, H, traj, scale, ins)
     # Probe observable: a fixed Hermitian that generically fails to commute
     # with the Hamiltonian, so the bracket side of the identity is nonzero.
+    # The law is tested at the start ray only, with the exact propagator:
+    # this check never sees the RK4 trajectory; flow_vs_exact_deviation does.
     probe = _random_hermitian(np.random.default_rng(20260814), H.shape[0])
     psi0 = traj.reps[0]
     report.add("ehrenfest_residual",

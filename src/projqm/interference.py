@@ -27,18 +27,21 @@ survives in no single-slit run.
 The propagator is a modeling choice (the projector algebra is independent
 of it): the checks that the slit projectors commute - vanishing bracket at
 every state - and that a projector mixing the slits does not are pure
-ray-space statements with no propagation involved.
+ray-space statements with no propagation involved.  They run on the
+pattern's own wall, each projector applied to the state, never formed: O(n).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import Projector, make_projector
-from .kahler import poisson_bracket
+from .kahler import KahlerScale, _hamiltonian_lift, symplectic_eval
+# unused; perfbench's test_tracer_wraps_every_namespace_and_restores_them needs it bound
+from .kahler import poisson_bracket  # noqa: F401
 from .projective import Ray
 
 __all__ = [
@@ -105,19 +108,6 @@ class SlitWall:
         a, b = self.slit_supports[i]
         out[a:b] = psi[a:b]
         return out
-
-    def slit_projector(self, i: int) -> Projector:
-        """Dense diagonal projector onto slit ``i`` (for the algebra checks;
-        quadratic in the grid size, so prefer coarse grids)."""
-        mask = self.support_mask(i)
-        return Projector(matrix=np.diag(mask.astype(np.complex128)),
-                         rank=int(np.sum(mask)))
-
-    def wall_projector(self) -> Projector:
-        """Dense diagonal projector onto the union of the slits."""
-        mask = self.wall_mask()
-        return Projector(matrix=np.diag(mask.astype(np.complex128)),
-                         rank=int(np.sum(mask)))
 
 
 def build_wall(grid_spec, slit_centers, slit_width: float) -> SlitWall:
@@ -447,30 +437,35 @@ def projector_poisson_check(wall: SlitWall, at: Ray) -> float:
 
     The slit projectors commute (disjoint supports), so every bracket
     vanishes identically - the ray-space image of compatible alternatives.
-    Requires a wall coarse enough to materialize the projector matrices.
+    Each Hamiltonian field is lifted from ``P_i rep`` (:meth:`SlitWall.apply_slit`),
+    so each field and each pairing costs ``O(n)`` on a wall of ``n`` cells.
     """
     if at.dim != wall.dim:
         raise ValueError(f"ray dimension {at.dim} does not match wall {wall.dim}")
-    mats = [wall.slit_projector(i).matrix for i in range(wall.n_slits)]
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            worst = max(worst, abs(poisson_bracket(mats[i], mats[j], at)))
-    return worst
+    fields = [_hamiltonian_lift(wall.apply_slit(i, at.rep), at)
+              for i in range(wall.n_slits)]
+    return max((abs(symplectic_eval(KahlerScale.OBSERVABLE, x, y))
+                for x, y in itertools.combinations(fields, 2)), default=0.0)
 
 
 def noncommuting_control(wall: SlitWall, at: Ray) -> float:
     """|bracket| of slit 1 against a rank-one projector mixing slits 1 and 2.
 
     The negative control for :func:`projector_poisson_check`: the mixing
-    projector fails to commute with either slit projector, so a vanishing
-    result here would indicate a broken bracket, not commuting operators.
+    projector ``|v><v|``, ``v = (s_1 + i s_2) / sqrt(2)``, applied as
+    ``v <v|rep>``, fails to commute with either slit projector, so a
+    vanishing result here would indicate a broken bracket, not commuting
+    operators.
     """
     if wall.n_slits < 2:
         raise ValueError("need two slits for the mixing control")
+    if at.dim != wall.dim:
+        raise ValueError(f"ray dimension {at.dim} does not match wall {wall.dim}")
     s = slit_states(wall)
-    mixing = make_projector([s[0] + 1j * s[1]])
-    return abs(poisson_bracket(wall.slit_projector(0).matrix, mixing.matrix, at))
+    v = (s[0] + 1j * s[1]) / math.sqrt(2.0)
+    slit = _hamiltonian_lift(wall.apply_slit(0, at.rep), at)
+    mixing = _hamiltonian_lift(v * np.vdot(v, at.rep), at)
+    return abs(symplectic_eval(KahlerScale.OBSERVABLE, slit, mixing))
 
 
 def pattern_rows(pattern: InterferencePattern) -> tuple[list[str], np.ndarray]:

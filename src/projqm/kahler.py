@@ -122,7 +122,12 @@ def hamiltonian_vector_field(op, at: Ray) -> TangentVector:
     F = as_hermitian(op, name="op")
     if F.shape[0] != at.dim:
         raise ValueError("operator dimension does not match ray")
-    fv = F @ at.rep
+    return _hamiltonian_lift(F @ at.rep, at)
+
+
+def _hamiltonian_lift(fv: np.ndarray, at: Ray) -> TangentVector:
+    """:func:`hamiltonian_vector_field` from the applied vector ``fv = F rep``,
+    for callers that apply ``F`` without forming its matrix."""
     f = float(np.vdot(at.rep, fv).real)
     vec = -1j * (fv - f * at.rep)
     # remove roundoff-level vertical residue so the invariant holds sharply

@@ -242,9 +242,8 @@ def test_criterion_09_two_slit_identities_and_fringe_spacing():
     phase_res = phase_invariance_check(pattern, wall, psi, lambda_phase=np.pi / 3.0)
     assert phase_res < 1e-12
 
-    coarse = TwoSlitConfig(n_wall=128).make_wall()
-    s = slit_states(coarse)
-    bracket = projector_poisson_check(coarse, project(s[0] + s[1]))
+    s = slit_states(wall)
+    bracket = projector_poisson_check(wall, project(s[0] + s[1]))
     assert bracket < 1e-12
 
     measured = fringe_spacing(pattern)

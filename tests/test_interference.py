@@ -10,17 +10,31 @@ import numpy as np
 import pytest
 
 import projqm
+from projqm.cli import main
+from projqm.hilbert import Projector, make_projector
 from projqm.interference import (TwoSlitConfig, build_wall, fringe_spacing,
                                  gaussian_input, noncommuting_control, pattern_rows,
                                  phase_invariance_check, plane_wave_input,
                                  propagate_to_screen, projector_poisson_check,
                                  slit_states)
+from projqm.kahler import poisson_bracket
 from projqm.projective import project
 
 
 def small_wall(n_slits=2, n=256):
     centers = (-5e-5, 5e-5) if n_slits == 2 else (-8e-5, 0.0, 8e-5)
     return build_wall((2e-4, n), centers, 2e-5)
+
+
+def dense_projector(mask):
+    """Diagonal projector matrix onto the cells of ``mask``, validated by
+    :class:`Projector` (a dense ``m @ m``): the oracle form of a slit."""
+    return Projector(matrix=np.diag(mask.astype(np.complex128)), rank=int(np.sum(mask)))
+
+
+def random_ray(n, seed):
+    rng = np.random.default_rng(seed)
+    return project(rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 class TestBuildWall:
@@ -43,9 +57,8 @@ class TestBuildWall:
 
     def test_projectors_idempotent_and_disjoint(self):
         wall = small_wall(n=128)
-        p0 = wall.slit_projector(0).matrix
-        p1 = wall.slit_projector(1).matrix
-        pw = wall.wall_projector().matrix
+        p0, p1, pw = (dense_projector(m).matrix for m in
+                      (wall.support_mask(0), wall.support_mask(1), wall.wall_mask()))
         assert np.max(np.abs(p0 @ p0 - p0)) < 1e-12
         assert np.max(np.abs(p0 @ p1)) == 0.0
         assert np.max(np.abs(pw - p0 - p1)) < 1e-12
@@ -55,7 +68,7 @@ class TestBuildWall:
         wall = small_wall(n=128)
         psi = plane_wave_input(wall)
         direct = wall.apply_slit(1, psi)
-        via_matrix = wall.slit_projector(1).matrix @ psi
+        via_matrix = dense_projector(wall.support_mask(1)).matrix @ psi
         assert np.max(np.abs(direct - via_matrix)) < 1e-14
 
 
@@ -183,17 +196,103 @@ class TestChecks:
         monkeypatch.setattr("projqm.interference.propagate_to_screen", forbidden)
         assert phase_invariance_check(base, wall, psi, 0.5) == expected
 
-    def test_disjoint_projectors_commute_everywhere(self):
-        wall = small_wall(n=128)
+    @pytest.mark.parametrize("n_slits, n", [(2, 128), (3, 2048), (2, 65536)])
+    def test_disjoint_projectors_commute_everywhere(self, n_slits, n):
+        wall = small_wall(n_slits, n)
         states = slit_states(wall)
-        at = project(states[0] + states[1])
-        assert projector_poisson_check(wall, at) < 1e-12
+        assert projector_poisson_check(wall, project(states[0] + states[1])) == 0.0
+        for seed in range(4):
+            assert projector_poisson_check(wall, random_ray(n, seed)) < 1e-12
 
-    def test_mixing_control_is_nonzero(self):
-        wall = small_wall(n=128)
+    @pytest.mark.parametrize("n", [128, 2048, 65536])
+    def test_mixing_control_is_nonzero(self, n):
+        """At the equal which-slit superposition the bracket is exactly
+        ``2 Im <P_1 psi|v><v|psi> = -1/2``."""
+        wall = small_wall(n=n)
         states = slit_states(wall)
         at = project(states[0] + states[1])
         assert noncommuting_control(wall, at) > 1e-2
+        assert abs(noncommuting_control(wall, at) - 0.5) < 1e-12
+
+    def test_checks_reject_a_ray_of_another_dimension(self):
+        wall = small_wall(n=128)
+        for check in (projector_poisson_check, noncommuting_control):
+            with pytest.raises(ValueError, match="does not match wall"):
+                check(wall, random_ray(64, 0))
+
+
+def test_two_slit_forms_no_dense_projector(tmp_path, monkeypatch):
+    """``two-slit`` builds one wall and checks its brackets with no
+    ``np.diag`` matrix, no :class:`Projector` and no operator product."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense route called")
+    for owner, name in ((np, "diag"), (Projector, "__post_init__"),
+                        (dataclasses, "replace"),
+                        (projqm.kahler, "hamiltonian_vector_field")):
+        monkeypatch.setattr(owner, name, forbidden)
+    builds = []
+    make_wall = TwoSlitConfig.make_wall
+    monkeypatch.setattr(TwoSlitConfig, "make_wall",
+                        lambda cfg: builds.append(cfg) or make_wall(cfg))
+    assert main(["two-slit", "--out", str(tmp_path)]) == 0
+    assert builds == [TwoSlitConfig()]
+
+
+def bracket_rounding_bound(n):
+    """Largest gap between the dense and the applied route to one bracket of
+    two projectors at a unit ray of dimension ``n``, that rounding explains.
+
+    Write ``u = eps / 2``, ``g2 = sqrt(2) gamma_2`` for a complex product and
+    ``e = sqrt(2) gamma_(2n+2)`` (``gamma_k = k u / (1 - k u)``, Higham,
+    *Accuracy and Stability of Numerical Algorithms*, sec. 3.6) for an inner
+    product or a norm of length up to ``2n``.  Both applied vectors ``g = P
+    rep`` have norm at most 1, and the exact field is ``-i Q g`` with ``Q``
+    the horizontal projector, so the bracket is ``2 Im <g_F|Q|g_G>``.
+
+    One route, given its ``g``.  The lift rounds ``<F>`` (``e``), the
+    difference (``4u``), the vertical coefficient (``2e``: ``|vec| <= 2|g|``)
+    and its removal (``4 (g2 + u)``), so each field errs by at most ``3e +
+    4 g2 + 8u``; the pairing adds ``e``.  The bracket then errs by at most
+    ``2 (7e + 8 g2 + 16u)`` on each route.
+
+    The two ``g``.  A slit is a 0/1 diagonal: ``np.diag(mask) @ rep`` and
+    the mask copy agree bit for bit.  The mixing vector ``w = (s_1 + i
+    s_2) / sqrt(2)`` is formed on each route to ``a = e + 4u`` per entry
+    (a norm, a square root, two quotients); the dense route rounds each
+    ``w_j conj(w_k)`` (``g2``), symmetrizes (``u``) and sums (``e``), the
+    applied one sums (``e``) and scales (``g2``), both against ``sum_k |w_k|
+    |rep_k| <= 1``.  They differ by at most ``4a + 2e + 2 g2 + u`` in norm,
+    which moves the bracket by twice that.
+
+    In all, ``40 e + 36 g2 + 98 u`` to first order in ``u``.
+    """
+    u = np.finfo(np.float64).eps / 2.0
+
+    def gamma(k):
+        return k * u / (1.0 - k * u)
+
+    e, g2 = np.sqrt(2.0) * gamma(2 * n + 2), np.sqrt(2.0) * gamma(2)
+    return 40.0 * e + 36.0 * g2 + 98.0 * u
+
+
+@pytest.mark.parametrize("n_slits", [2, 3])
+def test_applied_brackets_match_dense_projectors(n_slits):
+    """The applied-vector checks against ``poisson_bracket`` on dense
+    ``np.diag(mask)`` slit projectors and the ``make_projector`` mixing
+    projector, on a 128-cell wall, at seeded random rays and at the equal
+    which-slit superposition."""
+    wall = small_wall(n_slits, 128)
+    masks = [dense_projector(wall.support_mask(i)).matrix for i in range(n_slits)]
+    s = slit_states(wall)
+    mixing = make_projector([s[0] + 1j * s[1]]).matrix
+    bound = bracket_rounding_bound(wall.dim)
+    rays = [project(s[0] + s[1])] + [random_ray(wall.dim, seed) for seed in range(8)]
+    for at in rays:
+        dense = max(abs(poisson_bracket(masks[i], masks[j], at))
+                    for i in range(n_slits) for j in range(i + 1, n_slits))
+        assert abs(projector_poisson_check(wall, at) - dense) <= bound
+        control = abs(poisson_bracket(masks[0], mixing, at))
+        assert abs(noncommuting_control(wall, at) - control) <= bound
 
 
 class TestPatternRows:

@@ -219,9 +219,6 @@ def _write_inputs(tmp_path):
                        ("inf_distance", "distance = inf"),
                        ("nan_center", "slit_centers = -5e-5, nan")):
         (tmp_path / f"{name}.cfg").write_text(f"# bad float\n{line}\n")
-    # fine on the 2,048-cell wall, narrower than a cell of the coarse
-    # 128-cell wall of the projector checks
-    (tmp_path / "narrow_slits.cfg").write_text("slit_width = 1e-6\n")
     # too narrow a screen for four fringe zeros
     (tmp_path / "narrow_screen.cfg").write_text("screen_halfwidth = 4e-3\n")
 
@@ -263,7 +260,6 @@ def _write_inputs(tmp_path):
     ["two-slit", "--config", "{dir}/nan_wavelength.cfg"],
     ["two-slit", "--config", "{dir}/inf_distance.cfg"],
     ["two-slit", "--config", "{dir}/nan_center.cfg"],
-    ["two-slit", "--config", "{dir}/narrow_slits.cfg"],
     ["two-slit", "--config", "{dir}/narrow_screen.cfg"],
 ], ids=lambda argv: " ".join(argv).replace("{dir}/", ""))
 def test_bad_inputs_exit_two_with_one_line(tmp_path, capsys, argv):
@@ -281,6 +277,22 @@ def test_bad_inputs_exit_two_with_one_line(tmp_path, capsys, argv):
     assert not out.exists()
     if argv[0] == "two-slit" and "narrow" not in argv[2]:
         assert ":2:" in err
+
+
+@pytest.mark.parametrize("config", ["slit_width = 1e-6\n",
+                                    "n_wall = 65536\nslit_width = 2e-6\n"],
+                         ids=["6-cell-slits", "328-cell-slits-65536"])
+def test_narrow_slits_pass_the_projector_checks(tmp_path, config):
+    """Slits of a few microns: the projector checks run on the pattern's own
+    wall, so every slit that covers a cell of it passes them."""
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(config)
+    assert main(["two-slit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "two-slit.json").read_text())
+    entries = {e["check_name"]: e for e in report["entries"]}
+    for name in ("projector_poisson_disjoint", "projector_poisson_mixing_control_nonzero"):
+        assert entries[name]["pass"]
+    assert entries["projector_poisson_disjoint"]["residual"] == 0.0
 
 
 @pytest.mark.parametrize("argv", [
