@@ -12,7 +12,7 @@ Modules
 -------
 hilbert
     States, Hermitian operators, expectations and covariances, exact
-    evolution, projectors.
+    evolution, Gram-Schmidt, standard operators.
 projective
     Gauge-fixed rays, ray distance and transition probability, spanned
     spheres, superposition coordinates, sphere areas.
@@ -21,14 +21,14 @@ kahler
     normalization, Poisson brackets, flow transport, uncertainty audits.
 dynamics
     RK4 integration of the projective Schrodinger flow with drift checks,
-    comparison against exact evolution, Ehrenfest residuals.
+    comparison against exact evolution, exact expectation rates.
 geodesics
     Chart metric, closed-form Kaehler connection, fixed-step DOP853
     geodesic integration with re-charting, Lie derivatives of the induced metric
     along a sphere's normals, shooting certificates of total geodesy.
 interference
-    Slit walls as projector sums, Fresnel propagation, fringe metrology,
-    commuting-projector checks.
+    Slit walls with one cell mask per slit projector, Fresnel propagation,
+    fringe metrology, commuting-projector checks on applied vectors.
 cli / report
     Deterministic verification commands and their JSON/CSV artifacts.
 """
@@ -37,7 +37,6 @@ __version__ = "0.1.0"
 
 from .hilbert import (
     LinearDependenceError,
-    Projector,
     as_hermitian,
     as_state,
     commutator_expectation,
@@ -45,7 +44,6 @@ from .hilbert import (
     expectation,
     gram_schmidt,
     lowering_operator,
-    make_projector,
     momentum_operator,
     position_operator,
     sigma_x,
@@ -86,7 +84,6 @@ from .kahler import (
 )
 from .dynamics import (
     Trajectory,
-    ehrenfest_residual,
     expectation_rate,
     flow_integrate,
     flow_vs_exact_deviation,

@@ -390,7 +390,7 @@ def cmd_two_slit(args) -> int:
                pattern.total_screen_probability - 1.0, 1e-12 * scale, **cfg_ins)
 
     report.add("phase_invariance",
-               phase_invariance_check(pattern, wall, psi_in, math.pi / 3.0),
+               phase_invariance_check(pattern, psi_in, math.pi / 3.0),
                1e-12 * scale, lambda_phase=math.pi / 3.0, **cfg_ins)
 
     if len(config.slit_centers) >= 2:

@@ -29,15 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import (_operands, as_hermitian, as_state, commutator_expectation,
-                      evolve_exact, expectation)
+from .hilbert import _operands, as_hermitian, as_state
 from .projective import Ray, _fs_sin_cos, _gauge_fix, project
 
 __all__ = [
     "Trajectory",
     "flow_integrate",
     "flow_vs_exact_deviation",
-    "ehrenfest_residual",
     "expectation_rate",
     "trajectory_rows",
 ]
@@ -281,24 +279,6 @@ def flow_vs_exact_deviation(hamiltonian, traj: Trajectory) -> float:
     return float(np.max(np.arctan2(s, np.minimum(c, 1.0))))
 
 
-def ehrenfest_residual(op, hamiltonian, at, eps: float = 1e-4) -> float:
-    """Defect of the evolution law ``d<F>/dt = <-i[F, H]>`` at a ray.
-
-    The time derivative is a central difference of the exactly evolved
-    expectation at ``+/- eps``; the residual against the commutator
-    expectation is O(eps^2) with a plain second-order stencil.
-    """
-    F = as_hermitian(op, name="op")
-    H = as_hermitian(hamiltonian, name="hamiltonian")
-    ray = at if isinstance(at, Ray) else project(as_state(at, name="at"))
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    plus = expectation(F, evolve_exact(H, ray.rep, eps))
-    minus = expectation(F, evolve_exact(H, ray.rep, -eps))
-    derivative = (plus - minus) / (2.0 * eps)
-    return abs(derivative - commutator_expectation(F, H, ray.rep))
-
-
 def expectation_rate(op, hamiltonian, psi) -> float:
     """Time derivative ``d<F>/dt`` of the exactly evolved expectation at a state.
 
@@ -307,9 +287,9 @@ def expectation_rate(op, hamiltonian, psi) -> float:
     ``exp(-iHt) psi`` is ``sum c_j* c_k F_jk exp(i (E_j - E_k) t)``, so
     ``d<F>/dt = sum c_j* c_k F_jk i (E_j - E_k)``, divided by
     ``<psi|psi>`` as in :func:`~projqm.hilbert.expectation`.  It matches
-    ``<-i[F, H]>`` to rounding at any ``||H||``, where the central difference
-    of :func:`ehrenfest_residual` carries an ``eps**2 f'''`` term that grows
-    as ``||H||**3``.
+    ``<-i[F, H]>`` to rounding at any ``||H||``, where a central difference
+    of the expectation at ``+/- eps`` carries an ``eps**2 f'''`` term that
+    grows as ``||H||**3``.
     """
     F, H, v, nrm2 = _operands(psi, op=op, hamiltonian=hamiltonian)
     evals, vecs = np.linalg.eigh(H)

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projective import Ray, SpannedSphere, _gauge_fix, project
+from .projective import Ray, SpannedSphere, _membership_rows, project
 
 __all__ = [
     "RECHART_THRESHOLD",
@@ -521,15 +521,6 @@ class TotalGeodesyCertificate:
     converged: bool
 
 
-def _sphere_membership_rows(z: np.ndarray, sphere: SpannedSphere) -> np.ndarray:
-    """``sphere_membership(project(row), sphere)`` for every nonzero row of ``z``."""
-    r = _gauge_fix(z)
-    w0 = r @ sphere.rep0.conj()
-    w1 = r @ sphere.rep1.conj()
-    residual = r - w0[:, None] * sphere.rep0 - w1[:, None] * sphere.rep1
-    return np.linalg.norm(residual, axis=1)
-
-
 def _shoot(a_chart: ChartPoint, e0, e1, cos_d, sin_d, chi, length, dt, sphere):
     """Integrate one aimed geodesic; return signed miss and arrival data.
 
@@ -557,7 +548,7 @@ def _shoot(a_chart: ChartPoint, e0, e1, cos_d, sin_d, chi, length, dt, sphere):
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     alphas = z @ e0.conj()
     betas = z @ e1.conj()
-    membership = _sphere_membership_rows(z, sphere)
+    membership = _membership_rows(z, sphere)
     kmin, s_star = _closest_approach(arcl, np.abs(cos_d * alphas + sin_d * betas)[:, None])
     kmin = int(kmin[0])
     in_sphere = float(np.abs(alphas[kmin]) ** 2 + np.abs(betas[kmin]) ** 2)
@@ -572,6 +563,10 @@ _ARRIVAL_TOL = 1e-8
 
 #: Relative root tolerance of Brent's method: scipy's ``brentq`` default.
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
+
+#: Most Brent iterations of one certificate; a certificate that runs out of
+#: them is reported not converged.
+_BRENT_MAXITER = 200
 
 
 class _NoRootBracketed(ValueError):
@@ -641,8 +636,7 @@ def _brent_root(f, a: float, b: float, xtol: float, maxiter: int) -> tuple[float
     return xcur, False
 
 
-def total_geodesy_certificate(a: Ray, b: Ray, dt: float = 0.05,
-                              max_iterations: int = 200) -> TotalGeodesyCertificate:
+def total_geodesy_certificate(a: Ray, b: Ray, dt: float = 0.05) -> TotalGeodesyCertificate:
     """Certify by shooting that the sphere spanned by two rays is geodesic.
 
     The geodesic is integrated with the full chart metric of the ambient
@@ -652,7 +646,7 @@ def total_geodesy_certificate(a: Ray, b: Ray, dt: float = 0.05,
     transverse miss aims the path at ``b``: Brent's method (Brent 1973,
     ch. 4) as :func:`_brent_root` ports it from scipy's ``brentq.c``, bit
     for bit, so scipy is not imported at run time.  The certificate is
-    ``converged`` when Brent converged within ``max_iterations``
+    ``converged`` when Brent converged within :data:`_BRENT_MAXITER`
     integrations and the arrival miss is at most ``1e-8``; otherwise the
     failure is reported in the certificate rather than raised.  The
     certificate reads the shot Brent already made at its root; no aim
@@ -685,7 +679,7 @@ def total_geodesy_certificate(a: Ray, b: Ray, dt: float = 0.05,
             # xtol 1e-14 resolves the aim to rounding; at 1e-12 Brent may stop
             # with a miss of 1e-14 to 1e-13, its own tolerance, not the path's
             chi_star, converged = _brent_root(lambda chi: shoot(chi)[0], -0.6, 0.6,
-                                              xtol=1e-14, maxiter=max_iterations)
+                                              xtol=1e-14, maxiter=_BRENT_MAXITER)
         except _NoRootBracketed:
             # no sign change in the bracket, or a NaN miss: report the midpoint aim
             chi_star = 0.0
@@ -701,6 +695,6 @@ def total_geodesy_certificate(a: Ray, b: Ray, dt: float = 0.05,
         max_offslice_residual=member_max,
         arrival_miss=miss,
         iterations=evals,
-        converged=converged and miss <= _ARRIVAL_TOL and evals <= max_iterations + 1,
+        converged=converged and miss <= _ARRIVAL_TOL and evals <= _BRENT_MAXITER + 1,
     )
 

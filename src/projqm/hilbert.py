@@ -3,9 +3,11 @@
 Everything downstream (rays, metric/symplectic structure, flows) is built on
 the handful of operations here: validated state vectors and Hermitian
 matrices, expectation values, commutator expectations, symmetrized
-covariances, exact unitary evolution, projectors and Gram-Schmidt
-orthonormalization.  The real and imaginary parts of the overlap, the
-metric and symplectic pairings, live in :mod:`projqm.kahler`.
+covariances, exact unitary evolution and Gram-Schmidt orthonormalization.
+The real and imaginary parts of the overlap, the metric and symplectic
+pairings, live in :mod:`projqm.kahler`.  Projectors have no matrix type:
+:mod:`projqm.interference` applies a slit projector as its cell mask and a
+rank-one projector ``|v><v|`` as ``v <v|psi>``.
 
 States are plain 1-d complex128 numpy arrays; operators are square complex128
 arrays.  Validation is done at API entry points rather than with wrapper
@@ -14,14 +16,11 @@ classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "DEFAULT_HERMITIAN_TOL",
     "LinearDependenceError",
-    "Projector",
     "as_state",
     "as_hermitian",
     "expectation",
@@ -30,7 +29,6 @@ __all__ = [
     "symmetrized_covariance",
     "evolve_exact",
     "gram_schmidt",
-    "make_projector",
     "sigma_x",
     "sigma_y",
     "sigma_z",
@@ -215,75 +213,6 @@ def gram_schmidt(vectors) -> list[np.ndarray]:
             raise LinearDependenceError(i, residual / scale)
         out.append(w / residual)
     return out
-
-
-@dataclass(frozen=True)
-class Projector:
-    """Orthogonal projector onto the span of a set of vectors.
-
-    Attributes
-    ----------
-    matrix : numpy.ndarray
-        The dense Hermitian idempotent matrix.
-    rank : int
-        Dimension of the range; equals the trace.
-    """
-
-    matrix: np.ndarray
-    rank: int
-
-    def __post_init__(self):
-        m = self.matrix
-        if float(np.max(np.abs(m - m.conj().T))) > 1e-10:
-            raise ValueError("projector matrix is not Hermitian")
-        if float(np.max(np.abs(m @ m - m))) > 1e-10:
-            raise ValueError("projector matrix is not idempotent")
-        if abs(float(np.trace(m).real) - self.rank) > 1e-8:
-            raise ValueError("projector trace does not match rank")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, psi) -> np.ndarray:
-        return self.matrix @ as_state(psi)
-
-
-def make_projector(vectors) -> Projector:
-    """Build the projector ``sum_i |v_i><v_i| / <v_i|v_i>``.
-
-    The inputs must be pairwise orthogonal (normalized overlap below 1e-10);
-    non-orthogonal sets are rejected with a pointer at
-    :func:`gram_schmidt`.  The result is invariant under rescaling or
-    re-phasing of any input.
-    """
-    vecs = [as_state(v, name=f"vectors[{i}]") for i, v in enumerate(vectors)]
-    if not vecs:
-        raise ValueError("need at least one vector")
-    dim = vecs[0].shape[0]
-    norms = []
-    for i, v in enumerate(vecs):
-        if v.shape[0] != dim:
-            raise ValueError(f"vectors[{i}] has dimension {v.shape[0]}, expected {dim}")
-        n = float(np.linalg.norm(v))
-        if n == 0.0:
-            raise ValueError(f"vectors[{i}] has zero norm")
-        norms.append(n)
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            ov = abs(np.vdot(vecs[i], vecs[j])) / (norms[i] * norms[j])
-            if ov > 1e-10:
-                raise ValueError(
-                    f"vectors {i} and {j} are not orthogonal "
-                    f"(normalized overlap {ov:.3e}); orthonormalize first, "
-                    "e.g. with gram_schmidt"
-                )
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for v, n in zip(vecs, norms):
-        u = v / n
-        mat += np.outer(u, u.conj())
-    mat = (mat + mat.conj().T) / 2.0
-    return Projector(matrix=mat, rank=len(vecs))
 
 
 # ---------------------------------------------------------------------------

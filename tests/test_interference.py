@@ -11,7 +11,6 @@ import pytest
 
 import projqm
 from projqm.cli import main
-from projqm.hilbert import Projector, make_projector
 from projqm.interference import (TwoSlitConfig, build_wall, fringe_spacing,
                                  gaussian_input, noncommuting_control, pattern_rows,
                                  phase_invariance_check, plane_wave_input,
@@ -27,9 +26,9 @@ def small_wall(n_slits=2, n=256):
 
 
 def dense_projector(mask):
-    """Diagonal projector matrix onto the cells of ``mask``, validated by
-    :class:`Projector` (a dense ``m @ m``): the oracle form of a slit."""
-    return Projector(matrix=np.diag(mask.astype(np.complex128)), rank=int(np.sum(mask)))
+    """Diagonal projector matrix onto the cells of ``mask``: the dense oracle
+    form of a slit."""
+    return np.diag(mask.astype(np.complex128))
 
 
 def random_ray(n, seed):
@@ -57,7 +56,7 @@ class TestBuildWall:
 
     def test_projectors_idempotent_and_disjoint(self):
         wall = small_wall(n=128)
-        p0, p1, pw = (dense_projector(m).matrix for m in
+        p0, p1, pw = (dense_projector(m) for m in
                       (wall.support_mask(0), wall.support_mask(1), wall.wall_mask()))
         assert np.max(np.abs(p0 @ p0 - p0)) < 1e-12
         assert np.max(np.abs(p0 @ p1)) == 0.0
@@ -68,7 +67,7 @@ class TestBuildWall:
         wall = small_wall(n=128)
         psi = plane_wave_input(wall)
         direct = wall.apply_slit(1, psi)
-        via_matrix = dense_projector(wall.support_mask(1)).matrix @ psi
+        via_matrix = dense_projector(wall.support_mask(1)) @ psi
         assert np.max(np.abs(direct - via_matrix)) < 1e-14
 
 
@@ -158,27 +157,8 @@ class TestChecks:
         cfg = TwoSlitConfig()
         wall = cfg.make_wall()
         psi = cfg.make_input(wall)
-        res = phase_invariance_check(cfg.run(), wall, psi, lambda_phase=np.pi / 3.0)
+        res = phase_invariance_check(cfg.run(), psi, lambda_phase=np.pi / 3.0)
         assert res < 1e-12
-
-    def test_phase_invariance_rejects_a_base_from_another_wall(self):
-        base = TwoSlitConfig(n_wall=256, n_screen=256).run()
-        one_slit = TwoSlitConfig(slit_centers=(0.0,), n_wall=256).make_wall()
-        with pytest.raises(ValueError, match="slits"):
-            phase_invariance_check(base, one_slit, plane_wave_input(one_slit), 0.5)
-
-    @pytest.mark.parametrize("other", ["cells", "slits", "offset"])
-    def test_phase_invariance_rejects_a_base_on_another_grid_or_slits(self, other):
-        """Another cell count, other slits, or the same cells and slits at
-        positions shifted by one cell: each gives another kernel."""
-        cfg = TwoSlitConfig(n_wall=256, n_screen=256)
-        base = cfg.run()
-        same = cfg.make_wall()
-        wall = {"cells": lambda: dataclasses.replace(cfg, n_wall=512).make_wall(),
-                "slits": lambda: dataclasses.replace(cfg, slit_centers=(-6e-5, 6e-5)).make_wall(),
-                "offset": lambda: dataclasses.replace(same, grid=same.grid + same.dy)}[other]()
-        with pytest.raises(ValueError, match="not propagated on this wall"):
-            phase_invariance_check(base, wall, plane_wave_input(wall), 0.5)
 
     def test_phase_invariance_reuses_the_base_kernel(self, monkeypatch):
         """The rotated state goes through the operator ``base`` keeps: no second
@@ -194,7 +174,7 @@ class TestChecks:
         def forbidden(*args, **kwargs):
             raise AssertionError("propagate_to_screen called again")
         monkeypatch.setattr("projqm.interference.propagate_to_screen", forbidden)
-        assert phase_invariance_check(base, wall, psi, 0.5) == expected
+        assert phase_invariance_check(base, psi, 0.5) == expected
 
     @pytest.mark.parametrize("n_slits, n", [(2, 128), (3, 2048), (2, 65536)])
     def test_disjoint_projectors_commute_everywhere(self, n_slits, n):
@@ -223,11 +203,10 @@ class TestChecks:
 
 def test_two_slit_forms_no_dense_projector(tmp_path, monkeypatch):
     """``two-slit`` builds one wall and checks its brackets with no
-    ``np.diag`` matrix, no :class:`Projector` and no operator product."""
+    ``np.diag`` matrix and no operator product."""
     def forbidden(*args, **kwargs):
         raise AssertionError("dense route called")
-    for owner, name in ((np, "diag"), (Projector, "__post_init__"),
-                        (dataclasses, "replace"),
+    for owner, name in ((np, "diag"), (dataclasses, "replace"),
                         (projqm.kahler, "hamiltonian_vector_field")):
         monkeypatch.setattr(owner, name, forbidden)
     builds = []
@@ -259,7 +238,8 @@ def bracket_rounding_bound(n):
     the mask copy agree bit for bit.  The mixing vector ``w = (s_1 + i
     s_2) / sqrt(2)`` is formed on each route to ``a = e + 4u`` per entry
     (a norm, a square root, two quotients); the dense route rounds each
-    ``w_j conj(w_k)`` (``g2``), symmetrizes (``u``) and sums (``e``), the
+    ``w_j conj(w_k)`` (``g2``; ``np.outer`` gives a matrix Hermitian bit
+    for bit, so the ``u`` of a symmetrizing pass is spare) and sums (``e``), the
     applied one sums (``e``) and scales (``g2``), both against ``sum_k |w_k|
     |rep_k| <= 1``.  They differ by at most ``4a + 2e + 2 g2 + u`` in norm,
     which moves the bracket by twice that.
@@ -278,13 +258,15 @@ def bracket_rounding_bound(n):
 @pytest.mark.parametrize("n_slits", [2, 3])
 def test_applied_brackets_match_dense_projectors(n_slits):
     """The applied-vector checks against ``poisson_bracket`` on dense
-    ``np.diag(mask)`` slit projectors and the ``make_projector`` mixing
-    projector, on a 128-cell wall, at seeded random rays and at the equal
-    which-slit superposition."""
+    ``np.diag(mask)`` slit projectors and the dense mixing projector
+    ``np.outer(w, conj(w))``, on a 128-cell wall, at seeded random rays and
+    at the equal which-slit superposition."""
     wall = small_wall(n_slits, 128)
-    masks = [dense_projector(wall.support_mask(i)).matrix for i in range(n_slits)]
+    masks = [dense_projector(wall.support_mask(i)) for i in range(n_slits)]
     s = slit_states(wall)
-    mixing = make_projector([s[0] + 1j * s[1]]).matrix
+    v = s[0] + 1j * s[1]
+    w = v / np.linalg.norm(v)
+    mixing = np.outer(w, w.conj())
     bound = bracket_rounding_bound(wall.dim)
     rays = [project(s[0] + s[1])] + [random_ray(wall.dim, seed) for seed in range(8)]
     for at in rays:
