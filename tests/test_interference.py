@@ -31,6 +31,16 @@ def dense_projector(mask):
     return np.diag(mask.astype(np.complex128))
 
 
+def dense_mixing_projector(wall):
+    """Dense rank-one projector ``|w><w|`` onto ``w = (s_1 + i s_2) /
+    |s_1 + i s_2|``: the oracle form of the mixing projector that
+    :func:`noncommuting_control` applies as a vector."""
+    s = slit_states(wall)
+    v = s[0] + 1j * s[1]
+    w = v / np.linalg.norm(v)
+    return np.outer(w, w.conj())
+
+
 def random_ray(n, seed):
     rng = np.random.default_rng(seed)
     return project(rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -176,6 +186,35 @@ class TestChecks:
         monkeypatch.setattr("projqm.interference.propagate_to_screen", forbidden)
         assert phase_invariance_check(base, psi, 0.5) == expected
 
+    @pytest.mark.parametrize("other", ["cells", "slits", "offset"])
+    def test_phase_invariance_reads_the_patterns_own_wall(self, other, monkeypatch):
+        """A pattern on another cell count, other slits, or the same cells
+        and slits shifted by one cell: the check propagates the rotated
+        state on that pattern's own wall, and gives the residual a second
+        propagation on it gave, bit for bit."""
+        cfg = TwoSlitConfig(n_wall=256, n_screen=256)
+        same = cfg.make_wall()
+        wall = {"cells": lambda: dataclasses.replace(cfg, n_wall=512).make_wall(),
+                "slits": lambda: dataclasses.replace(cfg, slit_centers=(-6e-5, 6e-5)).make_wall(),
+                "offset": lambda: dataclasses.replace(same, grid=same.grid + same.dy)}[other]()
+        psi = plane_wave_input(wall)
+        base, rot = (propagate_to_screen(wall, p, cfg.wavelength, cfg.distance,
+                                         cfg.screen_halfwidth, cfg.n_screen)
+                     for p in (psi, np.exp(0.5j) * psi))
+        assert base._wall is wall
+        expected = float(np.max(np.abs(rot.total_intensity - base.total_intensity)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("propagate_to_screen called again")
+        monkeypatch.setattr("projqm.interference.propagate_to_screen", forbidden)
+        assert phase_invariance_check(base, psi, 0.5) == expected
+
+    def test_phase_invariance_rejects_an_input_of_another_dimension(self):
+        base = TwoSlitConfig(n_wall=256, n_screen=256).run()
+        other = TwoSlitConfig(n_wall=512).make_wall()
+        with pytest.raises(ValueError, match=r"shape \(256,\)"):
+            phase_invariance_check(base, plane_wave_input(other), 0.5)
+
     @pytest.mark.parametrize("n_slits, n", [(2, 128), (3, 2048), (2, 65536)])
     def test_disjoint_projectors_commute_everywhere(self, n_slits, n):
         wall = small_wall(n_slits, n)
@@ -256,6 +295,16 @@ def bracket_rounding_bound(n):
 
 
 @pytest.mark.parametrize("n_slits", [2, 3])
+def test_dense_mixing_oracle_is_a_rank_one_projector(n_slits):
+    """The oracle is Hermitian bit for bit, as :func:`bracket_rounding_bound`
+    assumes, idempotent to rounding, and of trace 1."""
+    p = dense_mixing_projector(small_wall(n_slits, 128))
+    assert np.array_equal(p, p.conj().T)
+    assert np.max(np.abs(p @ p - p)) < 1e-12
+    assert abs(np.trace(p) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("n_slits", [2, 3])
 def test_applied_brackets_match_dense_projectors(n_slits):
     """The applied-vector checks against ``poisson_bracket`` on dense
     ``np.diag(mask)`` slit projectors and the dense mixing projector
@@ -264,9 +313,7 @@ def test_applied_brackets_match_dense_projectors(n_slits):
     wall = small_wall(n_slits, 128)
     masks = [dense_projector(wall.support_mask(i)) for i in range(n_slits)]
     s = slit_states(wall)
-    v = s[0] + 1j * s[1]
-    w = v / np.linalg.norm(v)
-    mixing = np.outer(w, w.conj())
+    mixing = dense_mixing_projector(wall)
     bound = bracket_rounding_bound(wall.dim)
     rays = [project(s[0] + s[1])] + [random_ray(wall.dim, seed) for seed in range(8)]
     for at in rays:

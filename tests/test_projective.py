@@ -212,6 +212,33 @@ class TestSpannedSphere:
         outside = v / np.linalg.norm(v)
         assert sphere_membership(outside, sph) > 0.9
 
+    def _tilted_rows(self, rng, sph):
+        """Rows at angles ``t`` in ``[0, pi/2]`` from the spanned plane, each
+        rescaled and rephased at random; returns ``(rows, t)``."""
+        basis = np.stack([sph.basis0.rep, sph.basis1.rep])
+        inside = basis.T @ (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        inside /= np.linalg.norm(inside)
+        perp = random_unit(rng, sph.dim)
+        perp = perp - basis.conj() @ perp @ basis
+        perp /= np.linalg.norm(perp)
+        t = np.linspace(0.0, np.pi / 2.0, 7)
+        scale = rng.uniform(0.5, 3.0, t.size) * np.exp(1j * rng.uniform(0, 2 * np.pi, t.size))
+        return scale[:, None] * (np.cos(t)[:, None] * inside + np.sin(t)[:, None] * perp), t
+
+    def test_membership_rows_read_the_off_span_sine(self, rng):
+        sph = self._sphere(rng, dim=5)
+        z, t = self._tilted_rows(rng, sph)
+        rows = projective._membership_rows(z, sph)
+        assert np.max(np.abs(rows - np.abs(np.sin(t)))) < 1e-14
+
+    def test_membership_rows_match_sphere_membership(self, rng):
+        """The row-wise helper and the one-ray function agree to rounding:
+        ``sphere_membership`` gauge-fixes the ray once more."""
+        sph = self._sphere(rng, dim=5)
+        z, _ = self._tilted_rows(rng, sph)
+        for row, value in zip(z, projective._membership_rows(z, sph)):
+            assert abs(sphere_membership(row, sph) - value) < 1e-15
+
     def test_coordinate_roundtrip(self, rng):
         sph = self._sphere(rng, dim=5)
         for z in (0.3, -1.0 + 2.0j, 10.0j):
