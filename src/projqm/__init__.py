@@ -24,11 +24,12 @@ dynamics
     comparison against exact evolution, exact expectation rates.
 geodesics
     Chart metric, closed-form Kaehler connection, fixed-step DOP853
-    geodesic integration with re-charting, Lie derivatives of the induced metric
-    along a sphere's normals, shooting certificates of total geodesy.
+    geodesics with re-charting, each launched from a ray along a Hilbert-space
+    direction by one function, Lie derivatives of the induced metric along a
+    sphere's normals, shooting certificates of total geodesy.
 interference
-    Slit walls with one cell mask per slit projector, Fresnel propagation,
-    fringe metrology, commuting-projector checks on applied vectors.
+    Slit walls with one index range per slit projector, Fresnel propagation
+    of per-slit segments, fringe metrology, commuting-projector checks.
 cli / report
     Deterministic verification commands and their JSON/CSV artifacts.
 """
@@ -93,7 +94,6 @@ from .geodesics import (
     ChartPoint,
     GeodesicPath,
     TotalGeodesyCertificate,
-    chart_to_ray,
     integrate_geodesic,
     integrated_pair_distances,
     lie_derivative_normal,

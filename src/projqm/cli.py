@@ -370,9 +370,9 @@ def cmd_two_slit(args) -> int:
     scale = args.tolerance_scale
     with _input_errors():  # a geometry or profile the library cannot build
         wall = config.make_wall()
-        psi_in = config.make_input(wall)
-        pattern = propagate_to_screen(wall, psi_in, config.wavelength, config.distance,
-                                      config.screen_halfwidth, config.n_screen)
+        pattern = propagate_to_screen(wall, config.make_input(wall), config.wavelength,
+                                      config.distance, config.screen_halfwidth,
+                                      config.n_screen)
 
     report = Report(command="two-slit", metadata={
         "version": __version__, "tolerance_scale": scale,
@@ -390,7 +390,7 @@ def cmd_two_slit(args) -> int:
                pattern.total_screen_probability - 1.0, 1e-12 * scale, **cfg_ins)
 
     report.add("phase_invariance",
-               phase_invariance_check(pattern, psi_in, math.pi / 3.0),
+               phase_invariance_check(pattern, math.pi / 3.0),
                1e-12 * scale, lambda_phase=math.pi / 3.0, **cfg_ins)
 
     if len(config.slit_centers) >= 2:

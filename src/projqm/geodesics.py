@@ -37,8 +37,8 @@ arrays.  Every caller marches m <= 7 coordinates, and at that size each
 numpy call costs more than the arithmetic it does: on a 2-core x86 host one
 DOP853 step took 110-145 us with numpy at every m <= 7, and 40-50 us
 (m = 1), 55-70 us (m = 3) and 100-140 us (m = 7) in Python; the two break
-even near m = 7-10.  The rows a march yields are stacked into one numpy
-array by each caller, and all later work stays in numpy.
+even near m = 7-10.  :func:`integrate_geodesic`, the engine's one caller,
+stacks the rows into numpy arrays once, and all later work stays in numpy.
 
 The module also certifies that superposition spheres are totally geodesic:
 a shooting method aims a full-chart geodesic at the second basis ray,
@@ -62,7 +62,6 @@ __all__ = [
     "GeodesicPath",
     "TotalGeodesyCertificate",
     "ray_to_chart",
-    "chart_to_ray",
     "lie_derivative_normal",
     "integrate_geodesic",
     "integrated_pair_distances",
@@ -137,11 +136,6 @@ def _homogeneous(base: np.ndarray, coords: np.ndarray) -> np.ndarray:
     z = np.ones((n, m + 1), dtype=np.complex128)
     z[off_base] = coords.ravel()
     return z
-
-
-def chart_to_ray(point: ChartPoint) -> Ray:
-    """The ray of a chart point: the inverse of :func:`ray_to_chart`."""
-    return project(_homogeneous(np.array([point.base_index]), point.coords[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +338,11 @@ def _march(base: int, t, w, length: float, dt: float):
     chart coordinates and velocity.  Each DOP853 step of ``dt`` (the last
     one shortened to land on ``length``) is followed by :func:`_rechart`.
     Yields ``(arclength, base, t, w)`` at the start and after every step,
-    with ``t`` and ``w`` lists of Python complex numbers; callers stack the
-    rows once with ``np.array``.  The first ``next`` raises ``ValueError``
-    unless ``0 < dt < inf`` and ``0 <= length < inf``.
+    with ``t`` and ``w`` lists of Python complex numbers, which
+    :func:`integrate_geodesic` stacks.  The first ``next`` raises
+    ``ValueError`` unless ``0 < dt < inf`` and ``0 <= length < inf``.
 
-    The step samples are all the callers need, with no dense output in
+    The step samples are all a path's users need, with no dense output in
     between: the closest-approach fit is exact on them (see
     :func:`_closest_approach`), and a path that starts tangent to a
     superposition sphere stays on it to rounding at every point, not only
@@ -391,58 +385,62 @@ def _closest_approach(arcl: np.ndarray, ov: np.ndarray):
     return kmin, arcl[kmin] + offset / np.where(np.abs(denom) > 1e-300, denom, np.inf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeodesicPath:
-    """Sampled geodesic: (arclength, chart point) pairs at every step."""
+    """A geodesic sampled at the start and after every step, as stacked rows:
+    ``samples[i]`` is homogeneous, 1 in slot ``bases[i]`` and the chart
+    coordinates elsewhere, not normalized; ``velocities[i]`` is the chart
+    velocity there."""
 
-    samples: list[tuple[float, ChartPoint]]
-    total_length: float
-    max_speed_drift: float = 0.0
+    arclengths: np.ndarray
+    bases: np.ndarray
+    samples: np.ndarray
+    velocities: np.ndarray
 
     @property
-    def final(self) -> ChartPoint:
-        return self.samples[-1][1]
+    def final(self) -> Ray:
+        return project(self.samples[-1])
+
+    @property
+    def max_speed_drift(self) -> float:
+        """How far the speed after each step strayed from one: a step-size diagnostic."""
+        n, dim = self.samples.shape
+        coords = self.samples[np.arange(dim) != self.bases[:, None]].reshape(n, dim - 1)
+        speeds = np.sqrt(_speed2(coords[1:], self.velocities[1:]))
+        return float(np.max(np.abs(speeds - 1.0), initial=0.0))
 
 
-def integrate_geodesic(start: ChartPoint, velocity, length: float, dt: float) -> GeodesicPath:
-    """Integrate the geodesic equation from a chart point.
+def integrate_geodesic(start: Ray, direction, length: float, dt: float) -> GeodesicPath:
+    """Integrate the geodesic equation from a ray along a Hilbert-space direction.
 
     Parameters
     ----------
-    start : ChartPoint
-        Initial point.
-    velocity : array_like
-        Initial velocity in interleaved real chart coordinates; it is
-        normalized to unit statistical speed, so the curve parameter is
-        arclength of the statistical metric.
+    start : Ray
+        Initial point, in the chart of its largest component (:func:`ray_to_chart`).
+    direction : array_like
+        A Hilbert-space vector.  Its chart velocity is the pushforward
+        ``(d_j z_k - z_j d_k) / z_k**2`` at ``z = start.rep``, so a component
+        along ``start.rep`` does not move the path, and one with nothing else
+        raises ``ValueError``.  It is normalized to unit statistical speed, so
+        the curve parameter is arclength of the statistical metric.
     length, dt : float
         Total arclength and step; the last step is shortened to land on
         ``length`` exactly; ``0 < dt < inf`` and ``0 <= length < inf``.
-
-    Returns
-    -------
-    GeodesicPath
-        Samples at every step; ``max_speed_drift`` records how far the
-        metric speed wandered from one (a diagnostic of step size).
     """
-    v = np.asarray(velocity, dtype=float)
-    if v.shape != (2 * start.coords.size,):
-        raise ValueError(
-            f"velocity must have {2 * start.coords.size} real components, got {v.shape}"
-        )
-    w0 = _reals_to_coords(v)
-    speed = math.sqrt(float(_speed2(start.coords, w0)))
+    d = np.asarray(direction, dtype=np.complex128)
+    if d.shape != (start.dim,):
+        raise ValueError(f"direction must have shape ({start.dim},), got {d.shape}")
+    chart = ray_to_chart(start)
+    z, k = start.rep, chart.base_index
+    keep = np.arange(start.dim) != k
+    w0 = (d[keep] * z[k] - z[keep] * d[k]) / z[k] ** 2
+    speed = math.sqrt(float(_speed2(chart.coords, w0)))
     if speed < 1e-14:
-        raise ValueError("velocity must be nonzero")
-
-    arcl, bases, ts, ws = zip(*_march(start.base_index, start.coords, w0 / speed,
-                                      length, dt))
-    ts, ws = np.array(ts), np.array(ws)
-    speeds = np.sqrt(_speed2(ts[1:], ws[1:]))
-    samples = [(0.0, start)] + [(s, ChartPoint(base_index=k, coords=t))
-                                for s, k, t in zip(arcl[1:], bases[1:], ts[1:])]
-    return GeodesicPath(samples=samples, total_length=arcl[-1],
-                        max_speed_drift=float(np.max(np.abs(speeds - 1.0), initial=0.0)))
+        raise ValueError("direction must have a component orthogonal to start.rep")
+    arcl, bases, ts, ws = zip(*_march(k, chart.coords, w0 / speed, length, dt))
+    bases = np.array(bases)
+    return GeodesicPath(arclengths=np.array(arcl), bases=bases,
+                        samples=_homogeneous(bases, np.array(ts)), velocities=np.array(ws))
 
 
 def _aligned_frame(a: Ray, b: Ray):
@@ -469,6 +467,10 @@ def _aligned_frame(a: Ray, b: Ray):
 # ---------------------------------------------------------------------------
 # Integrated distances on the superposition sphere.
 
+#: ``e0`` of every pair's frame ``(e0, e1)``, where the pair sweep starts.
+_SWEEP_START = Ray(np.array([1.0 + 0j, 0j]))
+
+
 def integrated_pair_distances(pairs, dt: float = 0.05) -> np.ndarray:
     """Distance between ray pairs measured by geodesic integration.
 
@@ -487,12 +489,12 @@ def integrated_pair_distances(pairs, dt: float = 0.05) -> np.ndarray:
     frames = [_aligned_frame(a, b) for a, b in pairs]
     cos_d = np.array([f[2] for f in frames])
     sin_d = np.array([f[3] for f in frames])
-    # t = 0 is the first ray; unit speed (the metric is I there) aims at the second
-    arcl, bases, ts, _ = zip(*_march(0, [0j], [1 + 0j], math.pi / 2.0 + 0.25, dt))
-    z = _homogeneous(np.array(bases), np.array(ts))
+    # from the first ray along e1, which aims at the second
+    path = integrate_geodesic(_SWEEP_START, [0, 1], math.pi / 2.0 + 0.25, dt)
+    z = path.samples
     ov = np.abs(cos_d * z[:, :1] + sin_d * z[:, 1:])
     ov /= np.linalg.norm(z, axis=1, keepdims=True)
-    return _closest_approach(np.array(arcl), ov)[1]
+    return _closest_approach(path.arclengths, ov)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -521,35 +523,29 @@ class TotalGeodesyCertificate:
     converged: bool
 
 
-def _shoot(a_chart: ChartPoint, e0, e1, cos_d, sin_d, chi, length, dt, sphere):
+def _shoot(a: Ray, e1, cos_d, sin_d, chi, length, dt, sphere):
     """Integrate one aimed geodesic; return signed miss and arrival data.
 
-    The arrival miss is assembled from the transverse in-sphere component
-    ``Im(beta conj(alpha))`` and the off-sphere membership residual, not
-    from the overlap magnitude with the target: the magnitude route cannot
-    resolve distances below sqrt(machine eps) because ``1 - |<b|psi>|^2``
-    cancels, while the transverse product is exact to rounding.  The
-    arclength of closest approach still comes from a parabolic fit of the
-    squared distance, whose *position* is insensitive to that floor.
+    The shot leaves ``a`` along ``exp(i chi) e1``, ``e1`` from
+    :func:`_aligned_frame`.  The arrival miss is assembled from the
+    transverse in-sphere component ``Im(beta conj(alpha))`` and the
+    off-sphere membership residual, not from the overlap magnitude with the
+    target: the magnitude route cannot resolve distances below sqrt(machine
+    eps) because ``1 - |<b|psi>|^2`` cancels, while the transverse product
+    is exact to rounding.  The arclength of closest approach still comes
+    from a parabolic fit of the squared distance, whose *position* is
+    insensitive to that floor.
     """
-    a_rep = e0
-    w = np.exp(1j * chi) * e1
-    k = a_chart.base_index
-    keep = np.arange(a_chart.dim) != k
-    t0 = a_chart.coords
-    w0 = (w[keep] * a_rep[k] - a_rep[keep] * w[k]) / a_rep[k] ** 2
-    speed = math.sqrt(float(_speed2(t0, w0)))  # unit speed, as integrate_geodesic
     # the closest-approach fit needs three samples: a shot no longer than one
     # step takes two equal ones (a dt that is not finite meets _march's guard)
     step = 0.5 * length if length <= dt < math.inf else dt
-    arcl, bases, ts, _ = zip(*_march(k, t0, w0 / speed, length, step))
-    arcl = np.array(arcl)
-    z = _homogeneous(np.array(bases), np.array(ts))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    alphas = z @ e0.conj()
+    path = integrate_geodesic(a, np.exp(1j * chi) * e1, length, step)
+    z = path.samples / np.linalg.norm(path.samples, axis=1, keepdims=True)
+    alphas = z @ a.rep.conj()
     betas = z @ e1.conj()
     membership = _membership_rows(z, sphere)
-    kmin, s_star = _closest_approach(arcl, np.abs(cos_d * alphas + sin_d * betas)[:, None])
+    ov = np.abs(cos_d * alphas + sin_d * betas)[:, None]
+    kmin, s_star = _closest_approach(path.arclengths, ov)
     kmin = int(kmin[0])
     in_sphere = float(np.abs(alphas[kmin]) ** 2 + np.abs(betas[kmin]) ** 2)
     signed = float((betas[kmin] * np.conj(alphas[kmin])).imag) / in_sphere
@@ -660,13 +656,12 @@ def total_geodesy_certificate(a: Ray, b: Ray, dt: float = 0.05) -> TotalGeodesyC
     if target < 1e-3:
         raise ValueError("rays are too close for a meaningful certificate")
     sphere = SpannedSphere(rep0=e0, rep1=e1)
-    a_chart = ray_to_chart(a)
     length = min(target + 0.15, math.pi / 2.0 + 0.2)
     shots = {}
 
     def shoot(chi):
         if chi not in shots:
-            shots[chi] = _shoot(a_chart, e0, e1, cos_d, sin_d, chi, length, dt, sphere)
+            shots[chi] = _shoot(a, e1, cos_d, sin_d, chi, length, dt, sphere)
         return shots[chi]
 
     converged = True

@@ -96,12 +96,6 @@ class SlitWall:
         mask[a:b] = True
         return mask
 
-    def wall_mask(self) -> np.ndarray:
-        mask = np.zeros(self.dim, dtype=bool)
-        for a, b in self.slit_supports:
-            mask[a:b] = True
-        return mask
-
     def apply_slit(self, i: int, psi: np.ndarray) -> np.ndarray:
         """``P_i psi`` without materializing the projector matrix."""
         out = np.zeros(self.dim, dtype=np.complex128)
@@ -179,10 +173,11 @@ class InterferencePattern:
     measured gap between propagating the wall-projected state in one piece
     and summing the per-slit propagations - a linearity identity, so it
     sits at rounding level.  :func:`propagate_to_screen`, the one builder of
-    patterns, also stores the wall (``_wall``) and the chirp-z operator
-    (``_operator``) it propagated with, so that
-    :func:`phase_invariance_check` can propagate another input on the same
-    wall and screen without building the operator again.
+    patterns, also stores the wall (``_wall``), a read-only copy of the
+    input state (``_input``) and the chirp-z operator (``_operator``) it
+    propagated with, so that :func:`phase_invariance_check` can propagate a
+    rephased input on the same wall and screen without building the
+    operator again.
     """
 
     screen_positions: np.ndarray
@@ -193,6 +188,7 @@ class InterferencePattern:
     paraxial_ok: bool
     decomposition_residual: float
     _wall: SlitWall = field(repr=False)
+    _input: np.ndarray = field(repr=False)
     _operator: _ChirpZ = field(repr=False)
 
     @property
@@ -316,26 +312,25 @@ class _ChirpZ:
         spec = fft(self.col * segments, self.chirp_ft.size)
         return self.row * ifft(spec * self.chirp_ft)[..., :self.row.size]
 
-    def slit_amplitudes(self, wall: SlitWall, psi: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Screen amplitude of each ``P_i psi``, in one batched transform."""
+    def segments(self, wall: SlitWall, psi: np.ndarray) -> np.ndarray:
+        """Each ``P_i psi`` on the span, one row per slit."""
         segments = np.zeros((wall.n_slits, self.hi - self.lo), dtype=np.complex128)
         for seg, (a, b) in zip(segments, wall.slit_supports):
             seg[a - self.lo:b - self.lo] = psi[a:b]
-        return tuple(self(segments))
+        return segments
 
 
 def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: float,
-                        screen_halfwidth: float = 2.5e-2,
-                        n_screen: int = 2048) -> InterferencePattern:
+                        screen_halfwidth: float, n_screen: int) -> InterferencePattern:
     """Project an input state through the wall and Fresnel-propagate it.
 
     Every ``P_i psi`` vanishes off slit ``i``, so the quadrature runs over
     the span of cells from the first slit cell to the last, as one chirp-z
     operator (:class:`_ChirpZ`) built once per call.  Each slit's component
-    is propagated on its own; the whole wall-projected state is also
-    propagated in one piece, and the two routes must agree within
-    ``_LINEARITY_TOL`` (times the peak amplitude, floored at 1), or
-    ``RuntimeError`` is raised.
+    is propagated on its own, in one batched transform; the wall-projected
+    state, the sum of those components, is also propagated in one piece, and
+    the two routes must agree within ``_LINEARITY_TOL`` (times the peak
+    amplitude, floored at 1), or ``RuntimeError`` is raised.
 
     ``paraxial_ok`` on the result flags whether the geometry is comfortably
     paraxial (propagation distance at least ten times the transverse
@@ -346,16 +341,17 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
         raise ValueError("wavelength and distance must be positive")
     if n_screen < 8 or screen_halfwidth <= 0.0:
         raise ValueError("screen needs positive halfwidth and at least 8 points")
-    psi = np.asarray(psi_in, dtype=np.complex128)
+    psi = np.array(psi_in, dtype=np.complex128)  # a copy the pattern keeps
     if psi.shape != (wall.dim,):
         raise ValueError(f"input state must have shape ({wall.dim},), got {psi.shape}")
+    psi.setflags(write=False)
 
     x, step = np.linspace(-screen_halfwidth, screen_halfwidth, n_screen, retstep=True)
     dx = float(x[1] - x[0])
     operator = _ChirpZ.build(wall, x, step, dx, wavelength * distance)
-    amps = operator.slit_amplitudes(wall, psi)
-    projected = (wall.wall_mask() * psi)[operator.lo:operator.hi]
-    one_piece = operator(projected)
+    segments = operator.segments(wall, psi)
+    amps = tuple(operator(segments))
+    one_piece = operator(segments.sum(axis=0))
     coherent = np.sum(amps, axis=0)
     scale = max(float(np.max(np.abs(one_piece))), 1.0)
     residual = float(np.max(np.abs(one_piece - coherent)))
@@ -374,6 +370,7 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
         paraxial_ok=bool(distance >= 10.0 * extent),
         decomposition_residual=residual,
         _wall=wall,
+        _input=psi,
         _operator=operator,
     )
 
@@ -406,24 +403,17 @@ def fringe_spacing(pattern: InterferencePattern) -> float:
     return 2.0 * float(np.mean(np.diff(crossings)))
 
 
-def phase_invariance_check(base: InterferencePattern, psi_in,
-                           lambda_phase: float) -> float:
+def phase_invariance_check(pattern: InterferencePattern, lambda_phase: float) -> float:
     """Max intensity change under a global phase on the input state.
 
-    ``base`` must be ``propagate_to_screen(wall, psi_in, ...)``, the pattern
-    of the unrotated state; only the rotated state is propagated, on the
-    wall and with the chirp-z operator ``base`` keeps, so the operator is
-    built once for both.  The pattern is a ray-space functional of the
-    input, so the result is zero up to rounding for every phase.  A
-    ``base`` from another input state on the same wall is not detectable
-    here.
+    The input ``pattern`` keeps is rotated and propagated on its wall with
+    its chirp-z operator, so the operator is built once for both.  The
+    pattern is a ray-space functional of the input, so the result is zero
+    up to rounding for every phase.
     """
-    wall = base._wall
-    psi = np.asarray(psi_in, dtype=np.complex128)
-    if psi.shape != (wall.dim,):
-        raise ValueError(f"input state must have shape ({wall.dim},), got {psi.shape}")
-    rot = base._operator.slit_amplitudes(wall, np.exp(1j * lambda_phase) * psi)
-    return float(np.max(np.abs(np.abs(np.sum(rot, axis=0)) ** 2 - base.total_intensity)))
+    op = pattern._operator
+    rot = op(op.segments(pattern._wall, np.exp(1j * lambda_phase) * pattern._input))
+    return float(np.max(np.abs(np.abs(np.sum(rot, axis=0)) ** 2 - pattern.total_intensity)))
 
 
 def projector_poisson_check(wall: SlitWall, at: Ray) -> float:

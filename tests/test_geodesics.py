@@ -7,11 +7,16 @@ import pytest
 from hypothesis import given, settings
 
 import projqm.geodesics as geodesics
-from projqm.geodesics import (ChartPoint, chart_to_ray, integrate_geodesic,
-                              integrated_pair_distances, lie_derivative_normal,
-                              ray_to_chart, total_geodesy_certificate)
+from projqm.geodesics import (ChartPoint, integrate_geodesic, integrated_pair_distances,
+                              lie_derivative_normal, ray_to_chart,
+                              total_geodesy_certificate)
 from projqm.projective import SpannedSphere, _membership_rows, fs_distance, project
 from tests.conftest import random_unit, unit_vectors
+
+
+def chart_to_ray(point: ChartPoint):
+    """The ray of a chart point, 1 in its base slot: the inverse of ``ray_to_chart``."""
+    return project(np.insert(point.coords, point.base_index, 1.0))
 
 
 def fs_metric(point: ChartPoint) -> np.ndarray:
@@ -406,44 +411,65 @@ class TestClosedFormConnection:
 
 
 class TestIntegrateGeodesic:
-    def _origin(self, dim=2):
-        return ChartPoint(base_index=0,
-                          coords=np.zeros(dim - 1, dtype=np.complex128))
+    E0, E1 = project(np.array([1.0, 0.0])), np.array([0.0, 1.0])
 
     def test_zero_length_is_identity(self):
-        start = self._origin()
-        v = np.array([1.0, 0.0])
-        path = integrate_geodesic(start, v, 0.0, 1e-2)
-        assert fs_distance(chart_to_ray(path.final), chart_to_ray(start)) < 1e-12
+        path = integrate_geodesic(self.E0, self.E1, 0.0, 1e-2)
+        assert fs_distance(path.final, self.E0) < 1e-12
 
     def test_speed_stays_unit(self):
-        start = ChartPoint(base_index=0, coords=np.array([0.2 - 0.1j]))
-        path = integrate_geodesic(start, np.array([0.7, -0.3]), 1.0, 1e-3)
+        start = project(np.array([1.0, 0.2 - 0.1j]))
+        path = integrate_geodesic(start, np.array([0.1, 0.7 - 0.3j]), 1.0, 1e-3)
         assert path.max_speed_drift < 1e-8
 
     def test_quarter_turn_reaches_orthogonal_ray(self):
-        start = self._origin()
-        path = integrate_geodesic(start, np.array([1.0, 0.0]), np.pi / 2.0, 1e-3)
-        end = chart_to_ray(path.final)
-        e1 = project(np.array([0.0, 1.0]))
-        assert fs_distance(end, e1) < 1e-8
+        path = integrate_geodesic(self.E0, self.E1, np.pi / 2.0, 1e-3)
+        assert fs_distance(path.final, project(self.E1)) < 1e-8
 
     def test_closed_geodesic_returns_home(self):
-        start = self._origin()
-        path = integrate_geodesic(start, np.array([1.0, 0.0]), np.pi, 1e-3)
-        assert fs_distance(chart_to_ray(path.final), chart_to_ray(start)) < 1e-7
+        path = integrate_geodesic(self.E0, self.E1, np.pi, 1e-3)
+        assert fs_distance(path.final, self.E0) < 1e-7
 
     def test_rechart_threshold_does_not_change_endpoint(self, monkeypatch):
-        start = ChartPoint(base_index=0, coords=np.array([0.1 + 0.05j]))
-        v = np.array([1.0, 0.2])
+        start = project(np.array([1.0, 0.1 + 0.05j]))
+        d = np.array([0.0, 1.0 + 0.2j])
         kw = dict(length=1.4, dt=1e-3)
-        eager = integrate_geodesic(start, v, **kw)
+        eager = integrate_geodesic(start, d, **kw)
         monkeypatch.setattr(geodesics, "RECHART_THRESHOLD", 10.0)
-        lazy = integrate_geodesic(start, v, **kw)
+        lazy = integrate_geodesic(start, d, **kw)
         # the paths switch charts at different steps, and end at the same ray
-        assert [p.base_index for _, p in eager.samples] != [p.base_index for _, p in lazy.samples]
-        assert fs_distance(chart_to_ray(eager.final),
-                           chart_to_ray(lazy.final)) < 1e-8
+        assert list(eager.bases) != list(lazy.bases)
+        assert fs_distance(eager.final, lazy.final) < 1e-8
+
+    def test_rows_are_homogeneous_with_one_in_the_base_slot(self, rng):
+        start = project(random_unit(rng, 4))
+        path = integrate_geodesic(start, random_unit(rng, 4), 2.0, 0.05)
+        n = path.arclengths.size
+        assert path.samples.shape == (n, 4) and path.velocities.shape == (n, 3)
+        assert np.all(path.samples[np.arange(n), path.bases] == 1.0)
+        assert path.arclengths[-1] == 2.0
+        assert np.max(np.abs(path.samples[0] - start.rep / start.rep[path.bases[0]])) < 1e-15
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_a_component_along_the_start_does_not_move_the_path(self, rng, dim):
+        start = project(random_unit(rng, dim))
+        d = random_unit(rng, dim)
+        plain = integrate_geodesic(start, d, 1.5, 0.05)
+        shifted = integrate_geodesic(start, d + (0.7 - 1.3j) * start.rep, 1.5, 0.05)
+        assert list(plain.bases) == list(shifted.bases)
+        assert np.array_equal(plain.arclengths, shifted.arclengths)
+        assert np.max(np.abs(plain.samples - shifted.samples)) <= 1e-14
+        assert np.max(np.abs(plain.velocities - shifted.velocities)) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_a_purely_vertical_direction_is_rejected(self, rng, dim):
+        start = project(random_unit(rng, dim))
+        with pytest.raises(ValueError, match="orthogonal to start"):
+            integrate_geodesic(start, (0.3 + 2.0j) * start.rep, 1.0, 0.05)
+
+    def test_a_direction_of_another_dimension_is_rejected(self):
+        with pytest.raises(ValueError, match="direction must have shape"):
+            integrate_geodesic(self.E0, np.array([0.0, 1.0, 0.0]), 1.0, 0.05)
 
 
 _BAD_STEPS = [0.0, -1e-3, math.nan, math.inf]
@@ -453,18 +479,18 @@ _GUARD = "need 0 < dt < inf and 0 <= length < inf"
 class TestEngineInputGuard:
     """Every public entry rejects a step or length the engine cannot march."""
 
-    origin = ChartPoint(base_index=0, coords=np.zeros(1, dtype=np.complex128))
+    origin = project(np.array([1.0, 0.0]))
     pair = (project(np.array([1.0, 0.2, 0.1])), project(np.array([0.3, 1.0, -0.4])))
 
     @pytest.mark.parametrize("dt", _BAD_STEPS)
     def test_integrate_geodesic_rejects_step(self, dt):
         with pytest.raises(ValueError, match=_GUARD):
-            integrate_geodesic(self.origin, np.array([1.0, 0.0]), 1.0, dt)
+            integrate_geodesic(self.origin, np.array([0.0, 1.0]), 1.0, dt)
 
     @pytest.mark.parametrize("length", [math.inf, math.nan, -1.0])
     def test_integrate_geodesic_rejects_length(self, length):
         with pytest.raises(ValueError, match=_GUARD):
-            integrate_geodesic(self.origin, np.array([1.0, 0.0]), length, 1e-3)
+            integrate_geodesic(self.origin, np.array([0.0, 1.0]), length, 1e-3)
 
     @pytest.mark.parametrize("dt", _BAD_STEPS)
     def test_pair_sweep_rejects_step(self, dt):
@@ -557,34 +583,30 @@ class TestTotalGeodesyCertificate:
             total_geodesy_certificate(a, b)
 
     @pytest.mark.parametrize("dim", [3, 4, 5])
-    def test_shot_starts_where_integrate_geodesic_would(self, rng, dim, monkeypatch):
-        """A shot marches the exact unit-speed row ``integrate_geodesic`` builds."""
-        starts = []
-        original = geodesics._march
+    def test_every_geodesic_is_launched_by_integrate_geodesic(self, rng, dim, monkeypatch):
+        """A certificate launches each of its ``iterations`` shots, and the pair
+        sweep its one path, through ``integrate_geodesic``."""
+        launches = []
+        original = geodesics.integrate_geodesic
 
-        def recording(*args):
-            starts.append(args)
-            return original(*args)
+        def recording(start, direction, length, dt):
+            launches.append(start)
+            return original(start, direction, length, dt)
 
-        monkeypatch.setattr(geodesics, "_march", recording)
+        monkeypatch.setattr(geodesics, "integrate_geodesic", recording)
         a, b = project(random_unit(rng, dim)), project(random_unit(rng, dim))
-        e0, e1, cos_d, sin_d, _ = geodesics._aligned_frame(a, b)
-        a_chart, chi = ray_to_chart(a), 0.3
-        geodesics._shoot(a_chart, e0, e1, cos_d, sin_d, chi, 1.2, 5e-3,
-                         SpannedSphere(rep0=e0, rep1=e1))
-        w = np.exp(1j * chi) * e1
-        k = a_chart.base_index
-        keep = np.arange(dim) != k
-        tdot = (w[keep] * e0[k] - e0[keep] * w[k]) / e0[k] ** 2
-        integrate_geodesic(a_chart, np.column_stack((tdot.real, tdot.imag)).ravel(), 1.2, 5e-3)
-        shot, path = starts
-        assert [np.asarray(x).tobytes() for x in shot] == [np.asarray(x).tobytes() for x in path]
+        cert = total_geodesy_certificate(a, b)
+        assert cert.converged
+        assert len(launches) == cert.iterations and all(s is a for s in launches)
+        launches.clear()
+        integrated_pair_distances([(a, b), (b, a)])
+        assert len(launches) == 1
 
     @staticmethod
     def _aims_of(monkeypatch, shot):
         aims = []
 
-        def recording(a_chart, e0, e1, cos_d, sin_d, chi, *args):
+        def recording(a, e1, cos_d, sin_d, chi, *args):
             aims.append(chi)
             return shot()
 

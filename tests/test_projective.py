@@ -395,7 +395,7 @@ def test_cross_checks_raise_under_optimize():
         interference._LINEARITY_TOL = -1.0
         wall = build_wall((2e-4, 64), (-5e-5, 5e-5), 2e-5)
         try:
-            propagate_to_screen(wall, plane_wave_input(wall), 5e-7, 1.0, n_screen=64)
+            propagate_to_screen(wall, plane_wave_input(wall), 5e-7, 1.0, 2.5e-2, 64)
             sys.exit("propagate_to_screen accepted disagreeing routes")
         except RuntimeError:
             pass
