@@ -51,6 +51,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -543,7 +544,9 @@ def _add_common(p: argparse.ArgumentParser):
                    help="multiply every tolerance (>= 1 loosens)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="projqm",
         description="Geometric quantum-state toolkit: verification suites and demos.",

@@ -136,9 +136,77 @@ class TestWriteCsvBytes:
         path = write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], rows)
         assert open(path, "rb").read() == expected.encode("utf-8")
 
+    @given(st.lists(st.floats(), min_size=1, max_size=60), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_any_float_matches_percent(self, values, ncol):
+        """NaN, infinities, signed zeros and subnormals included."""
+        rows = np.resize(np.array(values), (-(-len(values) // ncol), ncol))
+        with tempfile.TemporaryDirectory() as tmp:
+            _assert_percent_bytes(os.path.join(tmp, "t.csv"), ["h"] * ncol, rows)
+
+    def test_random_bit_patterns_match_percent(self, tmp_path):
+        bits = np.random.default_rng(20261019).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        _assert_percent_bytes(str(tmp_path / "t.csv"), list("abcde"),
+                              bits.view(np.float64).reshape(-1, 5))
+
+    @pytest.mark.parametrize("ncol", [1, 3])
+    def test_edge_values_match_percent(self, tmp_path, ncol):
+        values = _edge_values()
+        _assert_percent_bytes(str(tmp_path / "t.csv"), ["v"] * ncol,
+                              np.resize(values, (len(values) // ncol, ncol)))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (1, 4), (1, 1), (5, 1)])
+    def test_small_tables_match_percent(self, tmp_path, shape):
+        rows = np.random.default_rng(1).standard_normal(shape) * 1e-5
+        _assert_percent_bytes(str(tmp_path / "t.csv"), ["h"] * shape[1], rows)
+
+    @pytest.mark.parametrize("fill", ["nan", "zero", "subnormal"])
+    def test_uniform_tables_match_percent(self, tmp_path, fill):
+        """A block of specials is formatted without the digit arithmetic; a
+        block of mostly out-of-range values goes to ``%`` whole."""
+        rows = {"nan": np.full((4096, 5), np.nan), "zero": np.zeros((4096, 5)),
+                "subnormal": np.random.default_rng(2).random((4096, 5)) * 2.2e-308}[fill]
+        _assert_percent_bytes(str(tmp_path / "t.csv"), list("abcde"), rows)
+
     def test_rows_must_match_the_header(self, tmp_path):
         with pytest.raises(ValueError, match="rows of 2 values"):
             write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[1.0, 2.0, 3.0]])
+
+
+def _percent_bytes(header, rows):
+    """The oracle for the checks below: one ``'%.17g' % v`` per value."""
+    lines = [",".join(header)]
+    lines += [",".join("%.17g" % v for v in row) for row in np.asarray(rows, dtype=np.float64).tolist()]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _assert_percent_bytes(path, header, rows):
+    write_csv(path, header, rows)
+    with open(path, "rb") as fh:
+        assert fh.read() == _percent_bytes(header, rows)
+
+
+def _edge_values():
+    """Values where the vector formatter changes course."""
+    values = []
+    for k in range(-7, 20):  # every layout boundary of %g, and its neighbours
+        p = float(f"1e{k}")
+        values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    for cut in (1e-280, 1e280):  # the ends of the range formatted without ``%``
+        values += [cut, np.nextafter(cut, 0.0), np.nextafter(cut, np.inf)]
+    # 17-digit rounding carries into the next decade: the doubles nearest
+    # 1e-14, 1e-70, 1e98, 1e129 and 1e-305 all lie just below it
+    values += [9.99999999999999999e22, np.nextafter(1e17, 0.0), 99999999999999999.0,
+               1e-14, 1e-70, 1e98, 1e129, 1e-305]
+    # exact ties at the 17th digit: 18 - j integer digits and j binary
+    # fraction digits give 18 significant digits, the last a 5
+    for j in range(2, 13):
+        for r in (1, 3, 2**j - 1):
+            values += [10.0**(17 - j) + 7 + r / 2**j, 10.0**(17 - j) + 8 + r / 2**j]
+    values += [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               np.inf, np.nan]
+    values = np.array(values)
+    return np.concatenate([values, -values])
 
 
 class TestCliExitCodes:
@@ -197,6 +265,28 @@ class TestCliExitCodes:
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "unknown operator" in err
+
+    def test_parser_is_reused_across_calls(self, tmp_path, capsys):
+        """``main`` parses with one parser per process: a usage error leaves
+        it unchanged, and later runs write the bytes of a fresh process."""
+        run = ["evolve", "--hamiltonian", "sigma_z", "--start", "plus",
+               "--t-end", "0.05", "--track", "sigma_x", "--out"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--dt", "nan",
+                  "--out", str(tmp_path / "bad")])
+        assert exit_info.value.code == 2
+        for name in ("first", "second"):
+            assert main(run + [str(tmp_path / name)]) == 0
+        src = os.path.dirname(os.path.dirname(os.path.abspath(projqm.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        subprocess.run([sys.executable, "-m", "projqm.cli", *run, str(tmp_path / "fresh")],
+                       env=env, capture_output=True, timeout=120, check=True)
+        for name in ("trajectory.csv", "evolve.json"):
+            fresh = (tmp_path / "fresh" / name).read_bytes()
+            assert (tmp_path / "first" / name).read_bytes() == fresh
+            assert (tmp_path / "second" / name).read_bytes() == fresh
+        capsys.readouterr()
 
     def test_config_errors_carry_line_numbers(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"
@@ -436,6 +526,19 @@ def test_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_import_loads_no_exact_arithmetic_and_builds_no_csv_table():
+    """The CSV formatter's exact tables come from plain ints, at first use."""
+    script = ("import sys, projqm.cli, projqm.report; "
+              "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules), "
+              "projqm.report._tables.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(projqm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[] 0"
 
 
 @pytest.mark.parametrize("dt", ["0", "nan", "-1", "0.5"])
