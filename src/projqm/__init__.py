@@ -36,85 +36,12 @@ cli / report
 
 __version__ = "0.1.0"
 
-from .hilbert import (
-    LinearDependenceError,
-    as_hermitian,
-    as_state,
-    commutator_expectation,
-    evolve_exact,
-    expectation,
-    gram_schmidt,
-    lowering_operator,
-    momentum_operator,
-    position_operator,
-    sigma_x,
-    sigma_y,
-    sigma_z,
-    symmetrized_covariance,
-    variance,
-)
-from .projective import (
-    Ray,
-    RiemannCoordinate,
-    SpannedSphere,
-    fs_distance,
-    nonlinear_superpose,
-    project,
-    rays_close,
-    riemann_coordinate,
-    sphere_area,
-    sphere_membership,
-    transition_probability,
-)
-from .kahler import (
-    KahlerScale,
-    TangentVector,
-    UncertaintyAudit,
-    commutator_closure_residual,
-    derive_observable_scale_factor,
-    flow_transport,
-    hamiltonian_vector_field,
-    horizontal_project,
-    killing_residual,
-    metric_eval,
-    poisson_bracket,
-    random_horizontal,
-    riemannian_product,
-    symplectic_eval,
-    uncertainty_audit,
-)
-from .dynamics import (
-    Trajectory,
-    expectation_rate,
-    flow_integrate,
-    flow_vs_exact_deviation,
-    trajectory_rows,
-)
-from .geodesics import (
-    ChartPoint,
-    GeodesicPath,
-    TotalGeodesyCertificate,
-    integrate_geodesic,
-    integrated_pair_distances,
-    lie_derivative_normal,
-    ray_to_chart,
-    total_geodesy_certificate,
-)
-from .interference import (
-    InterferencePattern,
-    SlitWall,
-    TwoSlitConfig,
-    build_wall,
-    fringe_spacing,
-    gaussian_input,
-    noncommuting_control,
-    pattern_rows,
-    phase_invariance_check,
-    plane_wave_input,
-    projector_poisson_check,
-    propagate_to_screen,
-    slit_states,
-)
-from .report import Report, ReportEntry, digest_inputs, write_csv
+from .hilbert import *
+from .projective import *
+from .kahler import *
+from .dynamics import *
+from .geodesics import *
+from .interference import *
+from .report import *
 
 __all__ = [name for name in dir() if not name.startswith("_")]

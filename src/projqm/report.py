@@ -16,7 +16,6 @@ import functools
 import hashlib
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,10 +137,11 @@ class Report:
 # |x| hi exactly into p + e, and since p >= 2**53 is an integer,
 # D = p + round(e + |x| lo), with the neglected terms below 1e-14 of a unit.
 # A value whose residual lies within 1e-6 of a half (exact ties included) is
-# left to CPython's ``%``, and so is every nonzero finite |x| outside that
-# range (subnormals included): the vector code never has to break a tie.  Each
-# value's bytes are then gathered from a per-block table of characters, one
-# row per character, by the index row of the value's layout code.
+# left to CPython's ``%``, and so is every nonzero |x| outside that range
+# (subnormals, infinities and NaN included): the vector code never has to
+# break a tie.  Each value's bytes are then gathered from a per-block table of
+# characters, one row per character, by the index row of the value's layout
+# code.
 
 _BLOCK_VALUES = 4096  # values per block of vector arithmetic
 _CHUNK_VALUES = 1024  # values per byte gather, which keeps its indices in L2
@@ -152,31 +152,25 @@ _OFFSET = 300  # decimal exponent e sits in column e + _OFFSET of the tables
 # Character-table rows: the 17 digits, the exponent's sign and three digits,
 # the separator that follows the value, then constant characters.
 _ESIGN, _E100, _E10, _E1, _SEP = 17, 18, 19, 20, 21
-_CONST = b"-0.enaif%17g\0"
-_MINUS, _ZERO, _DOT, _E, _N, _A, _I, _F, _PCT, _ONE, _SEVEN, _G, _PAD = range(
-    22, 22 + len(_CONST))
+_CONST = b"-0.e%17g\0"
+_MINUS, _ZERO, _DOT, _E, _PCT, _ONE, _SEVEN, _G, _PAD = range(22, 22 + len(_CONST))
 _WIDTH = 25  # the longest value, "-d.dddddddddddddddde-ddd", and its separator
 
 # Layout codes.  A value formatted here has code (layout * 17 + nd - 1) * 2 +
 # sign: nd counts its digits up to the last nonzero one, and layout is X + 4
 # where %g prints it positionally (-4 <= X <= 16), 21 where it prints a
-# two-digit exponent and 22 for a three-digit one.  The rest follow.
-_NAN = 23 * 17 * 2
-_INF, _ZEROVAL, _HOLE = _NAN + 1, _NAN + 3, _NAN + 5
-# Value classes, by np.searchsorted over _EDGES: 0 zero, 1 and 3 outside the
-# range formatted here, 2 inside it, 4 infinite, 5 NaN.
-_EDGES = (0.0, 1e-280, math.nextafter(1e280, 0.0), sys.float_info.max, math.inf)
-_CLASS_CODE = (_ZEROVAL, _HOLE, 0, _HOLE, _INF, _NAN)
-_CLASS_SIGNED = (1, 0, 0, 0, 1, 0)
+# two-digit exponent and 22 for a three-digit one.  Zero is _ZEROVAL + sign,
+# and _HOLE, a ``%.17g`` for ``%`` to fill, serves the rest.
+_ZEROVAL = 23 * 17 * 2
+_HOLE = _ZEROVAL + 2
 
 
 def _layout(code: int) -> list[int]:
     """Character-table rows, in print order, of a value with this code."""
-    if code >= _NAN:
-        sign = (code - _INF) % 2 if _INF <= code < _HOLE else 0
-        body = {_NAN: [_N, _A, _N], _INF: [_I, _N, _F], _ZEROVAL: [_ZERO],
-                _HOLE: [_PCT, _DOT, _ONE, _SEVEN, _G]}[code - sign]
-        return [_MINUS] * sign + body + [_SEP]
+    if code == _HOLE:
+        return [_PCT, _DOT, _ONE, _SEVEN, _G, _SEP]
+    if code >= _ZEROVAL:
+        return [_MINUS] * (code & 1) + [_ZERO, _SEP]
     layout, nd = divmod(code >> 1, 17)
     nd += 1
     if layout < 4:  # 0.000ddd, X = layout - 4
@@ -271,24 +265,16 @@ class _BlockFormatter:
     def format(self, block: np.ndarray) -> bytes:
         """The CSV bytes of a block of whole rows."""
         v = block.ravel()
-        n = v.size
         a = np.abs(v)
         sign = np.signbit(v)
         rest = np.flatnonzero(~((a > 1e-280) & (a < 1e280)))
-        if rest.size == 0:
-            code = self._digits(a, sign)
-        else:
-            cls = np.searchsorted(_EDGES, a[rest])
-            if 2 * np.count_nonzero((cls == 1) | (cls == 3)) > n:
-                # mostly left to ``%``: all of it is
-                return (self.row_fmt * len(block)) % tuple(v.tolist())
-            special = np.take(_CLASS_CODE, cls) + sign[rest] * np.take(_CLASS_SIGNED, cls)
-            if rest.size == n:
-                code = special
-            else:
-                a[rest] = 1.0
-                code = self._digits(a, sign)
-                code[rest] = special
+        zero = a[rest] == 0.0
+        if 2 * (rest.size - np.count_nonzero(zero)) > v.size:
+            # mostly left to ``%``: all of it is
+            return (self.row_fmt * len(block)) % tuple(v.tolist())
+        a[rest] = 1.0
+        code = self._digits(a, sign)
+        code[rest] = np.where(zero, _ZEROVAL + sign[rest], _HOLE)
         text = self._gather(code)
         hole = code == _HOLE
         if hole.any():
@@ -373,10 +359,11 @@ def write_csv(path: str, header: list[str], rows) -> str:
     read back as the same binary64 value.  The table is formatted and written
     in blocks of about 4096 values.  In each block numpy computes the 17
     digits exactly for every finite 1e-280 < |x| < 1e280 and lays out those
-    values, zeros, infinities and NaN; one ``%`` over the block's list of
-    the rest formats them: subnormals and other |x| outside that range, and
-    values within 1e-6 of a tie at the 17th digit.  A block where those are
-    the majority goes to ``%`` whole.
+    values and the zeros; one ``%`` over the block's list of the rest
+    formats them: NaN, infinities, subnormals and other |x| outside that
+    range, and values within 1e-6 of a tie at the 17th digit.  A block where
+    the values outside that range, zeros aside, are the majority goes to
+    ``%`` whole.
     """
     table = np.asarray(rows, dtype=np.float64)
     if table.shape == (0,):

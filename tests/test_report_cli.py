@@ -1,8 +1,10 @@
 """Tests for report serialization and the command-line entry points."""
 
+import dataclasses
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -13,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projqm
-from projqm.cli import main
+from projqm.cli import main, parse_two_slit_config
+from projqm.interference import TwoSlitConfig
 from projqm.report import Report, ReportEntry, digest_inputs, write_csv
 
 
@@ -76,8 +79,7 @@ def test_write_csv_reads_back_bit_exact(rows):
     reads back from the CSV as the same binary64 bits."""
     with tempfile.TemporaryDirectory() as tmp:
         path = write_csv(os.path.join(tmp, "t.csv"), ["a", "b", "c"], rows)
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "a,b,c"
     back = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     assert np.array_equal(back.reshape(len(rows), 3).view(np.uint64),
@@ -87,7 +89,7 @@ def test_write_csv_reads_back_bit_exact(rows):
 def test_write_csv_roundtrip(tmp_path):
     path = write_csv(str(tmp_path / "t.csv"), ["a", "b"],
                      [[1.0, 0.5], [2.0, 1.0 / 3.0]])
-    lines = open(path).read().splitlines()
+    lines = pathlib.Path(path).read_text().splitlines()
     assert lines[0] == "a,b"
     assert float(lines[2].split(",")[1]) == 1.0 / 3.0
 
@@ -110,12 +112,12 @@ class TestWriteCsvBytes:
         header = ["a", "b", "c", "d"]
         rows = np.array(self.AWKWARD) if as_array else self.AWKWARD
         path = write_csv(str(tmp_path / "t.csv"), header, rows)
-        assert open(path, "rb").read() == self._expected(header, self.AWKWARD)
+        assert pathlib.Path(path).read_bytes() == self._expected(header, self.AWKWARD)
 
     @pytest.mark.parametrize("rows", [[], np.empty((0, 3))])
     def test_zero_rows_give_the_header_line_only(self, tmp_path, rows):
         path = write_csv(str(tmp_path / "t.csv"), ["x", "y", "z"], rows)
-        assert open(path, "rb").read() == b"x,y,z\n"
+        assert pathlib.Path(path).read_bytes() == b"x,y,z\n"
 
     def test_one_row_trajectory(self, tmp_path):
         traj = projqm.flow_integrate(projqm.sigma_z(), [0.6, 0.8j], 0.0, 1e-3,
@@ -123,7 +125,7 @@ class TestWriteCsvBytes:
         header, rows = projqm.trajectory_rows(traj)
         assert rows.shape == (1, len(header))
         path = write_csv(str(tmp_path / "t.csv"), header, rows)
-        assert open(path, "rb").read() == self._expected(header, rows.tolist())
+        assert pathlib.Path(path).read_bytes() == self._expected(header, rows.tolist())
 
     @pytest.mark.parametrize("n_rows", [0, 1, 3, 2000])
     def test_one_format_operation_matches_per_row_formatting(self, tmp_path, n_rows):
@@ -134,7 +136,7 @@ class TestWriteCsvBytes:
         fmt = ",".join(["%.17g"] * 3)
         expected = "\n".join(["a,b,c"] + [fmt % tuple(row) for row in rows.tolist()]) + "\n"
         path = write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], rows)
-        assert open(path, "rb").read() == expected.encode("utf-8")
+        assert pathlib.Path(path).read_bytes() == expected.encode("utf-8")
 
     @given(st.lists(st.floats(), min_size=1, max_size=60), st.integers(1, 4))
     @settings(max_examples=300, deadline=None)
@@ -160,12 +162,17 @@ class TestWriteCsvBytes:
         rows = np.random.default_rng(1).standard_normal(shape) * 1e-5
         _assert_percent_bytes(str(tmp_path / "t.csv"), ["h"] * shape[1], rows)
 
-    @pytest.mark.parametrize("fill", ["nan", "zero", "subnormal"])
+    @pytest.mark.parametrize("fill", ["nan", "inf", "zero", "subnormal", "special_column"])
     def test_uniform_tables_match_percent(self, tmp_path, fill):
-        """A block of specials is formatted without the digit arithmetic; a
-        block of mostly out-of-range values goes to ``%`` whole."""
-        rows = {"nan": np.full((4096, 5), np.nan), "zero": np.zeros((4096, 5)),
-                "subnormal": np.random.default_rng(2).random((4096, 5)) * 2.2e-308}[fill]
+        """A block where NaN, infinities and other values outside 1e-280 ...
+        1e280 are the majority goes to ``%`` whole; a minority of them are
+        holes that ``%`` fills, and zeros are laid out in the block."""
+        mixed = np.random.default_rng(3).standard_normal((4096, 5))
+        mixed[:, -1] = np.resize([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e300], 4096)
+        rows = {"nan": np.full((4096, 5), np.nan), "inf": np.full((4096, 5), np.inf),
+                "zero": np.zeros((4096, 5)),
+                "subnormal": np.random.default_rng(2).random((4096, 5)) * 2.2e-308,
+                "special_column": mixed}[fill]
         _assert_percent_bytes(str(tmp_path / "t.csv"), list("abcde"), rows)
 
     def test_rows_must_match_the_header(self, tmp_path):
@@ -181,9 +188,7 @@ def _percent_bytes(header, rows):
 
 
 def _assert_percent_bytes(path, header, rows):
-    write_csv(path, header, rows)
-    with open(path, "rb") as fh:
-        assert fh.read() == _percent_bytes(header, rows)
+    assert pathlib.Path(write_csv(path, header, rows)).read_bytes() == _percent_bytes(header, rows)
 
 
 def _edge_values():
@@ -304,6 +309,26 @@ class TestCliExitCodes:
         assert "Hermitian" in capsys.readouterr().err
 
 
+def test_config_sets_every_field(tmp_path):
+    """A config that sets every key parses to the ``TwoSlitConfig`` with
+    those values; the key ``input`` sets ``input_profile``."""
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("wavelength = 6e-7\ndistance = 2.0\nslit_centers = -1e-4, 0, 1e-4\n"
+                   "slit_width = 1e-5\nwall_halfwidth = 3e-4\nn_wall = 1024\n"
+                   "screen_halfwidth = 3e-2\nn_screen = 512\ninput = gaussian\n"
+                   "waist = 4e-5\n")
+    want = TwoSlitConfig(wavelength=6e-7, distance=2.0, slit_centers=(-1e-4, 0.0, 1e-4),
+                         slit_width=1e-5, wall_halfwidth=3e-4, n_wall=1024,
+                         screen_halfwidth=3e-2, n_screen=512, input_profile="gaussian",
+                         waist=4e-5)
+    default = TwoSlitConfig()
+    names = [f.name for f in dataclasses.fields(TwoSlitConfig)]
+    assert all(getattr(want, name) != getattr(default, name) for name in names)
+    got = parse_two_slit_config(str(cfg))
+    assert got == want
+    assert type(got.n_wall) is int and type(got.n_screen) is int
+
+
 def _write_inputs(tmp_path):
     (tmp_path / "zero.json").write_text("[[0,0],[0,0]]")
     (tmp_path / "ragged.json").write_text("[[1,0],[0]]")
@@ -408,23 +433,38 @@ def test_one_wrote_line_names_every_output(tmp_path, capsys, argv):
     assert named[-1] == str(out / f"{argv[0]}.json")
 
 
-@pytest.mark.parametrize("dt, seed", [pytest.param(dt, "0", id=dt) for dt in ("0.1", "0.2", "0.5")]
-                         + [pytest.param("0.5", "6", id="0.5-seed6")])
+@pytest.mark.parametrize("dt, seed", [("0.1", "0"), ("0.2", "0"), ("0.2", "6")],
+                         ids=["0.1", "0.2", "0.2-seed6"])
 def test_geodesic_coarse_dt_passes(tmp_path, dt, seed):
-    """``--dt`` is the one engine step: up to 0.1 the standard tolerances hold,
-    and above it the degraded ones, for the sweep and the certificates.  At
-    seed 6 a dim-3 pair is 0.16 apart, so its certificate shots (0.31 long)
-    are shorter than a step of 0.5."""
+    """``--dt`` is the one engine step, for the sweep and the certificates;
+    up to 0.2 it meets the tolerances every step is graded at."""
     assert main(["geodesic-verify", "--seed", seed, "--dt", dt, "--out", str(tmp_path)]) == 0
 
 
-def test_geodesic_dt_up_to_one_records_degraded_tolerances(tmp_path, capsys):
-    code = main(["geodesic-verify", "--ambient-dims", "3", "--pairs", "1",
-                 "--certificates", "1", "--dt", "1", "--out", str(tmp_path)])
-    assert code in (0, 1)
-    assert "degraded tolerances" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [["--seed", "0", "--dt", "0.5"],
+                                  ["--seed", "6", "--dt", "0.5"],
+                                  ["--ambient-dims", "3", "--pairs", "1", "--certificates", "1",
+                                   "--dt", "1"]],
+                         ids=["0.5", "0.5-seed6", "1"])
+def test_geodesic_too_coarse_dt_fails_the_strict_checks(tmp_path, capsys, argv):
+    """A step too coarse for the tolerances fails the integrated distance and
+    the certificate's length, graded as at any step, with finite residuals
+    and nothing on stderr.  At seed 6 a dim-3 pair is 0.16 apart, so its
+    certificate shots (0.31 long) are shorter than a step of 0.5, and they
+    still arrive."""
+    assert main(["geodesic-verify", *argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == ""
     data = json.loads((tmp_path / "geodesic-verify.json").read_text())
-    assert data["metadata"]["dt_degraded"] is True
+    assert sorted(data["metadata"]) == ["ambient_dims", "dt", "pairs", "seed",
+                                        "tolerance_scale", "version"]
+    entries = data["entries"]
+    assert {e["check_name"] for e in entries if not e["pass"]} == {
+        "certificate_length_match", "integrated_distance_vs_overlap"}
+    assert all(math.isfinite(e["residual"]) for e in entries)
+    tolerances = {e["check_name"]: e["tolerance"] for e in entries}
+    assert tolerances["integrated_distance_vs_overlap"] == 1e-8
+    assert tolerances["certificate_length_match"] == 1e-6
+    assert tolerances["certificate_arrival"] == 1e-8
 
 
 class TestCliOutputs:
