@@ -9,8 +9,8 @@ integrated path matches the closed-form precession at a few checkpoints.
 
 As with the CLI, bad input exits 2 with an ``error:`` line and no
 traceback: ``--dt`` must be finite and positive, ``--turns`` finite and
-nonnegative, and a ``--dt`` too large for the flow's norm-drift check is
-reported the same way.
+nonnegative, and a step count ``t_end / dt`` that overflows or a ``--dt``
+too large for the flow's norm-drift check is reported the same way.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def main() -> int:
                               track=[("bloch_x", sigma_x()),
                                      ("bloch_y", sigma_y()),
                                      ("bloch_z", sigma_z())])
-    except (ValueError, RuntimeError) as exc:  # t_end overflows; norm drift (--dt too large)
+    except (ValueError, RuntimeError) as exc:  # t_end / dt overflows; norm drift (--dt too large)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

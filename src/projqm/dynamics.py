@@ -48,8 +48,8 @@ class Trajectory:
     ``times`` (N,) is the time grid, ``reps`` a read-only (N, d) array whose
     row k is the gauge-fixed representative at ``times[k]``, and
     ``observables_tracked`` a list of ``(label, values)`` with one value per
-    sample.  :attr:`points` and :attr:`final` build validated :class:`Ray`
-    objects on demand.
+    sample.  :attr:`final` builds the last sample's validated :class:`Ray`
+    on demand.
     """
 
     times: np.ndarray
@@ -65,10 +65,6 @@ class Trajectory:
         for label, vals in self.observables_tracked:
             if vals.shape[0] != self.times.shape[0]:
                 raise ValueError(f"tracked observable {label!r} has wrong length")
-
-    @property
-    def points(self) -> list[Ray]:
-        return [Ray(rep=rep) for rep in self.reps]
 
     @property
     def final(self) -> Ray:
@@ -107,19 +103,6 @@ def _rk4_polar(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.arctan2(y - y * y2 / 6.0, 1.0 - y2 / 2.0 + y2 * y2 / 24.0))
 
 
-def _step_drift(E: np.ndarray, b: np.ndarray, h: float) -> float:
-    """Norm drift of one RK4 step of the flow from the unit eigen-coefficients
-    ``b`` of energies ``E``, each stage centred on its own ``<H>``."""
-    def generator(v):
-        w = np.abs(v) ** 2
-        return -1j * (E - np.dot(E, w) / np.sum(w)) * v
-    k1 = generator(b)
-    k2 = generator(b + 0.5 * h * k1)
-    k3 = generator(b + 0.5 * h * k2)
-    k4 = generator(b + h * k3)
-    return abs(float(np.linalg.norm(b + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))) - 1.0)
-
-
 def _rk4_samples(H: np.ndarray, psi0: np.ndarray, times: np.ndarray, t_end: float,
                  dt: float) -> np.ndarray:
     """Unit samples at ``times[1:]`` of RK4 steps of the flow from ``psi0``, as
@@ -137,14 +120,13 @@ def _rk4_samples(H: np.ndarray, psi0: np.ndarray, times: np.ndarray, t_end: floa
     moves the norm, not where its power overflows.  An eigen-coefficient that
     is exactly zero stays zero, and its ``R`` is never evaluated.
 
-    The check compares each sample's norm with the one before, which is the
-    drift of one step.  The step that fails it is taken again from the last
-    accepted sample with every stage centred on its own ``<H>``, the
-    generator ``-i (H - <H>)`` itself, and that step's drift is reported.
-    The two drifts part once a component has grown off the level set (under
-    H = diag(1e5, 0) at dt 1e-3, from weight 3e-14: 0.2337 and 0.2333), and
-    near the 1e-8 threshold they agree to about nine digits, so both flag
-    the same step.
+    The check compares each sample's norm with the one before, the drift of
+    one step of the map the samples are built with, and reports the first
+    step that fails with that drift.  A loop of RK4 steps of the nonlinear
+    generator ``-i (H - <H>)`` flags the same step: near the 1e-8 threshold
+    the two drifts agree to about nine digits.  They part once a component
+    has grown off the level set (under H = diag(1e5, 0) at dt 1e-3, from
+    weight 3e-14: 0.2337 here, 0.2333 for the loop).
     """
     evals, vecs = np.linalg.eigh(H)
     a = vecs.conj().T @ psi0
@@ -167,9 +149,7 @@ def _rk4_samples(H: np.ndarray, psi0: np.ndarray, times: np.ndarray, t_end: floa
     bad = np.flatnonzero(~(drift <= 1e-8))  # NaN included
     if bad.size:
         k = int(bad[0])
-        last = np.exp(logs[k] - log_norms[k] + 1j * args[k])
-        step_drift = _step_drift(E, last, h if k + 2 == times.size else dt)
-        raise RuntimeError(f"norm drift {step_drift:.3e} in one step at "
+        raise RuntimeError(f"norm drift {drift[k]:.3e} in one step at "
                            f"t={times[k + 1]:.6g}; reduce dt")
     return np.exp(logs[1:] - log_norms[1:, None] + 1j * args[1:]) @ V.T
 
@@ -211,8 +191,8 @@ def flow_integrate(hamiltonian, start, t_end: float, dt: float,
     ------
     ValueError
         For a non-Hermitian or mis-sized operator, a zero or non-finite
-        start state, or ``dt``/``t_end`` that are not finite and positive
-        (nonnegative for ``t_end``).
+        start state, ``dt``/``t_end`` that are not finite and positive
+        (nonnegative for ``t_end``), or an overflowing ``t_end / dt``.
     RuntimeError
         If the representative's norm drifts by more than 1e-8 in a single
         step (or becomes NaN), which signals a step too large for the
@@ -230,6 +210,8 @@ def flow_integrate(hamiltonian, start, t_end: float, dt: float,
         raise ValueError("dt must be finite and positive")
     if not (0.0 <= t_end < math.inf):
         raise ValueError("t_end must be finite and nonnegative")
+    if not float(t_end) / float(dt) < math.inf:
+        raise ValueError(f"t_end / dt = {t_end:g} / {dt:g} is not finite: too many steps")
     tracked = []
     for label, op in track or ():
         F = as_hermitian(op, name=f"track[{label}]")

@@ -512,10 +512,8 @@ class TotalGeodesyCertificate:
     geodesics integrated.
     """
 
-    ambient_dim: int
     aim_angle: float
     target_length: float
-    integrated_length: float
     length_match: float
     max_offslice_residual: float
     arrival_miss: float
@@ -648,8 +646,7 @@ def total_geodesy_certificate(a: Ray, b: Ray, dt: float = 0.05) -> TotalGeodesyC
     certificate reads the shot Brent already made at its root; no aim
     angle is integrated twice.
 
-    The rays must share one dimension, which the certificate records as
-    ``ambient_dim``; rays of different dimensions raise ``ValueError``.
+    Rays of different dimensions raise ``ValueError``.
     """
     e0, e1, cos_d, sin_d, degenerate = _aligned_frame(a, b)
     target = math.atan2(sin_d, cos_d)
@@ -682,10 +679,8 @@ def total_geodesy_certificate(a: Ray, b: Ray, dt: float = 0.05) -> TotalGeodesyC
     _, miss, s_star, member_max = shoot(chi_star)
     evals = len(shots)
     return TotalGeodesyCertificate(
-        ambient_dim=a.dim,
         aim_angle=float(chi_star),
         target_length=target,
-        integrated_length=s_star,
         length_match=abs(s_star - target),
         max_offslice_residual=member_max,
         arrival_miss=miss,

@@ -147,12 +147,25 @@ def plane_wave_input(wall: SlitWall) -> np.ndarray:
     return np.full(wall.dim, 1.0 / math.sqrt(wall.dim), dtype=np.complex128)
 
 
-def gaussian_input(wall: SlitWall, waist: float, center: float = 0.0) -> np.ndarray:
-    """Unit-norm Gaussian beam ``exp(-(y - center)^2 / waist^2)`` on the grid."""
-    if waist <= 0.0:
-        raise ValueError("waist must be positive")
-    psi = np.exp(-((wall.grid - center) ** 2) / waist**2).astype(np.complex128)
-    return psi / np.linalg.norm(psi)
+def gaussian_input(wall: SlitWall, waist: float) -> np.ndarray:
+    """Unit-norm Gaussian beam ``exp(-y^2 / waist^2)`` on the grid.
+
+    ``ValueError`` names a waist that is not positive, whose square over- or
+    underflows, or that samples to zero on every cell (one far narrower than
+    the cells)."""
+    try:
+        w2 = waist**2
+    except OverflowError:
+        w2 = math.inf
+    if not (waist > 0.0 and 0.0 < w2 < math.inf):
+        raise ValueError(f"waist must be positive with a finite nonzero square, got {waist!r}")
+    with np.errstate(over="ignore"):  # cells far outside a tiny waist: exp(-inf) = 0
+        psi = np.exp(-(wall.grid**2) / w2).astype(np.complex128)
+    norm = np.linalg.norm(psi)
+    if norm == 0.0:
+        raise ValueError(f"waist {waist!r} samples to zero on every wall cell "
+                         f"(cell width {wall.dy:.3g}); widen it")
+    return psi / norm
 
 
 def slit_states(wall: SlitWall) -> list[np.ndarray]:
@@ -235,12 +248,6 @@ class InterferencePattern:
         """Squared norm collected by the (finite) screen: at most the norm
         the wall passed, which is itself at most one."""
         return float(np.sum(self.total_intensity))
-
-    @property
-    def normalized_intensity(self) -> np.ndarray:
-        """Intensity scaled to unit screen probability - the form invariant
-        under rescaling of the input state."""
-        return self.total_intensity / self.total_screen_probability
 
 
 #: Largest disagreement, relative to the peak amplitude floored at 1, between

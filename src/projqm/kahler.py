@@ -225,16 +225,16 @@ def flow_transport(op, x: TangentVector, t: float) -> TangentVector:
     return TangentVector(base=new_base, vec=vec)
 
 
-def killing_residual(op, at: Ray, rng=None) -> float:
+def killing_residual(op, at: Ray, rng) -> float:
     """Finite-difference Lie derivative of the metric along a Hamiltonian flow.
 
-    Transports a random pair of horizontal vectors (drawn from ``rng``) with
-    :func:`flow_transport` to parameter ``+/- eps``, ``eps = 1e-3``, along
-    the flow of ``X_F`` and central-differences the statistical metric
-    pairings.  The flow is an isometry, so the residual is roundoff-level,
-    O(eps^2) at worst; the tests pair it with a deliberately wrong transport
-    whose residual sits at the curvature scale, to show the check is not
-    vacuous.
+    Transports a random pair of horizontal vectors, drawn from ``rng`` (a
+    seed or a ``numpy.random.Generator``), with :func:`flow_transport` to
+    parameter ``+/- eps``, ``eps = 1e-3``, along the flow of ``X_F`` and
+    central-differences the statistical metric pairings.  The flow is an
+    isometry, so the residual is roundoff-level, O(eps^2) at worst; the
+    tests pair it with a deliberately wrong transport whose residual sits at
+    the curvature scale, to show the check is not vacuous.
 
     Returns the largest |difference| / (2 eps) over the pairings (X,X),
     (X,Y), (Y,Y).

@@ -239,10 +239,6 @@ class RiemannCoordinate:
     def from_z(cls, z: complex) -> "RiemannCoordinate":
         return cls.from_pair(1.0, complex(z))
 
-    @classmethod
-    def infinity(cls) -> "RiemannCoordinate":
-        return cls(w0=0.0, w1=1.0)
-
     @property
     def is_infinity(self) -> bool:
         return abs(self.w0) == 0.0
@@ -254,12 +250,6 @@ class RiemannCoordinate:
             raise ZeroDivisionError("coordinate is the point at infinity")
         return self.w1 / self.w0
 
-    def chordal_distance(self, other: "RiemannCoordinate") -> float:
-        """Scale-free distance ``|w0 w1' - w1 w0'| / (|w| |w'|)`` in [0, 1]."""
-        num = abs(self.w0 * other.w1 - self.w1 * other.w0)
-        den = math.hypot(abs(self.w0), abs(self.w1)) * math.hypot(abs(other.w0), abs(other.w1))
-        return num / den
-
 
 @dataclass(frozen=True, eq=False)
 class SpannedSphere:
@@ -269,8 +259,7 @@ class SpannedSphere:
     rays: rephasing a representative relabels the sphere's coordinate (the
     coordinate of a fixed point transforms as ``z -> e^{-i lam} z`` when
     ``rep1`` picks up ``e^{i lam}``), so the representatives must be pinned
-    down for the chart to be well defined.  Ray views of the two poles are
-    available via :attr:`basis0` / :attr:`basis1`.
+    down for the chart to be well defined.
     """
 
     rep0: np.ndarray
@@ -299,20 +288,9 @@ class SpannedSphere:
     def dim(self) -> int:
         return self.rep0.shape[0]
 
-    @property
-    def basis0(self) -> Ray:
-        return project(self.rep0)
-
-    @property
-    def basis1(self) -> Ray:
-        return project(self.rep1)
-
-    def rephased(self, lam0: float = 0.0, lam1: float = 0.0) -> "SpannedSphere":
-        """Same sphere with representatives rotated by ``e^{i lam}`` factors."""
-        return SpannedSphere(
-            rep0=self.rep0 * np.exp(1j * lam0),
-            rep1=self.rep1 * np.exp(1j * lam1),
-        )
+    def rephased(self, lam1: float) -> "SpannedSphere":
+        """Same sphere with ``rep1`` rotated by ``e^{i lam1}``."""
+        return SpannedSphere(rep0=self.rep0, rep1=self.rep1 * np.exp(1j * lam1))
 
     def point(self, coord: RiemannCoordinate) -> Ray:
         """The ray ``[w0 rep0 + w1 rep1]`` at a coordinate of the sphere."""

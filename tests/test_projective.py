@@ -156,22 +156,10 @@ class TestRiemannCoordinate:
     def test_infinity(self):
         coord = RiemannCoordinate.from_pair(0.0, 1.0)
         assert coord.is_infinity
-        assert RiemannCoordinate.infinity().is_infinity
 
     def test_z_accessor_raises_at_infinity(self):
         with pytest.raises(ZeroDivisionError):
-            RiemannCoordinate.infinity().z
-
-    def test_chordal_distance_properties(self):
-        z0 = RiemannCoordinate.from_z(0.0)
-        z1 = RiemannCoordinate.from_z(1.0)
-        inf = RiemannCoordinate.infinity()
-        assert z0.chordal_distance(z0) == 0.0
-        assert abs(z0.chordal_distance(z1) - z1.chordal_distance(z0)) < 1e-15
-        # antipodes 0 and infinity saturate the scale-free distance at 1
-        assert abs(z0.chordal_distance(inf) - 1.0) < 1e-15
-        # and the value equals sin of the ray separation: here pi/4 -> 1/sqrt 2
-        assert abs(z0.chordal_distance(z1) - np.sin(np.pi / 4.0)) < 1e-15
+            RiemannCoordinate.from_pair(0.0, 1.0).z
 
 
 class TestSpannedSphere:
@@ -187,8 +175,8 @@ class TestSpannedSphere:
 
     def test_basis_is_orthonormal(self, rng):
         sph = self._sphere(rng)
-        b0 = sph.basis0.rep
-        b1 = sph.basis1.rep
+        b0 = project(sph.rep0).rep
+        b1 = project(sph.rep1).rep
         assert abs(np.vdot(b0, b0) - 1.0) < 1e-12
         assert abs(np.vdot(b1, b1) - 1.0) < 1e-12
         assert abs(np.vdot(b0, b1)) < 1e-12
@@ -198,15 +186,15 @@ class TestSpannedSphere:
         for z in (0.0, 1.0, -2.0 + 0.5j, 1e3j):
             pt = sph.point(RiemannCoordinate.from_z(z))
             assert sphere_membership(pt, sph) < 1e-12
-        inf_pt = sph.point(RiemannCoordinate.infinity())
-        assert rays_close(inf_pt, sph.basis1)
-        assert rays_close(sph.point(RiemannCoordinate.from_z(0.0)), sph.basis0)
+        inf_pt = sph.point(RiemannCoordinate.from_pair(0.0, 1.0))
+        assert rays_close(inf_pt, project(sph.rep1))
+        assert rays_close(sph.point(RiemannCoordinate.from_z(0.0)), project(sph.rep0))
 
     def test_membership_detects_off_sphere(self, rng):
         sph = self._sphere(rng, dim=4)
         outside = np.zeros(4, dtype=np.complex128)
         # build a direction orthogonal to the spanned plane
-        basis = np.stack([sph.basis0.rep, sph.basis1.rep])
+        basis = np.stack([sph.rep0, sph.rep1])
         v = random_unit(rng, 4)
         v = v - basis.conj() @ v @ basis
         outside = v / np.linalg.norm(v)
@@ -215,7 +203,7 @@ class TestSpannedSphere:
     def _tilted_rows(self, rng, sph):
         """Rows at angles ``t`` in ``[0, pi/2]`` from the spanned plane, each
         rescaled and rephased at random; returns ``(rows, t)``."""
-        basis = np.stack([sph.basis0.rep, sph.basis1.rep])
+        basis = np.stack([sph.rep0, sph.rep1])
         inside = basis.T @ (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         inside /= np.linalg.norm(inside)
         perp = random_unit(rng, sph.dim)
@@ -244,7 +232,8 @@ class TestSpannedSphere:
         for z in (0.3, -1.0 + 2.0j, 10.0j):
             coord = RiemannCoordinate.from_z(z)
             back = riemann_coordinate(sph.point(coord), sph)
-            assert coord.chordal_distance(back) < 1e-10
+            # the chordal distance |z - z'| / (1 + |z|^2), to first order
+            assert abs(back.z - z) < 1e-10 * (1.0 + abs(z) ** 2)
 
     def test_coincident_rays_rejected(self, rng):
         a = project(random_unit(rng, 3))

@@ -342,6 +342,9 @@ def _write_inputs(tmp_path):
         (tmp_path / f"{name}.cfg").write_text(f"# bad float\n{line}\n")
     # too narrow a screen for four fringe zeros
     (tmp_path / "narrow_screen.cfg").write_text("screen_halfwidth = 4e-3\n")
+    # a beam that samples to zero on the 195-nm cells, and one whose waist**2 overflows
+    for name, waist in (("tiny_waist", "1e-9"), ("huge_waist", "1e300")):
+        (tmp_path / f"{name}.cfg").write_text(f"input = gaussian\nwaist = {waist}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -351,6 +354,7 @@ def _write_inputs(tmp_path):
     ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--dt", "0"],
     ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--dt", "nan"],
     ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--dt=-inf"],
+    ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--t-end", "1e308"],
     ["demo-spin", "--dt", "-1e-3"],
     ["demo-spin", "--dt", "inf"],
     ["demo-spin", "--dt", "0.5"],  # RK4 norm drift
@@ -382,6 +386,8 @@ def _write_inputs(tmp_path):
     ["two-slit", "--config", "{dir}/inf_distance.cfg"],
     ["two-slit", "--config", "{dir}/nan_center.cfg"],
     ["two-slit", "--config", "{dir}/narrow_screen.cfg"],
+    ["two-slit", "--config", "{dir}/tiny_waist.cfg"],
+    ["two-slit", "--config", "{dir}/huge_waist.cfg"],
 ], ids=lambda argv: " ".join(argv).replace("{dir}/", ""))
 def test_bad_inputs_exit_two_with_one_line(tmp_path, capsys, argv):
     _write_inputs(tmp_path)
@@ -396,7 +402,7 @@ def test_bad_inputs_exit_two_with_one_line(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert "error: " in err.strip().splitlines()[-1]
     assert not out.exists()
-    if argv[0] == "two-slit" and "narrow" not in argv[2]:
+    if argv[0] == "two-slit" and pathlib.Path(argv[2]).read_text().startswith("# bad float"):
         assert ":2:" in err
 
 
@@ -581,12 +587,14 @@ def test_import_loads_no_exact_arithmetic_and_builds_no_csv_table():
     assert done.stdout.strip() == "[] 0"
 
 
-@pytest.mark.parametrize("dt", ["0", "nan", "-1", "0.5"])
-def test_spin_precession_script_bad_dt_exits_two(tmp_path, dt):
+@pytest.mark.parametrize("args", [["--dt", "0"], ["--dt", "nan"], ["--dt", "-1"],
+                                  ["--dt", "0.5"],  # RK4 norm drift
+                                  ["--turns", "1e307"]])  # t_end / dt overflows
+def test_spin_precession_script_bad_dt_exits_two(tmp_path, args):
     out = tmp_path / "spin.csv"
     script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "scripts", "spin_precession.py")
-    done = subprocess.run([sys.executable, script, "--dt", dt, "--out", str(out)],
+    done = subprocess.run([sys.executable, script, *args, "--out", str(out)],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
     assert "Traceback" not in done.stderr

@@ -2,6 +2,7 @@
 README's Python examples."""
 
 import ast
+import collections
 import importlib
 import pathlib
 import pkgutil
@@ -13,6 +14,7 @@ import projqm
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(projqm.__path__))
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+README_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
 
 
 @pytest.mark.parametrize("short", MODULES)
@@ -63,7 +65,7 @@ def test_package_exports_every_module_all():
 def test_readme_python_blocks_run():
     """The README's ```python blocks run, in order, in one namespace."""
     text = README.read_text()
-    blocks = list(re.finditer(r"^```python\n(.*?)^```", text, re.M | re.S))
+    blocks = list(README_BLOCK.finditer(text))
     assert len(blocks) >= 2
     namespace = {}
     for block in blocks:
@@ -106,3 +108,60 @@ def test_no_module_imports_a_name_it_never_uses():
         assert kept <= names, f"{path}: {kept - names} now read; drop the exemption"
         unused[path] = [e for e in unused[path] if e.split(" ")[0] not in kept]
     assert {path: names for path, names in unused.items() if names} == {}
+
+
+#: Public members that only their own tests read, each with the reason it
+#: stays; each must still be unread.
+UNREAD_MEMBERS_ON_PURPOSE = {
+    "GeodesicPath.max_speed_drift": "the step-size diagnostic the geodesic reports are to carry",
+}
+
+
+def _reader_nodes() -> list[ast.AST]:
+    """Every node of the code whose reads count: the library, the scripts, the
+    acceptance criteria, the benchmark and the README's Python examples."""
+    root = README.parent
+    paths = [*(root / "src/projqm").glob("*.py"), *(root / "scripts").glob("*.py"),
+             root / "tests/test_acceptance.py", *(root / "perfbench").rglob("*.py")]
+    sources = [p.read_text() for p in paths]
+    sources += [m.group(1) for m in README_BLOCK.finditer(README.read_text())]
+    return [node for source in sources for node in ast.walk(ast.parse(source))]
+
+
+def test_every_public_member_is_read_and_every_default_is_overridden():
+    """Each public method, property and classmethod of a ``src/projqm`` class
+    is read as ``.name`` by the readers of :func:`_reader_nodes`, and each
+    defaulted parameter of a public function or method is passed, by keyword
+    or by position, by some call to a function of that name.  Names match
+    without types, so the rule can miss an unused member or keyword but
+    never flags a used one."""
+    nodes = _reader_nodes()
+    read = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    passed = collections.defaultdict(set)  # name -> keywords and positions; None: any
+    for call in (node for node in nodes if isinstance(node, ast.Call)):
+        name = getattr(call.func, "attr", getattr(call.func, "id", None))
+        passed[name] |= {k.arg for k in call.keywords} | set(range(len(call.args)))
+        if any(isinstance(arg, ast.Starred) for arg in call.args):
+            passed[name].add(None)
+    unread, unpassed = set(), []
+    for path in sorted((README.parent / "src/projqm").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [("", tree), *((f"{c.name}.", c) for c in tree.body
+                                if isinstance(c, ast.ClassDef))]
+        for prefix, scope in scopes:
+            for f in scope.body:
+                if not isinstance(f, ast.FunctionDef) or f.name.startswith("_"):
+                    continue
+                if prefix and f.name not in read:
+                    unread.add(prefix + f.name)
+                pos = (f.args.posonlyargs + f.args.args)[bool(prefix):]  # no self, cls
+                defaulted = list(enumerate(pos))[len(pos) - len(f.args.defaults):]
+                defaulted += [(None, a) for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults)
+                              if d is not None]
+                unpassed += [f"{prefix}{f.name}({a.arg}=)" for i, a in defaulted
+                             if not {a.arg, i, None} & passed[f.name]]
+    kept = set(UNREAD_MEMBERS_ON_PURPOSE)
+    assert kept <= unread, f"{kept - unread} now read; drop the exemption"
+    unread -= kept
+    assert not unread and not unpassed, (f"members no reader reads: {sorted(unread)}; "
+                                         f"defaults no call overrides: {unpassed}")
