@@ -464,6 +464,25 @@ def _aligned_frame(a: Ray, b: Ray):
     return a.rep, e1, c, s_norm, degenerate
 
 
+def _stop_after(reach: float, dt: float, cap: float) -> float:
+    """Arclength at which a path whose checks read no sample past ``reach``
+    may stop: ``min(cap, (ceil(reach/dt) + 2) dt)``.
+
+    The closest-approach fit reads the sample nearest its minimum and both
+    neighbours, so with the minimum at or before ``reach`` it reads no
+    sample past index ``ceil(reach/dt) + 1``.  Up to that sample every step
+    of :func:`_march` is a full ``dt``, as on a longer path, so the samples
+    it reads are those of the longer path bit for bit; only the last step
+    is shortened.  One step past is not enough: rounding can shorten the
+    step that makes the last sample read by one ulp.  A step that
+    :func:`_march` rejects (zero, negative, NaN, inf) gets ``cap``, so it
+    still meets that guard.
+    """
+    if not (0.0 < dt < math.inf and reach / dt < math.inf):
+        return cap
+    return min(cap, (math.ceil(reach / dt) + 2) * dt)
+
+
 # ---------------------------------------------------------------------------
 # Integrated distances on the superposition sphere.
 
@@ -485,12 +504,17 @@ def integrated_pair_distances(pairs, dt: float = 0.05) -> np.ndarray:
     In the frame ``(e0, e1)`` of :func:`_aligned_frame` every pair's geodesic
     is the same great circle ``cos(s) e0 + sin(s) e1``; only the target
     ``cos_d e0 + sin_d e1`` differs.  So one integration serves all pairs.
+    It stops two steps past the farthest target (:func:`_stop_after`), at
+    most at ``pi/2 + 0.25``: the fit reads no later sample, so the result is
+    that of the full quarter circle bit for bit.
     """
     frames = [_aligned_frame(a, b) for a, b in pairs]
     cos_d = np.array([f[2] for f in frames])
     sin_d = np.array([f[3] for f in frames])
+    far = float(np.max(np.arctan2(sin_d, cos_d), initial=0.0))
     # from the first ray along e1, which aims at the second
-    path = integrate_geodesic(_SWEEP_START, [0, 1], math.pi / 2.0 + 0.25, dt)
+    path = integrate_geodesic(_SWEEP_START, [0, 1],
+                              _stop_after(far, dt, math.pi / 2.0 + 0.25), dt)
     z = path.samples
     ov = np.abs(cos_d * z[:, :1] + sin_d * z[:, 1:])
     ov /= np.linalg.norm(z, axis=1, keepdims=True)
@@ -561,6 +585,23 @@ _BRENT_RTOL = 4.0 * np.finfo(float).eps
 #: Most Brent iterations of one certificate; a certificate that runs out of
 #: them is reported not converged.
 _BRENT_MAXITER = 200
+
+
+#: Half-width of Brent's bracket of aim angles around the predicted aim 0.
+_AIM_HALF_WIDTH = 0.6
+
+
+def _reach(target: float, width: float) -> float:
+    """Farthest arclength at which a shot aimed at most ``width`` off the
+    predicted aim comes closest to a target ``target`` away.
+
+    On the sphere, the great circle leaving ``a`` at aim angle ``chi`` comes
+    closest to ``b`` where ``tan(2s) = tan(2 target) cos(chi)``: before
+    ``target`` when ``target < pi/4`` and after it otherwise, the farthest
+    at ``|chi| = width``.
+    """
+    return max(target, 0.5 * math.atan2(math.sin(2.0 * target) * math.cos(width),
+                                        math.cos(2.0 * target)))
 
 
 class _NoRootBracketed(ValueError):
@@ -653,7 +694,9 @@ def total_geodesy_certificate(a: Ray, b: Ray, dt: float = 0.05) -> TotalGeodesyC
     if target < 1e-3:
         raise ValueError("rays are too close for a meaningful certificate")
     sphere = SpannedSphere(rep0=e0, rep1=e1)
-    length = min(target + 0.15, math.pi / 2.0 + 0.2)
+    width = _AIM_HALF_WIDTH
+    length = _stop_after(_reach(target, width), dt,
+                         min(target + 0.15, math.pi / 2.0 + 0.2))
     shots = {}
 
     def shoot(chi):
@@ -670,7 +713,7 @@ def total_geodesy_certificate(a: Ray, b: Ray, dt: float = 0.05) -> TotalGeodesyC
         try:
             # xtol 1e-14 resolves the aim to rounding; at 1e-12 Brent may stop
             # with a miss of 1e-14 to 1e-13, its own tolerance, not the path's
-            chi_star, converged = _brent_root(lambda chi: shoot(chi)[0], -0.6, 0.6,
+            chi_star, converged = _brent_root(lambda chi: shoot(chi)[0], -width, width,
                                               xtol=1e-14, maxiter=_BRENT_MAXITER)
         except _NoRootBracketed:
             # no sign change in the bracket, or a NaN miss: report the midpoint aim

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import projqm.geodesics as geodesics
+from projqm.cli import main
 from projqm.geodesics import (ChartPoint, integrate_geodesic, integrated_pair_distances,
                               lie_derivative_normal, ray_to_chart,
                               total_geodesy_certificate)
@@ -556,6 +557,18 @@ class TestIntegratedDistances:
         assert dists.shape == (0,)
         assert dists.dtype == np.float64
 
+    @pytest.mark.parametrize("n_pairs", [0, 1, 5, 24])
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.2])
+    def test_stopping_past_the_farthest_target_changes_no_bit(self, rng, monkeypatch,
+                                                               n_pairs, dt):
+        """The sweep stops two steps past its farthest target; integrated to
+        the full ``pi/2 + 0.25`` instead, it gives the same bits."""
+        pairs = [(project(random_unit(rng, dim)), project(random_unit(rng, dim)))
+                 for dim in rng.integers(2, 6, n_pairs)]
+        trimmed = integrated_pair_distances(pairs, dt=dt)
+        monkeypatch.setattr(geodesics, "_stop_after", lambda reach, dt, cap: cap)
+        assert integrated_pair_distances(pairs, dt=dt).tobytes() == trimmed.tobytes()
+
 
 class TestTotalGeodesyCertificate:
     def test_dim3_certificate(self, rng):
@@ -630,6 +643,57 @@ class TestTotalGeodesyCertificate:
         assert aims == [-0.6, 0.6, 0.0]
         assert cert.aim_angle == 0.0
         assert not cert.converged
+
+
+def _untrimmed_shots(monkeypatch):
+    """Make every certificate shot also at the length it had before shots
+    were trimmed, ``min(target + 0.15, pi/2 + 0.2)``, and assert the two
+    give the same bits; returns the list of shots compared."""
+    compared = []
+    original = geodesics._shoot
+
+    def both(a, e1, cos_d, sin_d, chi, length, dt, sphere):
+        shot = original(a, e1, cos_d, sin_d, chi, length, dt, sphere)
+        full = min(math.atan2(sin_d, cos_d) + 0.15, math.pi / 2.0 + 0.2)
+        assert original(a, e1, cos_d, sin_d, chi, full, dt, sphere) == shot
+        compared.append((chi, length, full))
+        return shot
+
+    monkeypatch.setattr(geodesics, "_shoot", both)
+    return compared
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_battery_certificate_shots_equal_their_untrimmed_shots(tmp_path, monkeypatch, seed):
+    """Every shot of the battery's ``geodesic-verify`` certificates, at every
+    aim Brent tries, gives the bits of the same shot integrated to its old
+    full length."""
+    compared = _untrimmed_shots(monkeypatch)
+    argv = ["geodesic-verify", "--ambient-dims", "2,3,4", "--pairs", "12",
+            "--certificates", "2", "--seed", seed, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(compared) >= 4 * 3
+    assert any(length < full for _, length, full in compared)
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.1, 0.2])
+def test_shots_at_the_bracket_ends_equal_their_untrimmed_shots(rng, dt, monkeypatch):
+    """At the ends of Brent's bracket the shot comes closest to ``b`` farthest
+    from ``target`` (past it when ``target > pi/4``); the trimmed shot still
+    reads no sample the full one does not share."""
+    compared = _untrimmed_shots(monkeypatch)
+    for _ in range(12):
+        dim = int(rng.integers(3, 6))
+        a, b = project(random_unit(rng, dim)), project(random_unit(rng, dim))
+        e0, e1, cos_d, sin_d, _ = geodesics._aligned_frame(a, b)
+        target = math.atan2(sin_d, cos_d)
+        width = geodesics._AIM_HALF_WIDTH
+        length = geodesics._stop_after(geodesics._reach(target, width), dt,
+                                       min(target + 0.15, math.pi / 2.0 + 0.2))
+        sphere = SpannedSphere(rep0=e0, rep1=e1)
+        for chi in (-width, width):
+            geodesics._shoot(a, e1, cos_d, sin_d, chi, length, dt, sphere)
+    assert len(compared) == 24
 
 
 @pytest.mark.parametrize("dim", [3, 4, 5])
