@@ -41,6 +41,11 @@ __all__ = [
 ]
 
 
+#: Most steps ``t_end / dt`` that :func:`flow_integrate` takes: 1000 times a
+#: 10**5-step run, and each sample costs a row of ``dim`` complex numbers.
+_MAX_STEPS = 10**8
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Samples of one flow run.
@@ -192,7 +197,8 @@ def flow_integrate(hamiltonian, start, t_end: float, dt: float,
     ValueError
         For a non-Hermitian or mis-sized operator, a zero or non-finite
         start state, ``dt``/``t_end`` that are not finite and positive
-        (nonnegative for ``t_end``), or an overflowing ``t_end / dt``.
+        (nonnegative for ``t_end``), or more than 10**8 steps
+        (``t_end / dt``), checked before any array of them is allocated.
     RuntimeError
         If the representative's norm drifts by more than 1e-8 in a single
         step (or becomes NaN), which signals a step too large for the
@@ -210,8 +216,10 @@ def flow_integrate(hamiltonian, start, t_end: float, dt: float,
         raise ValueError("dt must be finite and positive")
     if not (0.0 <= t_end < math.inf):
         raise ValueError("t_end must be finite and nonnegative")
-    if not float(t_end) / float(dt) < math.inf:
-        raise ValueError(f"t_end / dt = {t_end:g} / {dt:g} is not finite: too many steps")
+    steps = float(t_end) / float(dt)
+    if not steps <= _MAX_STEPS:  # before _time_grid allocates them
+        raise ValueError(f"t_end / dt = {t_end:g} / {dt:g} = {steps:.3g} steps, "
+                         f"more than the {_MAX_STEPS:.0e} allowed")
     tracked = []
     for label, op in track or ():
         F = as_hermitian(op, name=f"track[{label}]")

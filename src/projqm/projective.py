@@ -313,9 +313,13 @@ def nonlinear_superpose(psi, phi, coord) -> Ray:
 
 
 def _membership_rows(z: np.ndarray, sphere: SpannedSphere) -> np.ndarray:
-    """Norm of the off-span component of ``project(row)`` for every nonzero
-    row of ``z``: the one formula of :func:`sphere_membership`."""
-    r = _gauge_fix(z)
+    """Norm of the off-span component of the unit vector along every nonzero
+    row of ``z``: the one formula of :func:`sphere_membership`.
+
+    The norm does not depend on the row's phase, so the rows are only
+    normalized, not gauge-fixed as :func:`project` would.
+    """
+    r = _unit(z)
     w0 = r @ sphere.rep0.conj()
     w1 = r @ sphere.rep1.conj()
     residual = r - w0[:, None] * sphere.rep0 - w1[:, None] * sphere.rep1

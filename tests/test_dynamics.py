@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import projqm.dynamics as dynamics
 from projqm.dynamics import (Trajectory, _rk4_polar, expectation_rate, flow_integrate,
                              flow_vs_exact_deviation, trajectory_rows)
 from projqm.hilbert import (as_hermitian, commutator_expectation, evolve_exact, expectation,
@@ -61,6 +62,18 @@ class TestFlowIntegrate:
                                            (1.0, np.inf), (1.0, np.nan), (1e308, 1e-3)])
     def test_rejects_non_finite_times(self, t_end, dt):
         with pytest.raises(ValueError):
+            flow_integrate(sigma_z(), PLUS, t_end, dt)
+
+    @pytest.mark.parametrize("t_end, dt", [(1e300, 1e-3), (1e6, 1e-3), (100000.1, 1e-3),
+                                           (1.0, 1e-320)])
+    def test_rejects_more_steps_than_the_cap_before_allocating(self, monkeypatch, t_end, dt):
+        """A count above 10**8 names both inputs and the count, and no sample
+        grid is built: only counts the guard rejects are run here."""
+        def unreachable(*args):
+            raise AssertionError("the time grid was built")
+
+        monkeypatch.setattr(dynamics, "_time_grid", unreachable)
+        with pytest.raises(ValueError, match=r"t_end / dt = .* steps, more than the 1e\+08"):
             flow_integrate(sigma_z(), PLUS, t_end, dt)
 
     def test_rejects_mis_sized_tracked_operator_before_stepping(self):

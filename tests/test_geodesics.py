@@ -1,5 +1,6 @@
 """Unit tests for affine charts, the chart metric, and geodesic integration."""
 
+import json
 import math
 
 import numpy as np
@@ -626,6 +627,12 @@ class TestTotalGeodesyCertificate:
         monkeypatch.setattr(geodesics, "_shoot", recording)
         return aims
 
+    @staticmethod
+    def _width(a, b, dt=0.05):
+        """The derived half-width of the pair's bracket around the aim 0."""
+        _, _, cos_d, sin_d, _ = geodesics._aligned_frame(a, b)
+        return geodesics._aim_half_width(a.dim, math.atan2(sin_d, cos_d), dt)
+
     def test_error_inside_a_shot_propagates_without_a_second_shot(self, rng, monkeypatch):
         def failing():
             raise ValueError("step guard")
@@ -634,15 +641,71 @@ class TestTotalGeodesyCertificate:
         a, b = project(random_unit(rng, 3)), project(random_unit(rng, 3))
         with pytest.raises(ValueError, match="step guard"):
             total_geodesy_certificate(a, b)
-        assert aims == [-0.6]
+        assert aims == [-self._width(a, b)]
 
     def test_no_sign_change_reports_the_midpoint_aim(self, rng, monkeypatch):
         aims = self._aims_of(monkeypatch, lambda: (1.0, 1.0, 0.5, 0.0))
         a, b = project(random_unit(rng, 3)), project(random_unit(rng, 3))
         cert = total_geodesy_certificate(a, b)
-        assert aims == [-0.6, 0.6, 0.0]
+        width = self._width(a, b)
+        assert 0.0 < width < 1e-6
+        assert aims == [-width, width, 0.0]
         assert cert.aim_angle == 0.0
         assert not cert.converged
+
+    def test_a_bracket_that_misses_the_root_never_passes(self, rng, monkeypatch):
+        """Shots whose signed miss has its root at 0.7, outside every bracket,
+        and that read perfectly otherwise: Brent raises ``_NoRootBracketed``
+        and the certificate is not converged."""
+        raised = []
+        original = geodesics._brent_root
+
+        def recording(*args, **kwargs):
+            try:
+                return original(*args, **kwargs)
+            except geodesics._NoRootBracketed:
+                raised.append(args[1:3])
+                raise
+
+        monkeypatch.setattr(geodesics, "_brent_root", recording)
+        monkeypatch.setattr(geodesics, "_shoot", lambda a, e1, cos_d, sin_d, chi, *args:
+                            (chi - 0.7, 0.0, math.atan2(sin_d, cos_d), 0.0))
+        a, b = project(random_unit(rng, 4)), project(random_unit(rng, 4))
+        for dt in (0.05, 0.5):
+            raised.clear()
+            cert = total_geodesy_certificate(a, b, dt=dt)
+            width = self._width(a, b, dt)
+            assert raised == [(-width, width)]
+            assert not cert.converged
+            assert cert.arrival_miss == 0.0 and cert.length_match == 0.0
+
+    def test_an_off_sphere_force_fails_the_certificate_by_name(self, tmp_path, monkeypatch):
+        """Negative control: a constant push of 1e-6 on every chart coordinate
+        leaves the superposition sphere, and each dimension's certificate
+        fails its arrival or its off-slice check."""
+        original = geodesics._acceleration
+        monkeypatch.setattr(geodesics, "_acceleration", lambda t, w: [
+            acc + 1e-6 * (1.0 + 1.0j) for acc in original(t, w)])
+        argv = ["geodesic-verify", "--ambient-dims", "3,4,5,8", "--pairs", "1",
+                "--certificates", "1", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        entries = json.loads((tmp_path / "geodesic-verify.json").read_text())["entries"]
+        certificates = [e for e in entries if e["check_name"].startswith("certificate_")]
+        assert len(certificates) == 4 * 3
+        for i in range(0, len(certificates), 3):
+            failed = {e["check_name"] for e in certificates[i:i + 3] if not e["pass"]}
+            assert failed & {"certificate_arrival", "certificate_offslice_residual"}
+
+    @pytest.mark.parametrize("dim", [3, 5, 8])
+    def test_coarse_or_rejected_steps_keep_the_whole_search(self, dim):
+        """A step of ``rho`` or more, one that ``_march`` rejects, and one so
+        fine that rounding swamps the search keep the whole bracket; so do
+        targets whose samples may straddle a pole."""
+        for dt in (0.5, 1.0, 0.0, -1e-3, math.nan, math.inf, 1e-320):
+            assert geodesics._aim_half_width(dim, 0.7, dt) == geodesics._AIM_HALF_WIDTH
+        assert geodesics._aim_half_width(dim, 0.04, 0.05) == geodesics._AIM_HALF_WIDTH
+        assert geodesics._aim_half_width(dim, math.pi / 2 - 0.04, 0.05) == \
+            geodesics._AIM_HALF_WIDTH
 
 
 def _untrimmed_shots(monkeypatch):
@@ -676,18 +739,19 @@ def test_battery_certificate_shots_equal_their_untrimmed_shots(tmp_path, monkeyp
     assert any(length < full for _, length, full in compared)
 
 
-@pytest.mark.parametrize("dt", [0.05, 0.1, 0.2])
+@pytest.mark.parametrize("dt", [0.05, 0.1, 0.2, 0.5])
 def test_shots_at_the_bracket_ends_equal_their_untrimmed_shots(rng, dt, monkeypatch):
     """At the ends of Brent's bracket the shot comes closest to ``b`` farthest
     from ``target`` (past it when ``target > pi/4``); the trimmed shot still
-    reads no sample the full one does not share."""
+    reads no sample the full one does not share.  At 0.5 the bracket is the
+    whole ``[-0.6, 0.6]``."""
     compared = _untrimmed_shots(monkeypatch)
     for _ in range(12):
         dim = int(rng.integers(3, 6))
         a, b = project(random_unit(rng, dim)), project(random_unit(rng, dim))
         e0, e1, cos_d, sin_d, _ = geodesics._aligned_frame(a, b)
         target = math.atan2(sin_d, cos_d)
-        width = geodesics._AIM_HALF_WIDTH
+        width = geodesics._aim_half_width(dim, target, dt)
         length = geodesics._stop_after(geodesics._reach(target, width), dt,
                                        min(target + 0.15, math.pi / 2.0 + 0.2))
         sphere = SpannedSphere(rep0=e0, rep1=e1)

@@ -219,9 +219,26 @@ class TestSpannedSphere:
         rows = projective._membership_rows(z, sph)
         assert np.max(np.abs(rows - np.abs(np.sin(t)))) < 1e-14
 
+    @pytest.mark.parametrize("dim", [3, 5, 8])
+    def test_membership_rows_match_the_gauge_fixed_rows(self, rng, dim):
+        """Normalizing a row leaves the off-span norm of the gauge-fixed row,
+        up to rounding.  Each route's computed norm is within
+        ``(2 dim + 6) eps`` of the exact one for a unit row and unit basis
+        vectors: two dot products of ``dim`` terms, the subtraction, and the
+        normalizations (the gauge fix adds a second one and a rephase).  So
+        the routes differ by at most twice that."""
+        sph = self._sphere(rng, dim=dim)
+        z = np.concatenate([self._tilted_rows(rng, sph)[0],
+                            rng.standard_normal((40, dim)) + 1j * rng.standard_normal((40, dim))])
+        r = _gauge_fix(z)  # the old formula: gauge-fixed rows
+        old = np.linalg.norm(r - (r @ sph.rep0.conj())[:, None] * sph.rep0
+                             - (r @ sph.rep1.conj())[:, None] * sph.rep1, axis=1)
+        bound = 2.0 * (2 * dim + 6) * np.finfo(float).eps
+        assert np.max(np.abs(projective._membership_rows(z, sph) - old)) <= bound
+
     def test_membership_rows_match_sphere_membership(self, rng):
         """The row-wise helper and the one-ray function agree to rounding:
-        ``sphere_membership`` gauge-fixes the ray once more."""
+        ``sphere_membership`` normalizes the ray's gauge-fixed representative."""
         sph = self._sphere(rng, dim=5)
         z, _ = self._tilted_rows(rng, sph)
         for row, value in zip(z, projective._membership_rows(z, sph)):

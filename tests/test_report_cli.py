@@ -355,6 +355,8 @@ def _write_inputs(tmp_path):
     ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--dt", "nan"],
     ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--dt=-inf"],
     ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--t-end", "1e308"],
+    ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--t-end", "1e300"],
+    ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--t-end", "1e6"],  # 1e9 steps
     ["demo-spin", "--dt", "-1e-3"],
     ["demo-spin", "--dt", "inf"],
     ["demo-spin", "--dt", "0.5"],  # RK4 norm drift
