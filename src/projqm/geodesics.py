@@ -337,6 +337,12 @@ def _rechart(base: int, y: list):
                + [(zdi * zl - zi * zldot) / zl2 for zi, zdi in zip(z, zdot)])
 
 
+#: Most DOP853 steps one path may take: 10**6 steps of 40-140 us run for one
+#: to two minutes, where a finer step marches for hours, or for ever once
+#: ``length / dt`` overflows.
+_MAX_STEPS = 10**6
+
+
 def _march(base: int, t, w, length: float, dt: float):
     """Integrate the geodesic equation from one chart point.
 
@@ -346,7 +352,8 @@ def _march(base: int, t, w, length: float, dt: float):
     Yields ``(arclength, base, t, w)`` at the start and after every step,
     with ``t`` and ``w`` lists of Python complex numbers, which
     :func:`integrate_geodesic` stacks.  The first ``next`` raises
-    ``ValueError`` unless ``0 < dt < inf`` and ``0 <= length < inf``.
+    ``ValueError`` unless ``0 < dt < inf`` and ``0 <= length < inf``, and
+    when ``length / dt`` exceeds :data:`_MAX_STEPS`, before any step.
 
     The step samples are all a path's users need, with no dense output in
     between: the closest-approach fit is exact on them (see
@@ -358,6 +365,9 @@ def _march(base: int, t, w, length: float, dt: float):
     """
     if not (0.0 < dt < math.inf and 0.0 <= length < math.inf):
         raise ValueError(f"need 0 < dt < inf and 0 <= length < inf, got {dt}, {length}")
+    if length / dt > _MAX_STEPS:
+        raise ValueError(f"a geodesic of length {length} at dt {dt} takes {length / dt:.3g} "
+                         f"steps, more than the bound of {_MAX_STEPS}; raise dt")
     m = len(t)
     s, y = 0.0, [complex(x) for x in t] + [complex(x) for x in w]
     yield s, base, y[:m], y[m:]

@@ -3,8 +3,9 @@
 The wall is a one-dimensional transverse grid; each slit is a top-hat
 projector onto the grid cells it covers, so distinct slits are orthogonal
 projectors and the wall acts as their sum.  An incoming wall-plane state is
-split into per-slit components ``P_i psi`` and each is propagated to the
-screen with the paraxial (Fresnel) quadrature
+split into per-slit components ``P_i psi`` (:meth:`SlitWall.apply_slit`,
+the one place a slit projector is applied), each propagated to the screen
+with the paraxial (Fresnel) quadrature
 
     phi_i(x) = dy / sqrt(i lam L) * sum_y exp(i pi (x - y)^2 / (lam L)) (P_i psi)(y).
 
@@ -90,12 +91,6 @@ class SlitWall:
     def n_slits(self) -> int:
         return len(self.slit_supports)
 
-    def support_mask(self, i: int) -> np.ndarray:
-        a, b = self.slit_supports[i]
-        mask = np.zeros(self.dim, dtype=bool)
-        mask[a:b] = True
-        return mask
-
     def apply_slit(self, i: int, psi: np.ndarray) -> np.ndarray:
         """``P_i psi`` without materializing the projector matrix."""
         out = np.zeros(self.dim, dtype=np.complex128)
@@ -170,11 +165,9 @@ def gaussian_input(wall: SlitWall, waist: float) -> np.ndarray:
 
 def slit_states(wall: SlitWall) -> list[np.ndarray]:
     """Unit-norm top-hat state for each slit (pairwise orthogonal)."""
-    out = []
-    for i in range(wall.n_slits):
-        psi = wall.support_mask(i).astype(np.complex128)
-        out.append(psi / np.linalg.norm(psi))
-    return out
+    ones = np.ones(wall.dim, dtype=np.complex128)
+    states = [wall.apply_slit(i, ones) for i in range(wall.n_slits)]
+    return [psi / np.linalg.norm(psi) for psi in states]
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,11 +179,10 @@ class InterferencePattern:
     measured gap between propagating the wall-projected state in one piece
     and summing the per-slit propagations - a linearity identity, so it
     sits at rounding level.  :func:`propagate_to_screen`, the one builder of
-    patterns, also stores the wall (``_wall``), a read-only copy of the
-    input state (``_input``) and the chirp-z operator (``_operator``) it
-    propagated with, so that :func:`phase_invariance_check` can propagate a
-    rephased input on the same wall and screen without building the
-    operator again.
+    patterns, also keeps the read-only rows it propagated (``_segments``:
+    row ``i`` is ``P_i psi`` on the slit span) and its chirp-z operator
+    (``_operator``), so that :func:`phase_invariance_check` propagates the
+    rephased rows without building the operator again.
     """
 
     screen_positions: np.ndarray
@@ -200,8 +192,7 @@ class InterferencePattern:
     distance: float
     paraxial_ok: bool
     decomposition_residual: float
-    _wall: SlitWall = field(repr=False)
-    _input: np.ndarray = field(repr=False)
+    _segments: np.ndarray = field(repr=False)
     _operator: _ChirpZ = field(repr=False)
 
     @property
@@ -224,11 +215,9 @@ class InterferencePattern:
     def cross_term(self) -> np.ndarray:
         """Sum over slit pairs of Re(phi_i conj(phi_j)); doubles into the
         intensity: total = sum |phi_i|^2 + 2 * cross."""
-        amps = self.per_slit_amplitudes
         cross = np.zeros(self.screen_positions.size)
-        for i in range(len(amps)):
-            for j in range(i + 1, len(amps)):
-                cross += (amps[i] * np.conj(amps[j])).real
+        for a, b in itertools.combinations(self.per_slit_amplitudes, 2):
+            cross += (a * np.conj(b)).real
         return cross
 
     @property
@@ -319,13 +308,6 @@ class _ChirpZ:
         spec = fft(self.col * segments, self.chirp_ft.size)
         return self.row * ifft(spec * self.chirp_ft)[..., :self.row.size]
 
-    def segments(self, wall: SlitWall, psi: np.ndarray) -> np.ndarray:
-        """Each ``P_i psi`` on the span, one row per slit."""
-        segments = np.zeros((wall.n_slits, self.hi - self.lo), dtype=np.complex128)
-        for seg, (a, b) in zip(segments, wall.slit_supports):
-            seg[a - self.lo:b - self.lo] = psi[a:b]
-        return segments
-
 
 def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: float,
                         screen_halfwidth: float, n_screen: int) -> InterferencePattern:
@@ -333,11 +315,12 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
 
     Every ``P_i psi`` vanishes off slit ``i``, so the quadrature runs over
     the span of cells from the first slit cell to the last, as one chirp-z
-    operator (:class:`_ChirpZ`) built once per call.  Each slit's component
-    is propagated on its own, in one batched transform; the wall-projected
-    state, the sum of those components, is also propagated in one piece, and
-    the two routes must agree within ``_LINEARITY_TOL`` (times the peak
-    amplitude, floored at 1), or ``RuntimeError`` is raised.
+    operator (:class:`_ChirpZ`) built once per call.  Each slit's component,
+    ``apply_slit(i, psi)`` cut to the span, is built once as a read-only row
+    the pattern keeps, and propagated on its own, in one batched transform;
+    the wall-projected state, the sum of those rows, is also propagated in
+    one piece, and the two routes must agree within ``_LINEARITY_TOL``
+    (times the peak amplitude, floored at 1), or ``RuntimeError`` is raised.
 
     ``paraxial_ok`` on the result flags whether the geometry is comfortably
     paraxial (propagation distance at least ten times the transverse
@@ -348,15 +331,16 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
         raise ValueError("wavelength and distance must be positive")
     if n_screen < 8 or screen_halfwidth <= 0.0:
         raise ValueError("screen needs positive halfwidth and at least 8 points")
-    psi = np.array(psi_in, dtype=np.complex128)  # a copy the pattern keeps
+    psi = np.asarray(psi_in, dtype=np.complex128)
     if psi.shape != (wall.dim,):
         raise ValueError(f"input state must have shape ({wall.dim},), got {psi.shape}")
-    psi.setflags(write=False)
 
     x, step = np.linspace(-screen_halfwidth, screen_halfwidth, n_screen, retstep=True)
     dx = float(x[1] - x[0])
     operator = _ChirpZ.build(wall, x, step, dx, wavelength * distance)
-    segments = operator.segments(wall, psi)
+    segments = np.array([wall.apply_slit(i, psi)[operator.lo:operator.hi]
+                         for i in range(wall.n_slits)])
+    segments.setflags(write=False)
     amps = tuple(operator(segments))
     one_piece = operator(segments.sum(axis=0))
     coherent = np.sum(amps, axis=0)
@@ -376,8 +360,7 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
         distance=distance,
         paraxial_ok=bool(distance >= 10.0 * extent),
         decomposition_residual=residual,
-        _wall=wall,
-        _input=psi,
+        _segments=segments,
         _operator=operator,
     )
 
@@ -413,13 +396,12 @@ def fringe_spacing(pattern: InterferencePattern) -> float:
 def phase_invariance_check(pattern: InterferencePattern, lambda_phase: float) -> float:
     """Max intensity change under a global phase on the input state.
 
-    The input ``pattern`` keeps is rotated and propagated on its wall with
+    The per-slit segments ``pattern`` keeps are rotated and propagated with
     its chirp-z operator, so the operator is built once for both.  The
     pattern is a ray-space functional of the input, so the result is zero
     up to rounding for every phase.
     """
-    op = pattern._operator
-    rot = op(op.segments(pattern._wall, np.exp(1j * lambda_phase) * pattern._input))
+    rot = pattern._operator(np.exp(1j * lambda_phase) * pattern._segments)
     return float(np.max(np.abs(np.abs(np.sum(rot, axis=0)) ** 2 - pattern.total_intensity)))
 
 

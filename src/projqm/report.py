@@ -260,7 +260,6 @@ class _BlockFormatter:
         self.index = np.empty((chunk, _WIDTH), dtype=np.intp)
         self.chars = np.empty((chunk, _WIDTH), dtype=np.uint8)
         self.places = np.arange(1, 18, dtype=np.uint8)[:, None]
-        self.row_fmt = (",".join(["%.17g"] * ncol) + "\n").encode("ascii")
 
     def format(self, block: np.ndarray) -> bytes:
         """The CSV bytes of a block of whole rows."""
@@ -269,9 +268,6 @@ class _BlockFormatter:
         sign = np.signbit(v)
         rest = np.flatnonzero(~((a > 1e-280) & (a < 1e280)))
         zero = a[rest] == 0.0
-        if 2 * (rest.size - np.count_nonzero(zero)) > v.size:
-            # mostly left to ``%``: all of it is
-            return (self.row_fmt * len(block)) % tuple(v.tolist())
         a[rest] = 1.0
         code = self._digits(a, sign)
         code[rest] = np.where(zero, _ZEROVAL + sign[rest], _HOLE)
@@ -361,9 +357,9 @@ def write_csv(path: str, header: list[str], rows) -> str:
     digits exactly for every finite 1e-280 < |x| < 1e280 and lays out those
     values and the zeros; one ``%`` over the block's list of the rest
     formats them: NaN, infinities, subnormals and other |x| outside that
-    range, and values within 1e-6 of a tie at the 17th digit.  A block where
-    the values outside that range, zeros aside, are the majority goes to
-    ``%`` whole.
+    range, and values within 1e-6 of a tie at the 17th digit.  The bytes
+    are gathered in chunks of 1024 values, which keeps a block's temporary
+    indices small.
     """
     table = np.asarray(rows, dtype=np.float64)
     if table.shape == (0,):

@@ -504,6 +504,25 @@ class TestEngineInputGuard:
         with pytest.raises(ValueError, match=_GUARD):
             total_geodesy_certificate(*self.pair, dt=dt)
 
+    @pytest.mark.parametrize("dt", [1e-320, 1e-9])
+    @pytest.mark.parametrize("entry", ["integrate_geodesic", "pair_sweep", "certificate"])
+    def test_a_step_past_the_step_bound_is_refused_before_any_step(self, entry, dt,
+                                                                   monkeypatch):
+        """A step that needs more than ``_MAX_STEPS`` steps for one path (1e-320
+        overflows ``length / dt``; 1e-9 needs about 1.5e9) raises a
+        ``ValueError`` naming the length, the step and the count, before the
+        engine takes its first step."""
+        def forbidden(*args):
+            raise AssertionError("the engine took a step")
+        monkeypatch.setattr(geodesics, "_dop853_step", forbidden)
+        call = {"integrate_geodesic": lambda: integrate_geodesic(
+                    self.origin, np.array([0.0, 1.0]), 1.0, dt),
+                "pair_sweep": lambda: integrated_pair_distances([self.pair], dt=dt),
+                "certificate": lambda: total_geodesy_certificate(*self.pair, dt=dt)}[entry]
+        with pytest.raises(ValueError, match=rf"at dt {dt!r} takes .* steps, more than "
+                                             rf"the bound of {geodesics._MAX_STEPS}"):
+            call()
+
 
 def test_closest_approach_fits_next_to_a_shortened_last_step():
     """Steps of 0.5 and a last one of 0.32, with the smallest sample (s = 1.5)

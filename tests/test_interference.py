@@ -11,7 +11,7 @@ import pytest
 
 import projqm
 from projqm.cli import main
-from projqm.interference import (TwoSlitConfig, build_wall, fringe_spacing,
+from projqm.interference import (SlitWall, TwoSlitConfig, build_wall, fringe_spacing,
                                  gaussian_input, noncommuting_control, pattern_rows,
                                  phase_invariance_check, plane_wave_input,
                                  propagate_to_screen, projector_poisson_check,
@@ -25,9 +25,25 @@ def small_wall(n_slits=2, n=256):
     return build_wall((2e-4, n), centers, 2e-5)
 
 
+def support_mask(wall, i):
+    """The cells of slit ``i``, read from the wall's supports."""
+    a, b = wall.slit_supports[i]
+    mask = np.zeros(wall.dim, dtype=bool)
+    mask[a:b] = True
+    return mask
+
+
 def union_mask(wall):
     """The cells of every slit: the wall's projector as a mask."""
-    return np.logical_or.reduce([wall.support_mask(i) for i in range(wall.n_slits)])
+    return np.logical_or.reduce([support_mask(wall, i) for i in range(wall.n_slits)])
+
+
+def span_segments(wall, psi):
+    """Each ``P_i psi`` (``apply_slit``) cut to the span from the first slit
+    cell to the last, one row per slit: what a pattern propagates."""
+    cells = np.flatnonzero(union_mask(wall))
+    return np.array([wall.apply_slit(i, psi)[cells[0]:cells[-1] + 1]
+                     for i in range(wall.n_slits)])
 
 
 def dense_projector(mask):
@@ -56,7 +72,7 @@ class TestBuildWall:
         wall = small_wall()
         assert wall.n_slits == 2
         assert wall.dim == 256
-        m0, m1 = wall.support_mask(0), wall.support_mask(1)
+        m0, m1 = support_mask(wall, 0), support_mask(wall, 1)
         assert not np.any(m0 & m1)
 
     def test_overlapping_slits_rejected(self):
@@ -71,7 +87,7 @@ class TestBuildWall:
     def test_projectors_idempotent_and_disjoint(self):
         wall = small_wall(n=128)
         p0, p1, pw = (dense_projector(m) for m in
-                      (wall.support_mask(0), wall.support_mask(1), union_mask(wall)))
+                      (support_mask(wall, 0), support_mask(wall, 1), union_mask(wall)))
         assert np.max(np.abs(p0 @ p0 - p0)) < 1e-12
         assert np.max(np.abs(p0 @ p1)) == 0.0
         assert np.max(np.abs(pw - p0 - p1)) < 1e-12
@@ -81,7 +97,7 @@ class TestBuildWall:
         wall = small_wall(n=128)
         psi = plane_wave_input(wall)
         direct = wall.apply_slit(1, psi)
-        via_matrix = dense_projector(wall.support_mask(1)) @ psi
+        via_matrix = dense_projector(support_mask(wall, 1)) @ psi
         assert np.max(np.abs(direct - via_matrix)) < 1e-14
 
 
@@ -175,20 +191,25 @@ class TestChecks:
         res = phase_invariance_check(TwoSlitConfig().run(), lambda_phase=np.pi / 3.0)
         assert res < 1e-12
 
-    def test_the_pattern_keeps_a_read_only_copy_of_its_input(self):
-        """Changing the caller's array after the run changes neither the kept
-        input nor the check's result."""
+    def test_the_pattern_keeps_read_only_segments(self):
+        """Row ``i`` of the kept segments is ``apply_slit(i, psi)`` on the
+        slit span, and it is read-only.  Changing the caller's array after
+        the run changes neither the pattern nor the check's result."""
         cfg = TwoSlitConfig(n_wall=256, n_screen=256, input_profile="gaussian")
         wall = cfg.make_wall()
         psi = cfg.make_input(wall)
         pattern = propagate_to_screen(wall, psi, cfg.wavelength, cfg.distance,
                                       cfg.screen_halfwidth, cfg.n_screen)
         before = phase_invariance_check(pattern, 0.5)
-        kept = pattern._input
+        intensity = pattern.total_intensity
+        kept = pattern._segments
         assert kept.dtype == np.complex128 and not kept.flags.writeable
-        assert np.array_equal(kept, psi)
+        rows = span_segments(wall, psi)
+        assert np.array_equal(kept, rows)
         psi[:] = psi[::-1] * 1j
-        assert not np.array_equal(kept, psi)
+        assert not np.array_equal(kept, span_segments(wall, psi))
+        assert np.array_equal(kept, rows)
+        assert np.array_equal(pattern.total_intensity, intensity)
         assert phase_invariance_check(pattern, 0.5) == before
 
     def test_phase_invariance_reuses_the_base_kernel(self, monkeypatch):
@@ -222,7 +243,7 @@ class TestChecks:
         base, rot = (propagate_to_screen(wall, p, cfg.wavelength, cfg.distance,
                                          cfg.screen_halfwidth, cfg.n_screen)
                      for p in (psi, np.exp(0.5j) * psi))
-        assert base._wall is wall
+        assert np.array_equal(base._segments, span_segments(wall, psi))
         expected = float(np.max(np.abs(rot.total_intensity - base.total_intensity)))
 
         def forbidden(*args, **kwargs):
@@ -269,6 +290,20 @@ def test_two_slit_forms_no_dense_projector(tmp_path, monkeypatch):
                         lambda cfg: builds.append(cfg) or make_wall(cfg))
     assert main(["two-slit", "--out", str(tmp_path)]) == 0
     assert builds == [TwoSlitConfig()]
+
+
+def test_every_slit_projection_is_an_apply_slit_call(monkeypatch):
+    """``slit_states`` and ``propagate_to_screen`` apply each slit projector
+    once, through ``SlitWall.apply_slit``; the phase check applies none."""
+    calls = []
+    apply_slit = SlitWall.apply_slit
+    monkeypatch.setattr(SlitWall, "apply_slit",
+                        lambda wall, i, psi: calls.append(i) or apply_slit(wall, i, psi))
+    wall = small_wall(n_slits=3)
+    slit_states(wall)
+    pattern = propagate_to_screen(wall, plane_wave_input(wall), 5e-7, 1.0, 2.5e-2, 64)
+    phase_invariance_check(pattern, 0.5)
+    assert calls == [0, 1, 2] * 2
 
 
 def bracket_rounding_bound(n):
@@ -326,7 +361,7 @@ def test_applied_brackets_match_dense_projectors(n_slits):
     ``np.outer(w, conj(w))``, on a 128-cell wall, at seeded random rays and
     at the equal which-slit superposition."""
     wall = small_wall(n_slits, 128)
-    masks = [dense_projector(wall.support_mask(i)) for i in range(n_slits)]
+    masks = [dense_projector(support_mask(wall, i)) for i in range(n_slits)]
     s = slit_states(wall)
     mixing = dense_mixing_projector(wall)
     bound = bracket_rounding_bound(wall.dim)

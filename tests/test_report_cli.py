@@ -164,9 +164,9 @@ class TestWriteCsvBytes:
 
     @pytest.mark.parametrize("fill", ["nan", "inf", "zero", "subnormal", "special_column"])
     def test_uniform_tables_match_percent(self, tmp_path, fill):
-        """A block where NaN, infinities and other values outside 1e-280 ...
-        1e280 are the majority goes to ``%`` whole; a minority of them are
-        holes that ``%`` fills, and zeros are laid out in the block."""
+        """NaN, infinities and other values outside 1e-280 ... 1e280 are
+        holes that ``%`` fills, however many of them a block holds, and
+        zeros are laid out in the block."""
         mixed = np.random.default_rng(3).standard_normal((4096, 5))
         mixed[:, -1] = np.resize([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e300], 4096)
         rows = {"nan": np.full((4096, 5), np.nan), "inf": np.full((4096, 5), np.inf),
@@ -379,6 +379,8 @@ def _write_inputs(tmp_path):
     ["geodesic-verify", "--ambient-dims", "2", "--pairs", "1", "--seed", "-1"],
     ["geodesic-verify", "--ambient-dims", "2", "--pairs", "1", "--dt", "1e160"],
     ["geodesic-verify", "--ambient-dims", "2", "--pairs", "1", "--dt", "1.5"],
+    ["geodesic-verify", "--ambient-dims", "2", "--pairs", "1", "--dt", "1e-320"],
+    ["geodesic-verify", "--ambient-dims", "3", "--pairs", "1", "--dt", "1e-9"],  # ~1.5e9 steps
     ["evolve", "--hamiltonian", "sigma_z", "--start", "{dir}/zero.json"],
     ["evolve", "--hamiltonian", "sigma_z", "--start", "{dir}/ragged.json"],
     ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--track",
