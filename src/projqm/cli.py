@@ -130,7 +130,8 @@ def _input_errors(*kinds):
 def _finish(report: Report, out: str, csv=None) -> int:
     """Every command's one way out, once all its checks have run: create
     ``out``, write the CSV ``(name, header, rows)`` if given and then
-    ``<command>.json``, print one summary line and return the exit code."""
+    ``<command>.json``, print one summary line, then one line per failing
+    check, and return the exit code."""
     os.makedirs(out, exist_ok=True)
     paths = []
     if csv is not None:
@@ -139,6 +140,11 @@ def _finish(report: Report, out: str, csv=None) -> int:
     paths.append(report.write(os.path.join(out, f"{report.command}.json")))
     print(f"wrote {' and '.join(paths)}: {len(report.entries)} checks, "
           f"{'all pass' if report.all_passed else 'FAILURES'}")
+    for e in report.entries:
+        if not e.passed:
+            failure = "" if e.failure is None else f", {e.failure}"
+            print(f"  failed {e.check_name}: residual {e.residual!r}, tolerance "
+                  f"{e.tolerance!r}{failure}, inputs {e.inputs_digest}")
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 

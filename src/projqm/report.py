@@ -16,6 +16,7 @@ import functools
 import hashlib
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,6 +143,11 @@ class Report:
 # break a tie.  Each value's bytes are then gathered from a per-block table of
 # characters, one row per character, by the index row of the value's layout
 # code.
+#
+# A table is cut into equal blocks of at most _BLOCK_VALUES values.  Each
+# thread keeps one _BlockFormatter, made at its first write_csv, whose 0.91 MB
+# of buffers hold every temporary of a block: allocated afresh per block, they
+# cost about 5,600 minor page faults per benchmark round's eight tables.
 
 _BLOCK_VALUES = 4096  # values per block of vector arithmetic
 _CHUNK_VALUES = 1024  # values per byte gather, which keeps its indices in L2
@@ -210,15 +216,17 @@ def _decade(e: int) -> tuple[float, float, float, float, float]:
 class _Tables:
     """The lookup tables of the CSV formatter, built at its first use.
 
-    ``layouts`` holds every code's ``_layout`` row.  Per decimal exponent e,
+    ``rows`` holds every code's ``_layout`` row, each entry scaled to the
+    flat index of its row in a formatter's ``src``.  Per decimal exponent e,
     in column e + _OFFSET: ``facts`` holds ``_decade(e)``, filled on demand
     over one growing interval of columns; ``code_base`` is the layout code
     less 2 nd + sign, and ``exponent`` the exponent's sign and three digits.
     """
 
     def __init__(self):
-        self.layouts = np.array([row + [_PAD] * (_WIDTH - len(row))
-                                 for row in map(_layout, range(_HOLE + 1))], dtype=np.intp)
+        self.rows = np.array([row + [_PAD] * (_WIDTH - len(row))
+                              for row in map(_layout, range(_HOLE + 1))], dtype=np.intp)
+        self.rows *= _BLOCK_VALUES
         self.facts = np.full((5, 2 * _OFFSET), np.nan)
         self.lo = self.hi = _OFFSET
         e = np.arange(2 * _OFFSET) - _OFFSET
@@ -243,39 +251,57 @@ def _tables() -> _Tables:
     return _Tables()
 
 
-class _BlockFormatter:
-    """Formats the row blocks of one table, reusing one set of buffers."""
+def _divmod(a: np.ndarray, k: int, q: np.ndarray, r: np.ndarray) -> None:
+    """``q, r = divmod(a, k)``, a >= 0, by SIMD floor division (numpy's divmod
+    is not vectorized); r < k is exact in r's dtype even where products wrap."""
+    np.floor_divide(a, k, out=q, casting="unsafe")
+    np.subtract(a, np.multiply(q, k, out=r, casting="unsafe"), out=r, casting="unsafe")
 
-    def __init__(self, block_rows: int, ncol: int):
-        n = block_rows * ncol
+
+class _BlockFormatter:
+    """Formats blocks of at most ``_BLOCK_VALUES`` values in buffers it keeps.
+
+    Every temporary of a block is filled into these buffers with ``out=``,
+    so a warm formatter allocates only each chunk's output bytes.
+    """
+
+    def __init__(self):
+        n = _BLOCK_VALUES
+        self.tables = _tables()
         self.src = np.empty((22 + len(_CONST), n), dtype=np.uint8)
         self.src[22:] = np.frombuffer(_CONST, dtype=np.uint8)[:, None]
-        self.src[_SEP] = np.tile(
-            np.frombuffer(b"," * (ncol - 1) + b"\n", dtype=np.uint8), block_rows)
-        # a layout row gathers src[row, value] from flat index row * n + value
-        self.tables = _tables()
-        self.rows = self.tables.layouts * n
-        chunk = min(n, _CHUNK_VALUES)
-        self.columns = np.repeat(np.arange(chunk), _WIDTH).reshape(chunk, _WIDTH)
-        self.index = np.empty((chunk, _WIDTH), dtype=np.intp)
-        self.chars = np.empty((chunk, _WIDTH), dtype=np.uint8)
-        self.places = np.arange(1, 18, dtype=np.uint8)[:, None]
+        self.x, self.r, self.p, self.a, self.t, self.g, self.h = np.empty((7, n))
+        self.col, self.d, self.code = np.empty((3, n), dtype=np.intp)
+        self.sign, self.inside, self.flag, self.tie, self.hole = np.empty((5, n), dtype=bool)
+        self.eights = np.empty((2, n), dtype=np.uint32)
+        self.quads = np.empty((4, n), dtype=np.uint16)
+        self.pairs = np.empty((8, n), dtype=np.uint8)
+        self.nonzero = np.empty((17, n), dtype=np.uint8)
+        self.nd = np.empty(n, dtype=np.uint8)
+        self.places = np.arange(2, 36, 2, dtype=np.uint8)[:, None]
+        self.offsets = np.arange(n)[:, None]
+        self.index = np.empty((_CHUNK_VALUES, _WIDTH), dtype=np.intp)
+        self.chars = np.empty((_CHUNK_VALUES, _WIDTH), dtype=np.uint8)
 
-    def format(self, block: np.ndarray) -> bytes:
-        """The CSV bytes of a block of whole rows."""
-        v = block.ravel()
-        a = np.abs(v)
-        sign = np.signbit(v)
-        rest = np.flatnonzero(~((a > 1e-280) & (a < 1e280)))
-        zero = a[rest] == 0.0
-        a[rest] = 1.0
-        code = self._digits(a, sign)
-        code[rest] = np.where(zero, _ZEROVAL + sign[rest], _HOLE)
-        text = self._gather(code)
-        hole = code == _HOLE
-        if hole.any():
-            text %= tuple(v[hole].tolist())
-        return text
+    def write(self, fh, v: np.ndarray, first: int, ncol: int) -> None:
+        """Write the CSV bytes of ``v``, a table's values from flat index ``first``."""
+        n = v.size
+        sep = self.src[_SEP, :n]
+        sep.fill(ord(","))
+        sep[(ncol - 1 - first) % ncol::ncol] = ord("\n")
+        x = np.abs(v, out=self.x[:n])
+        sign = np.signbit(v, out=self.sign[:n])
+        inside = np.greater(x, 1e-280, out=self.inside[:n])
+        inside &= np.less(x, 1e280, out=self.flag[:n])
+        outside = np.logical_not(inside, out=inside)
+        special = outside.any()
+        if special:
+            np.copyto(x, 1.0, where=outside)
+        code = self._digits(x, sign)
+        if special:
+            np.copyto(code, _HOLE, where=outside)
+            np.add(sign, _ZEROVAL, out=code, where=np.equal(v, 0.0, out=self.flag[:n]))
+        self._gather(fh, v, code)
 
     def _digits(self, x: np.ndarray, sign: np.ndarray) -> np.ndarray:
         """Write the digit and exponent rows of ``src``; return layout codes.
@@ -284,67 +310,79 @@ class _BlockFormatter:
         """
         n = x.size
         tables = self.tables
-        col = np.log10(x)
-        col = np.floor(col, out=col).astype(np.intp)
+        r, p, a, t, g, h = (buf[:n] for buf in (self.r, self.p, self.a, self.t, self.g, self.h))
+        col, d, code, flag = self.col[:n], self.d[:n], self.code[:n], self.flag[:n]
+        np.floor(np.log10(x, out=r), out=r)
+        np.copyto(col, r, casting="unsafe")
         col += _OFFSET
         threshold, hi, lo, bh, bl = tables.cover(int(col.min()) - 1, int(col.max()) + 2)
-        col += x >= threshold.take(col + 1)
-        col -= x < threshold.take(col)  # now the exact decimal exponent
-        hi, lo, bh, bl = hi.take(col), lo.take(col), bh.take(col), bl.take(col)
-        p = x * hi
-        c = x * _SPLIT
-        ah = c - (c - x)
-        al = x - ah
+        col += np.greater_equal(x, threshold[1:].take(col, out=r, mode="clip"), out=flag)
+        col -= np.less(x, threshold.take(col, out=r, mode="clip"), out=flag)  # now the exact decimal exponent
+        np.multiply(x, hi.take(col, out=p, mode="clip"), out=p)
+        np.multiply(x, _SPLIT, out=a)
+        ah = np.subtract(a, np.subtract(a, x, out=t), out=a)
+        al = np.subtract(x, ah, out=t)
         # x hi - p exactly (Dekker), plus x lo: |x| 10**(16 - X) - p
-        r = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + x * lo
-        rr = np.rint(r)
-        tie = np.abs(r - rr) > _NEAR_TIE
-        d = p.astype(np.int64)
-        d += rr.astype(np.int64)
-        carry = d == 10**17  # rounded up into the next decade
-        d[carry] = 10**16
+        np.multiply(ah, bh.take(col, out=g, mode="clip"), out=r)
+        r -= p
+        r += np.multiply(ah, bl.take(col, out=h, mode="clip"), out=a)
+        r += np.multiply(al, g, out=g)
+        r += np.multiply(al, h, out=h)
+        r += np.multiply(x, lo.take(col, out=g, mode="clip"), out=g)
+        rr = np.rint(r, out=a)
+        tie = np.greater(np.abs(np.subtract(r, rr, out=r), out=r), _NEAR_TIE, out=self.tie[:n])
+        np.copyto(d, p, casting="unsafe")
+        np.copyto(code, rr, casting="unsafe")  # code holds round(r) until the layout codes
+        d += code
+        carry = np.equal(d, 10**17, out=flag)  # rounded up into the next decade
+        np.copyto(d, 10**16, where=carry)
         col += carry
 
-        # the 17 digits, through 8- 4- and 2-digit groups in uint32
+        # the 17 digits, through 8- 4- 2- and 1-digit groups
         src = self.src[:, :n]
-        top = d // 10**8
-        lead = top // 10**8
-        eights = np.empty((2, n), dtype=np.uint32)
-        eights[0] = top - lead * 10**8
-        eights[1] = d - top * 10**8
-        quads = np.empty((4, n), dtype=np.uint32)
-        quads[0::2] = eights // 10000
-        quads[1::2] = eights - quads[0::2] * 10000
-        pairs = np.empty((8, n), dtype=np.uint32)
-        pairs[0::2] = quads // 100
-        pairs[1::2] = quads - pairs[0::2] * 100
-        tens = pairs // 10
-        src[0] = lead + 48
-        src[1:17:2] = tens + 48
-        src[2:17:2] = pairs - tens * 10 + 48
-        tables.exponent.take(col, axis=1, out=src[_ESIGN:_E1 + 1])
-        nd = ((src[:17] != 48) * self.places).max(axis=0)
+        eights, quads, pairs = self.eights[:, :n], self.quads[:, :n], self.pairs[:, :n]
+        _divmod(d, 10**8, code, eights[1])
+        _divmod(code, 10**8, d, eights[0])
+        np.copyto(src[0], d, casting="unsafe")
+        _divmod(eights, 10**4, quads[0::2], quads[1::2])
+        _divmod(quads, 100, pairs[0::2], pairs[1::2])
+        _divmod(pairs, 10, src[1:17:2], src[2:17:2])
+        src[:17] += 48
+        tables.exponent.take(col, axis=1, out=src[_ESIGN:_E1 + 1], mode="clip")
+        nonzero = self.nonzero[:, :n]
+        np.not_equal(src[:17], 48, out=nonzero.view(bool))
+        nonzero *= self.places
 
-        code = tables.code_base.take(col)
-        code += nd * 2
+        tables.code_base.take(col, out=code, mode="clip")
+        code += nonzero.max(axis=0, out=self.nd[:n])  # 2 nd
         code += sign
-        code[tie] = _HOLE
+        np.copyto(code, _HOLE, where=tie)
         return code
 
-    def _gather(self, code: np.ndarray) -> bytes:
-        """Each value's characters, by its layout row, in chunks."""
+    def _gather(self, fh, v: np.ndarray, code: np.ndarray) -> None:
+        """Write each value's characters, by its layout row, in chunks."""
         flat = self.src.ravel()
-        size = len(self.index)
-        parts = []
-        for start in range(0, code.size, size):
-            part = code[start:start + size]
-            m = part.size
-            index = self.rows.take(part, axis=0, out=self.index[:m], mode="clip")
-            index += self.columns[:m]
-            index += start
+        hole = np.equal(code, _HOLE, out=self.hole[:code.size])
+        for start in range(0, code.size, _CHUNK_VALUES):
+            stop = min(start + _CHUNK_VALUES, code.size)
+            m = stop - start
+            index = self.tables.rows.take(code[start:stop], axis=0, out=self.index[:m], mode="clip")
+            index += self.offsets[start:stop]
             chars = flat.take(index, out=self.chars[:m], mode="clip")
-            parts.append(chars[chars != 0].tobytes())
-        return b"".join(parts)
+            text = chars.tobytes().translate(None, b"\0")  # drop the layouts' padding
+            if hole[start:stop].any():
+                text %= tuple(v[start:stop][hole[start:stop]].tolist())
+            fh.write(text)
+
+
+_local = threading.local()
+
+
+def _formatter() -> _BlockFormatter:
+    """This thread's formatter, built at its first ``write_csv``."""
+    if not hasattr(_local, "formatter"):
+        _local.formatter = _BlockFormatter()
+    return _local.formatter
 
 
 def write_csv(path: str, header: list[str], rows) -> str:
@@ -352,14 +390,15 @@ def write_csv(path: str, header: list[str], rows) -> str:
 
     ``rows`` is an (n, len(header)) array or a list of equal-length lists.
     Every value is written with exactly the bytes of ``'%.17g' % v``, which
-    read back as the same binary64 value.  The table is formatted and written
-    in blocks of about 4096 values.  In each block numpy computes the 17
-    digits exactly for every finite 1e-280 < |x| < 1e280 and lays out those
-    values and the zeros; one ``%`` over the block's list of the rest
-    formats them: NaN, infinities, subnormals and other |x| outside that
-    range, and values within 1e-6 of a tie at the 17th digit.  The bytes
-    are gathered in chunks of 1024 values, which keeps a block's temporary
-    indices small.
+    read back as the same binary64 value.  The table's values, in row
+    order, are split into equal blocks of at most ``_BLOCK_VALUES``.  In
+    each block numpy computes the 17 digits exactly for every finite
+    1e-280 < |x| < 1e280 and lays out those values and the zeros; one ``%``
+    per chunk of 1024 values formats the rest: NaN, infinities, subnormals
+    and other |x| outside that range, and values within 1e-6 of a tie at
+    the 17th digit.  Each thread keeps its own formatter, whose buffers,
+    sized to one block, every later call reuses, so that a warm call takes
+    no page faults (see the comment above ``_BLOCK_VALUES``).
     """
     table = np.asarray(rows, dtype=np.float64)
     if table.shape == (0,):
@@ -371,8 +410,9 @@ def write_csv(path: str, header: list[str], rows) -> str:
         if table.size == 0:
             fh.write(b"\n" * len(table))
             return path
-        block_rows = max(1, _BLOCK_VALUES // table.shape[1])
-        blocks = _BlockFormatter(min(block_rows, len(table)), table.shape[1])
-        for start in range(0, len(table), block_rows):
-            fh.write(blocks.format(table[start:start + block_rows]))
+        values = table.ravel()
+        blocks = -(-values.size // _BLOCK_VALUES)
+        size = -(-values.size // blocks)
+        for start in range(0, values.size, size):
+            _formatter().write(fh, values[start:start + size], start, table.shape[1])
     return path

@@ -8,6 +8,8 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projqm
-from projqm.cli import main, parse_two_slit_config
+from projqm import report
+from projqm.cli import _finish, main, parse_two_slit_config
 from projqm.interference import TwoSlitConfig
 from projqm.report import Report, ReportEntry, digest_inputs, write_csv
 
@@ -178,6 +181,86 @@ class TestWriteCsvBytes:
     def test_rows_must_match_the_header(self, tmp_path):
         with pytest.raises(ValueError, match="rows of 2 values"):
             write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[1.0, 2.0, 3.0]])
+
+
+class TestWriteCsvKeptBuffers:
+    """Each thread's formatter keeps its block buffers from call to call."""
+
+    @staticmethod
+    def _table(shape, seed):
+        """Values of every decade from 1e-30 to 1e30, with zeros and holes."""
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 31, size=shape)
+        rows.ravel()[::97] = [0.0, np.nan, 5e-324, -np.inf][seed % 4]
+        return rows
+
+    def test_consecutive_calls_of_every_width_and_length(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        shapes = [(r, c) for c in (1, 5, 19) for r in (0, 1, 4096)] + [(0, 5000), (1, 5000),
+                                                                      (3, 5000), (4096, 5)]
+        for seed, shape in enumerate(shapes):
+            _assert_percent_bytes(path, [f"c{i}" for i in range(shape[1])],
+                                  self._table(shape, seed))
+        _assert_percent_bytes(path, list("abcde"), np.full((4096, 5), np.nan))
+        _assert_percent_bytes(path, ["a"], self._table((5, 1), 1))
+
+    def test_threads_writing_at_once_each_match(self, tmp_path):
+        tables = [self._table((1500, 3 + k), k) for k in range(4)]  # more threads than cores
+        written = {}
+
+        def write(k):
+            path = str(tmp_path / f"t{k}.csv")
+            written[k] = [pathlib.Path(write_csv(path, ["h"] * (3 + k), tables[k])).read_bytes()
+                          for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, rows in enumerate(tables):
+            assert written[k] == [_percent_bytes(["h"] * (3 + k), rows)] * 5
+
+    def test_a_warm_call_allocates_no_more_for_more_blocks(self, tmp_path):
+        """The peak of a warm call stays within one block's output bytes
+        (at most _WIDTH a value) of a call with a tenth of its blocks, and
+        the kept buffers total at most 1 MiB."""
+        path = str(tmp_path / "t.csv")
+        peaks = []
+        for rows in (report._BLOCK_VALUES // 5 * 2, report._BLOCK_VALUES // 5 * 20):
+            table = self._table((rows, 5), 0)
+            write_csv(path, list("abcde"), table)
+            formatter = report._formatter()
+            tracemalloc.start()
+            try:
+                write_csv(path, list("abcde"), table)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report._formatter() is formatter
+        assert peaks[1] <= peaks[0] + report._BLOCK_VALUES * report._WIDTH
+        arrays = [a for a in vars(formatter).values() if isinstance(a, np.ndarray)]
+        kept = {id(b): b.nbytes for b in (a if a.base is None else a.base for a in arrays)}
+        assert sum(kept.values()) <= 2**20
+
+    def test_a_table_is_cut_into_equal_blocks(self, tmp_path, monkeypatch):
+        sizes = []
+        write = report._BlockFormatter.write
+
+        def spy(self, fh, v, first, ncol):
+            sizes.append(v.size)
+            write(self, fh, v, first, ncol)
+
+        monkeypatch.setattr(report._BlockFormatter, "write", spy)
+        rows = self._table((4096, 5), 2)
+        _assert_percent_bytes(str(tmp_path / "t.csv"), list("abcde"), rows)
+        assert sizes == [4096] * 5
 
 
 def _percent_bytes(header, rows):
@@ -461,10 +544,17 @@ def test_geodesic_too_coarse_dt_fails_the_strict_checks(tmp_path, capsys, argv):
     the certificate's length, graded as at any step, with finite residuals
     and nothing on stderr.  At seed 6 a dim-3 pair is 0.16 apart, so its
     certificate shots (0.31 long) are shorter than a step of 0.5, and they
-    still arrive."""
+    still arrive.  Each failing entry gets one stdout line after the summary,
+    naming its check, residual, tolerance and inputs digest."""
     assert main(["geodesic-verify", *argv, "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == ""
+    captured = capsys.readouterr()
+    assert captured.err == ""
     data = json.loads((tmp_path / "geodesic-verify.json").read_text())
+    summary, *lines = captured.out.splitlines()
+    assert summary.endswith("checks, FAILURES")
+    assert lines == [f"  failed {e['check_name']}: residual {e['residual']!r}, tolerance "
+                     f"{e['tolerance']!r}, inputs {e['inputs_digest']}"
+                     for e in data["entries"] if not e["pass"]]
     assert sorted(data["metadata"]) == ["ambient_dims", "dt", "pairs", "seed",
                                         "tolerance_scale", "version"]
     entries = data["entries"]
@@ -475,6 +565,22 @@ def test_geodesic_too_coarse_dt_fails_the_strict_checks(tmp_path, capsys, argv):
     assert tolerances["integrated_distance_vs_overlap"] == 1e-8
     assert tolerances["certificate_length_match"] == 1e-6
     assert tolerances["certificate_arrival"] == 1e-8
+
+
+def test_failed_checks_are_named_on_stdout(tmp_path, capsys):
+    """Exit 1 prints one line per failing entry, ``failure`` text included,
+    after the summary line."""
+    rep = Report(command="demo")
+    fine = rep.add("fine", 1e-14, 1e-12, x=1)
+    loose = rep.add("loose", 2e-6, 1e-8, x=2)
+    stuck = rep.add("stuck", 1e-14, 1e-12, failure="did not converge", x=3)
+    assert _finish(rep, str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and fine.passed
+    assert captured.out.splitlines()[1:] == [
+        f"  failed loose: residual 2e-06, tolerance 1e-08, inputs {loose.inputs_digest}",
+        f"  failed stuck: residual 1e-14, tolerance 1e-12, did not converge, "
+        f"inputs {stuck.inputs_digest}"]
 
 
 class TestCliOutputs:
@@ -579,16 +685,17 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_exact_arithmetic_and_builds_no_csv_table():
-    """The CSV formatter's exact tables come from plain ints, at first use."""
+    """The CSV formatter's exact tables come from plain ints, and its tables
+    and block buffers are built at first use."""
     script = ("import sys, projqm.cli, projqm.report; "
               "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules), "
-              "projqm.report._tables.cache_info().currsize)")
+              "projqm.report._tables.cache_info().currsize, vars(projqm.report._local))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(projqm.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[] 0"
+    assert done.stdout.strip() == "[] 0 {}"
 
 
 @pytest.mark.parametrize("args", [["--dt", "0"], ["--dt", "nan"], ["--dt", "-1"],
