@@ -286,9 +286,8 @@ class _BlockFormatter:
     def write(self, fh, v: np.ndarray, first: int, ncol: int) -> None:
         """Write the CSV bytes of ``v``, a table's values from flat index ``first``."""
         n = v.size
-        sep = self.src[_SEP, :n]
-        sep.fill(ord(","))
-        sep[(ncol - 1 - first) % ncol::ncol] = ord("\n")
+        self.src[_SEP, :n] = ord(",")
+        self.src[_SEP, (ncol - 1 - first) % ncol:n:ncol] = ord("\n")
         x = np.abs(v, out=self.x[:n])
         sign = np.signbit(v, out=self.sign[:n])
         inside = np.greater(x, 1e-280, out=self.inside[:n])
@@ -348,7 +347,8 @@ class _BlockFormatter:
         _divmod(quads, 100, pairs[0::2], pairs[1::2])
         _divmod(pairs, 10, src[1:17:2], src[2:17:2])
         src[:17] += 48
-        tables.exponent.take(col, axis=1, out=src[_ESIGN:_E1 + 1], mode="clip")
+        for k, row in enumerate(tables.exponent):  # a 2-D out shorter than src's rows is copied
+            row.take(col, out=src[_ESIGN + k], mode="clip")
         nonzero = self.nonzero[:, :n]
         np.not_equal(src[:17], 48, out=nonzero.view(bool))
         nonzero *= self.places
