@@ -30,15 +30,22 @@ pair-distance residual from 3.9e-12 to 4.6e-14 and the worst certificate
 length match from 1.5e-11 to 2.5e-13, and it keeps a 0.5 step from landing
 next to the chart's pole (pair-distance residual 5e-3 -> 1.2e-5).  The
 finite-difference Christoffel contraction survives only in the tests, as an
-independent oracle for the connection.
+independent oracle for the connection, and so does the step written as one
+list comprehension per stage, as the bit-for-bit reference of the engine's.
 
 The engine's step runs on lists of Python complex numbers, not numpy
-arrays.  Every caller marches m <= 7 coordinates, and at that size each
-numpy call costs more than the arithmetic it does: on a 2-core x86 host one
-DOP853 step took 110-145 us with numpy at every m <= 7, and 40-50 us
-(m = 1), 55-70 us (m = 3) and 100-140 us (m = 7) in Python; the two break
-even near m = 7-10.  :func:`integrate_geodesic`, the engine's one caller,
-stacks the rows into numpy arrays once, and all later work stays in numpy.
+arrays: at a few chart coordinates each numpy call costs more than the
+arithmetic it does (on a 2-core x86 host one DOP853 step took 110-145 us
+with numpy at every m <= 7).  For each number m of chart coordinates the
+step is straight-line Python generated from the tableau and compiled at
+its first use in a process (:func:`_compiled_step`), with the floating-point
+operations of the comprehensions, in their order.  On that host one step
+takes 14, 25, 36 and 47 us at m = 1-4 and 78 us at m = 7, against 35, 49,
+62, 77 and 114 us for the comprehensions.  Compiling it takes 1.3, 2.4,
+3.3 and 4.3 ms at m = 1-4 and 7.7 ms at m = 7, and grows with m: about
+16 ms at m = 15, as ``geodesic-verify`` takes any ambient dim >= 2.
+:func:`integrate_geodesic`, the engine's one caller, stacks the rows into
+numpy arrays once, and all later work stays in numpy.
 
 The module also certifies that superposition spheres are totally geodesic:
 a shooting method aims a full-chart geodesic at the second basis ray,
@@ -55,6 +62,7 @@ search moves the certificate's residuals at rounding level.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -207,110 +215,104 @@ def _speed2(t: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (s * np.sum(np.abs(w) ** 2, axis=-1) - np.abs(tw) ** 2) / s**2
 
 
-def _acceleration(t, w) -> list:
-    """Closed-form geodesic acceleration ``2 (conj(t).w) w / (1 + |t|^2)``.
+#: The Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, *Solving
+#: Ordinary Differential Equations I*, sec. II.5), copied from scipy's
+#: ``scipy/integrate/_ivp/dop853_coefficients.py``: rows 1-12 of ``A``, row 12
+#: being ``B``, each as its nonzero entries ``(stage, coefficient)``.  Row
+#: ``j`` builds the state of stage ``j + 1`` from the stage derivatives
+#: ``k1 .. kj``; the last row builds the eighth-order solution.
+_DOP853_TABLEAU = (
+    ((1, 5.26001519587677318785587544488e-2),),
+    ((1, 1.97250569845378994544595329183e-2), (2, 5.91751709536136983633785987549e-2)),
+    ((1, 2.95875854768068491816892993775e-2), (3, 8.87627564304205475450678981324e-2)),
+    ((1, 2.41365134159266685502369798665e-1), (3, -8.84549479328286085344864962717e-1),
+     (4, 9.24834003261792003115737966543e-1)),
+    ((1, 3.7037037037037037037037037037e-2), (4, 1.70828608729473871279604482173e-1),
+     (5, 1.25467687566822425016691814123e-1)),
+    ((1, 3.7109375e-2), (4, 1.70252211019544039314978060272e-1),
+     (5, 6.02165389804559606850219397283e-2), (6, -1.7578125e-2)),
+    ((1, 3.70920001185047927108779319836e-2), (4, 1.70383925712239993810214054705e-1),
+     (5, 1.07262030446373284651809199168e-1), (6, -1.53194377486244017527936158236e-2),
+     (7, 8.27378916381402288758473766002e-3)),
+    ((1, 6.24110958716075717114429577812e-1), (4, -3.36089262944694129406857109825),
+     (5, -8.68219346841726006818189891453e-1), (6, 2.75920996994467083049415600797e1),
+     (7, 2.01540675504778934086186788979e1), (8, -4.34898841810699588477366255144e1)),
+    ((1, 4.77662536438264365890433908527e-1), (4, -2.48811461997166764192642586468),
+     (5, -5.90290826836842996371446475743e-1), (6, 2.12300514481811942347288949897e1),
+     (7, 1.52792336328824235832596922938e1), (8, -3.32882109689848629194453265587e1),
+     (9, -2.03312017085086261358222928593e-2)),
+    ((1, -9.3714243008598732571704021658e-1), (4, 5.18637242884406370830023853209),
+     (5, 1.09143734899672957818500254654), (6, -8.14978701074692612513997267357),
+     (7, -1.85200656599969598641566180701e1), (8, 2.27394870993505042818970056734e1),
+     (9, 2.49360555267965238987089396762), (10, -3.0467644718982195003823669022)),
+    ((1, 2.27331014751653820792359768449), (4, -1.05344954667372501984066689879e1),
+     (5, -2.00087205822486249909675718444), (6, -1.79589318631187989172765950534e1),
+     (7, 2.79488845294199600508499808837e1), (8, -2.85899827713502369474065508674),
+     (9, -8.87285693353062954433549289258), (10, 1.23605671757943030647266201528e1),
+     (11, 6.43392746015763530355970484046e-1)),
+    ((1, 5.42937341165687622380535766363e-2), (6, 4.45031289275240888144113950566),
+     (7, 1.89151789931450038304281599044), (8, -5.8012039600105847814672114227),
+     (9, 3.1116436695781989440891606237e-1), (10, -1.52160949662516078556178806805e-1),
+     (11, 2.01365400804030348374776537501e-1), (12, 4.47106157277725905176885569043e-2)),
+)
 
-    ``t`` and ``w`` are the chart coordinates and velocity of one point, as
-    sequences of ``m`` Python complex numbers; the result is a list.  The
-    metric factor cancels from the connection.
+
+def _combination(row, i: int, y, k) -> str:
+    """Source of component ``i`` of ``y + h * (a_1 k_1 + a_2 k_2 + ...)`` for
+    one tableau row, ``y[i]`` and ``k[j][i]`` naming the components.
+
+    A one-entry row reads ``y + h * a * k``, that is ``(h * a) * k``; a
+    negative coefficient after the first is subtracted as its magnitude.
     """
-    tw, tt = 0j, 0.0
-    for ti, wi in zip(t, w):
-        tc = ti.conjugate()
-        tw += tc * wi
-        tt += (tc * ti).real
-    c = 2.0 * tw / (1.0 + tt)
-    return [c * wi for wi in w]
+    (j, a), rest = row[0], row[1:]
+    if not rest:
+        return f"{y[i]} + h * {a!r} * {k[j][i]}"
+    terms = [f"{a!r} * {k[j][i]}"]
+    terms += [f"{'-' if a < 0 else '+'} {abs(a)!r} * {k[j][i]}" for j, a in rest]
+    return f"{y[i]} + h * ({' '.join(terms)})"
 
 
-def _dop853_step(y: list, h: float) -> list:
-    """One fixed Dormand-Prince 8(5,3) step of the stacked state ``y = t + t'``.
+@functools.cache
+def _compiled_step(m: int):
+    """The fixed DOP853 step for ``m`` chart coordinates, compiled at its
+    first use and kept for the life of the process.
 
-    ``y`` is a list of 2m complex numbers.  The twelve stages and the
-    eighth-order solution are those of Hairer, Norsett & Wanner, *Solving
-    Ordinary Differential Equations I*, sec. II.5; the coefficients are
-    copied as literals from scipy's
-    ``scipy/integrate/_ivp/dop853_coefficients.py`` (rows 1-12 of ``A``,
-    row 12 being ``B``), one comprehension per stage over the row's nonzero
-    entries.  No error estimate and no dense output: the step is fixed.
+    The step maps ``(y, h)``, ``y`` the stacked state ``t + t'`` as a list of
+    2m Python complex numbers, to the state one step of ``h`` later, a new
+    list.  Its source is straight-line code generated from
+    :data:`_DOP853_TABLEAU`, one local per stage component.  The right-hand
+    side ``(t', 2 (conj(t).t') t' / (1 + |t|^2))`` is written out per
+    coordinate, accumulating ``conj(t).t'`` from ``0j`` and ``|t|^2`` from
+    ``0.0`` in coordinate order.  No list, ``zip`` or Python function runs
+    inside the step; the one call per coordinate and stage is
+    ``complex.conjugate``.
     """
-    m = len(y) // 2
+    y = [f"y{i}" for i in range(2 * m)]
+    lines = ["def step(y, h):", f"    {', '.join(y)} = y"]
+    k = [None]  # k[j]: the names of the components of stage j's derivative
 
-    def f(y):
-        return y[m:] + _acceleration(y[:m], y[m:])
+    def derivative(j, state):
+        # k_j = (t', c t'), c = 2 conj(t).t' / (1 + |t|^2) at the stage state
+        t, w = state[:m], state[m:]
+        lines.extend(["    tw = 0j", "    tt = 0.0"])
+        for ti, wi in zip(t, w):
+            lines.extend([f"    tc = {ti}.conjugate()", f"    tw += tc * {wi}",
+                          f"    tt += (tc * {ti}).real"])
+        lines.append("    c = 2.0 * tw / (1.0 + tt)")
+        lines.extend(f"    a{j}_{i} = c * {w[i]}" for i in range(m))
+        k.append(w + [f"a{j}_{i}" for i in range(m)])
 
-    k1 = f(y)
-    k2 = f([yi + h * 5.26001519587677318785587544488e-2 * q1
-            for yi, q1 in zip(y, k1)])
-    k3 = f([yi + h * (1.97250569845378994544595329183e-2 * q1
-                      + 5.91751709536136983633785987549e-2 * q2)
-            for yi, q1, q2 in zip(y, k1, k2)])
-    k4 = f([yi + h * (2.95875854768068491816892993775e-2 * q1
-                      + 8.87627564304205475450678981324e-2 * q3)
-            for yi, q1, q3 in zip(y, k1, k3)])
-    k5 = f([yi + h * (2.41365134159266685502369798665e-1 * q1
-                      - 8.84549479328286085344864962717e-1 * q3
-                      + 9.24834003261792003115737966543e-1 * q4)
-            for yi, q1, q3, q4 in zip(y, k1, k3, k4)])
-    k6 = f([yi + h * (3.7037037037037037037037037037e-2 * q1
-                      + 1.70828608729473871279604482173e-1 * q4
-                      + 1.25467687566822425016691814123e-1 * q5)
-            for yi, q1, q4, q5 in zip(y, k1, k4, k5)])
-    k7 = f([yi + h * (3.7109375e-2 * q1
-                      + 1.70252211019544039314978060272e-1 * q4
-                      + 6.02165389804559606850219397283e-2 * q5
-                      - 1.7578125e-2 * q6)
-            for yi, q1, q4, q5, q6 in zip(y, k1, k4, k5, k6)])
-    k8 = f([yi + h * (3.70920001185047927108779319836e-2 * q1
-                      + 1.70383925712239993810214054705e-1 * q4
-                      + 1.07262030446373284651809199168e-1 * q5
-                      - 1.53194377486244017527936158236e-2 * q6
-                      + 8.27378916381402288758473766002e-3 * q7)
-            for yi, q1, q4, q5, q6, q7 in zip(y, k1, k4, k5, k6, k7)])
-    k9 = f([yi + h * (6.24110958716075717114429577812e-1 * q1
-                      - 3.36089262944694129406857109825 * q4
-                      - 8.68219346841726006818189891453e-1 * q5
-                      + 2.75920996994467083049415600797e1 * q6
-                      + 2.01540675504778934086186788979e1 * q7
-                      - 4.34898841810699588477366255144e1 * q8)
-            for yi, q1, q4, q5, q6, q7, q8 in zip(y, k1, k4, k5, k6, k7, k8)])
-    k10 = f([yi + h * (4.77662536438264365890433908527e-1 * q1
-                       - 2.48811461997166764192642586468 * q4
-                       - 5.90290826836842996371446475743e-1 * q5
-                       + 2.12300514481811942347288949897e1 * q6
-                       + 1.52792336328824235832596922938e1 * q7
-                       - 3.32882109689848629194453265587e1 * q8
-                       - 2.03312017085086261358222928593e-2 * q9)
-             for yi, q1, q4, q5, q6, q7, q8, q9 in zip(y, k1, k4, k5, k6, k7, k8, k9)])
-    k11 = f([yi + h * (-9.3714243008598732571704021658e-1 * q1
-                       + 5.18637242884406370830023853209 * q4
-                       + 1.09143734899672957818500254654 * q5
-                       - 8.14978701074692612513997267357 * q6
-                       - 1.85200656599969598641566180701e1 * q7
-                       + 2.27394870993505042818970056734e1 * q8
-                       + 2.49360555267965238987089396762 * q9
-                       - 3.0467644718982195003823669022 * q10)
-             for yi, q1, q4, q5, q6, q7, q8, q9, q10 in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
-    k12 = f([yi + h * (2.27331014751653820792359768449 * q1
-                       - 1.05344954667372501984066689879e1 * q4
-                       - 2.00087205822486249909675718444 * q5
-                       - 1.79589318631187989172765950534e1 * q6
-                       + 2.79488845294199600508499808837e1 * q7
-                       - 2.85899827713502369474065508674 * q8
-                       - 8.87285693353062954433549289258 * q9
-                       + 1.23605671757943030647266201528e1 * q10
-                       + 6.43392746015763530355970484046e-1 * q11)
-             for yi, q1, q4, q5, q6, q7, q8, q9, q10, q11
-                 in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
-    return [yi + h * (5.42937341165687622380535766363e-2 * q1
-                      + 4.45031289275240888144113950566 * q6
-                      + 1.89151789931450038304281599044 * q7
-                      - 5.8012039600105847814672114227 * q8
-                      + 3.1116436695781989440891606237e-1 * q9
-                      - 1.52160949662516078556178806805e-1 * q10
-                      + 2.01365400804030348374776537501e-1 * q11
-                      + 4.47106157277725905176885569043e-2 * q12)
-            for yi, q1, q6, q7, q8, q9, q10, q11, q12 in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)]
+    derivative(1, y)
+    for j, row in enumerate(_DOP853_TABLEAU[:-1], start=2):
+        state = [f"s{j}_{i}" for i in range(2 * m)]
+        lines += [f"    {s} = {_combination(row, i, y, k)}" for i, s in enumerate(state)]
+        derivative(j, state)
+    lines.append("    return [")
+    lines += [f"        {_combination(_DOP853_TABLEAU[-1], i, y, k)}," for i in range(2 * m)]
+    lines.append("    ]")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<DOP853 step, m = {m}>", "exec"), namespace)
+    return namespace["step"]
 
 
 def _rechart(base: int, y: list):
@@ -337,9 +339,9 @@ def _rechart(base: int, y: list):
                + [(zdi * zl - zi * zldot) / zl2 for zi, zdi in zip(z, zdot)])
 
 
-#: Most DOP853 steps one path may take: 10**6 steps of 40-140 us run for one
-#: to two minutes, where a finer step marches for hours, or for ever once
-#: ``length / dt`` overflows.
+#: Most DOP853 steps one path may take: 10**6 steps of 14-78 us (m = 1-7)
+#: run for a quarter of a minute to a minute and a half, where a finer step
+#: marches for hours, or for ever once ``length / dt`` overflows.
 _MAX_STEPS = 10**6
 
 
@@ -353,15 +355,16 @@ def _march(base: int, t, w, length: float, dt: float):
     with ``t`` and ``w`` lists of Python complex numbers, which
     :func:`integrate_geodesic` stacks.  The first ``next`` raises
     ``ValueError`` unless ``0 < dt < inf`` and ``0 <= length < inf``, and
-    when ``length / dt`` exceeds :data:`_MAX_STEPS`, before any step.
+    when ``length / dt`` exceeds :data:`_MAX_STEPS`, before any step; only
+    then is the step for m coordinates looked up (:func:`_compiled_step`),
+    once per path.
 
     The step samples are all a path's users need, with no dense output in
     between: the closest-approach fit is exact on them (see
     :func:`_closest_approach`), and a path that starts tangent to a
     superposition sphere stays on it to rounding at every point, not only
-    at the samples.  One step costs 40-50 us at m = 1 and 100-140 us at
-    m = 7 on a 2-core x86 host: a third of the same step in numpy at m = 1,
-    and a little less than it at m = 7 (see the module docstring).
+    at the samples.  One step costs 14 us at m = 1 and 78 us at m = 7 on a
+    2-core x86 host (see the module docstring).
     """
     if not (0.0 < dt < math.inf and 0.0 <= length < math.inf):
         raise ValueError(f"need 0 < dt < inf and 0 <= length < inf, got {dt}, {length}")
@@ -369,12 +372,13 @@ def _march(base: int, t, w, length: float, dt: float):
         raise ValueError(f"a geodesic of length {length} at dt {dt} takes {length / dt:.3g} "
                          f"steps, more than the bound of {_MAX_STEPS}; raise dt")
     m = len(t)
+    step = _compiled_step(m)
     s, y = 0.0, [complex(x) for x in t] + [complex(x) for x in w]
     yield s, base, y[:m], y[m:]
     while s < length - 1e-15:
         h = min(dt, length - s)
         s += h
-        base, y = _rechart(base, _dop853_step(y, h))
+        base, y = _rechart(base, step(y, h))
         yield s, base, y[:m], y[m:]
 
 
@@ -449,8 +453,11 @@ def integrate_geodesic(start: Ray, direction, length: float, dt: float) -> Geode
     chart = ray_to_chart(start)
     z, k = start.rep, chart.base_index
     keep = np.arange(start.dim) != k
-    w0 = (d[keep] * z[k] - z[keep] * d[k]) / z[k] ** 2
-    speed = math.sqrt(float(_speed2(chart.coords, w0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite speed raises below
+        w0 = (d[keep] * z[k] - z[keep] * d[k]) / z[k] ** 2
+        speed = math.sqrt(float(_speed2(chart.coords, w0)))
+    if not math.isfinite(speed):
+        raise ValueError(f"direction must have a finite statistical speed, got {speed}")
     if speed < 1e-14:
         raise ValueError("direction must have a component orthogonal to start.rep")
     arcl, bases, ts, ws = zip(*_march(k, chart.coords, w0 / speed, length, dt))

@@ -178,6 +178,148 @@ def march_rows(base, t, w, length, dt):
     return np.array(arcl), np.array(bases), np.hstack((np.array(ts), np.array(ws)))
 
 
+def reference_acceleration(t, w) -> list:
+    """Closed-form geodesic acceleration ``2 (conj(t).w) w / (1 + |t|^2)``: the
+    right-hand side of the engine's compiled step, as a loop.
+
+    ``t`` and ``w`` are the chart coordinates and velocity of one point, as
+    sequences of ``m`` Python complex numbers; the result is a list.  The
+    metric factor cancels from the connection.
+    """
+    tw, tt = 0j, 0.0
+    for ti, wi in zip(t, w):
+        tc = ti.conjugate()
+        tw += tc * wi
+        tt += (tc * ti).real
+    c = 2.0 * tw / (1.0 + tt)
+    return [c * wi for wi in w]
+
+
+def reference_step(y: list, h: float, acceleration=reference_acceleration) -> list:
+    """One fixed Dormand-Prince 8(5,3) step of the stacked state ``y = t + t'``:
+    the reference for :func:`geodesics._compiled_step`, which must give its bits.
+
+    ``y`` is a list of 2m complex numbers.  The twelve stages and the
+    eighth-order solution are those of Hairer, Norsett & Wanner, *Solving
+    Ordinary Differential Equations I*, sec. II.5; the coefficients are
+    copied as literals from scipy's
+    ``scipy/integrate/_ivp/dop853_coefficients.py`` (rows 1-12 of ``A``,
+    row 12 being ``B``), one comprehension per stage over the row's nonzero
+    entries.  No error estimate and no dense output: the step is fixed.
+    ``acceleration(t, w)`` is the right-hand side's second half.
+    """
+    m = len(y) // 2
+
+    def f(y):
+        return y[m:] + acceleration(y[:m], y[m:])
+
+    k1 = f(y)
+    k2 = f([yi + h * 5.26001519587677318785587544488e-2 * q1
+            for yi, q1 in zip(y, k1)])
+    k3 = f([yi + h * (1.97250569845378994544595329183e-2 * q1
+                      + 5.91751709536136983633785987549e-2 * q2)
+            for yi, q1, q2 in zip(y, k1, k2)])
+    k4 = f([yi + h * (2.95875854768068491816892993775e-2 * q1
+                      + 8.87627564304205475450678981324e-2 * q3)
+            for yi, q1, q3 in zip(y, k1, k3)])
+    k5 = f([yi + h * (2.41365134159266685502369798665e-1 * q1
+                      - 8.84549479328286085344864962717e-1 * q3
+                      + 9.24834003261792003115737966543e-1 * q4)
+            for yi, q1, q3, q4 in zip(y, k1, k3, k4)])
+    k6 = f([yi + h * (3.7037037037037037037037037037e-2 * q1
+                      + 1.70828608729473871279604482173e-1 * q4
+                      + 1.25467687566822425016691814123e-1 * q5)
+            for yi, q1, q4, q5 in zip(y, k1, k4, k5)])
+    k7 = f([yi + h * (3.7109375e-2 * q1
+                      + 1.70252211019544039314978060272e-1 * q4
+                      + 6.02165389804559606850219397283e-2 * q5
+                      - 1.7578125e-2 * q6)
+            for yi, q1, q4, q5, q6 in zip(y, k1, k4, k5, k6)])
+    k8 = f([yi + h * (3.70920001185047927108779319836e-2 * q1
+                      + 1.70383925712239993810214054705e-1 * q4
+                      + 1.07262030446373284651809199168e-1 * q5
+                      - 1.53194377486244017527936158236e-2 * q6
+                      + 8.27378916381402288758473766002e-3 * q7)
+            for yi, q1, q4, q5, q6, q7 in zip(y, k1, k4, k5, k6, k7)])
+    k9 = f([yi + h * (6.24110958716075717114429577812e-1 * q1
+                      - 3.36089262944694129406857109825 * q4
+                      - 8.68219346841726006818189891453e-1 * q5
+                      + 2.75920996994467083049415600797e1 * q6
+                      + 2.01540675504778934086186788979e1 * q7
+                      - 4.34898841810699588477366255144e1 * q8)
+            for yi, q1, q4, q5, q6, q7, q8 in zip(y, k1, k4, k5, k6, k7, k8)])
+    k10 = f([yi + h * (4.77662536438264365890433908527e-1 * q1
+                       - 2.48811461997166764192642586468 * q4
+                       - 5.90290826836842996371446475743e-1 * q5
+                       + 2.12300514481811942347288949897e1 * q6
+                       + 1.52792336328824235832596922938e1 * q7
+                       - 3.32882109689848629194453265587e1 * q8
+                       - 2.03312017085086261358222928593e-2 * q9)
+             for yi, q1, q4, q5, q6, q7, q8, q9 in zip(y, k1, k4, k5, k6, k7, k8, k9)])
+    k11 = f([yi + h * (-9.3714243008598732571704021658e-1 * q1
+                       + 5.18637242884406370830023853209 * q4
+                       + 1.09143734899672957818500254654 * q5
+                       - 8.14978701074692612513997267357 * q6
+                       - 1.85200656599969598641566180701e1 * q7
+                       + 2.27394870993505042818970056734e1 * q8
+                       + 2.49360555267965238987089396762 * q9
+                       - 3.0467644718982195003823669022 * q10)
+             for yi, q1, q4, q5, q6, q7, q8, q9, q10 in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
+    k12 = f([yi + h * (2.27331014751653820792359768449 * q1
+                       - 1.05344954667372501984066689879e1 * q4
+                       - 2.00087205822486249909675718444 * q5
+                       - 1.79589318631187989172765950534e1 * q6
+                       + 2.79488845294199600508499808837e1 * q7
+                       - 2.85899827713502369474065508674 * q8
+                       - 8.87285693353062954433549289258 * q9
+                       + 1.23605671757943030647266201528e1 * q10
+                       + 6.43392746015763530355970484046e-1 * q11)
+             for yi, q1, q4, q5, q6, q7, q8, q9, q10, q11
+                 in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
+    return [yi + h * (5.42937341165687622380535766363e-2 * q1
+                      + 4.45031289275240888144113950566 * q6
+                      + 1.89151789931450038304281599044 * q7
+                      - 5.8012039600105847814672114227 * q8
+                      + 3.1116436695781989440891606237e-1 * q9
+                      - 1.52160949662516078556178806805e-1 * q10
+                      + 2.01365400804030348374776537501e-1 * q11
+                      + 4.47106157277725905176885569043e-2 * q12)
+            for yi, q1, q6, q7, q8, q9, q10, q11, q12 in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)]
+
+
+class TestCompiledStep:
+    """:func:`geodesics._compiled_step` gives the bits of :func:`reference_step`."""
+
+    @staticmethod
+    def _bits(y):
+        return [(z.real.hex(), z.imag.hex()) for z in y]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 15])
+    def test_equals_the_comprehension_step_bit_for_bit(self, rng, m):
+        """Every component, real and imaginary part, at steps of 0.05, 0.2
+        and 1 and at a shortened last step.  The states: random ones with
+        every chart coordinate inside the re-chart modulus, and the signed
+        zeros of a path on the real axis, as the pair sweep's from the
+        chart origin."""
+        s, length = 0.0, 0.93
+        while s + 0.05 < length:
+            s += 0.05
+        steps = (0.05, 0.2, 1.0, length - s)
+        states = []
+        for _ in range(60):
+            t = (rng.uniform(0.0, geodesics.RECHART_THRESHOLD, m)
+                 * np.exp(2j * math.pi * rng.random(m)))
+            w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            states.append(t.tolist() + w.tolist())
+        states.append([0j] * m + [1 + 0j] + [0j] * (m - 1))
+        states.append([complex(x, -0.0) for x in rng.uniform(-1.0, 1.0, 2 * m)])
+        step = geodesics._compiled_step(m)
+        assert 0.0 < steps[-1] < 0.05
+        for y in states:
+            for h in steps:
+                assert self._bits(step(list(y), h)) == self._bits(reference_step(list(y), h))
+
+
 class TestDop853Engine:
     """The fixed DOP853 step of :func:`geodesics._march` against scipy and the
     closed form.  ``RECHART_THRESHOLD`` is lifted where a test needs the
@@ -377,7 +519,7 @@ class TestClosedFormConnection:
             point = ChartPoint(base_index=int(rng.integers(dim)), coords=coords)
             v = rng.standard_normal(2 * (dim - 1))
             w = v[0::2] + 1j * v[1::2]
-            acc = np.array(geodesics._acceleration(coords.tolist(), w.tolist()))
+            acc = np.array(reference_acceleration(coords.tolist(), w.tolist()))
             closed = np.column_stack((acc.real, acc.imag)).ravel()
             oracle = fd_acceleration(point, v)
             worst = max(worst, np.max(np.abs(closed - oracle)) / np.max(np.abs(closed)))
@@ -469,9 +611,16 @@ class TestIntegrateGeodesic:
         with pytest.raises(ValueError, match="orthogonal to start"):
             integrate_geodesic(start, (0.3 + 2.0j) * start.rep, 1.0, 0.05)
 
-    def test_a_direction_of_another_dimension_is_rejected(self):
-        with pytest.raises(ValueError, match="direction must have shape"):
-            integrate_geodesic(self.E0, np.array([0.0, 1.0, 0.0]), 1.0, 0.05)
+    @pytest.mark.parametrize("direction, message", [
+        ([0.0, 1.0, 0.0, 0.0], "direction must have shape"),
+        ([math.nan, 1.0, 0.0], "finite statistical speed"),
+        ([math.inf, 1.0, 0.0], "finite statistical speed"),
+        ([1e300, 1.0, 0.0], "finite statistical speed"),  # overflows the squared speed
+    ])
+    def test_a_bad_direction_is_rejected(self, direction, message):
+        with pytest.raises(ValueError, match=message):
+            integrate_geodesic(project(np.array([1.0, 0.3, 0.2])), np.array(direction),
+                               0.5, 0.05)
 
 
 _BAD_STEPS = [0.0, -1e-3, math.nan, math.inf]
@@ -513,8 +662,8 @@ class TestEngineInputGuard:
         ``ValueError`` naming the length, the step and the count, before the
         engine takes its first step."""
         def forbidden(*args):
-            raise AssertionError("the engine took a step")
-        monkeypatch.setattr(geodesics, "_dop853_step", forbidden)
+            raise AssertionError("the engine looked up its step")
+        monkeypatch.setattr(geodesics, "_compiled_step", forbidden)
         call = {"integrate_geodesic": lambda: integrate_geodesic(
                     self.origin, np.array([0.0, 1.0]), 1.0, dt),
                 "pair_sweep": lambda: integrated_pair_distances([self.pair], dt=dt),
@@ -702,9 +851,11 @@ class TestTotalGeodesyCertificate:
         """Negative control: a constant push of 1e-6 on every chart coordinate
         leaves the superposition sphere, and each dimension's certificate
         fails its arrival or its off-slice check."""
-        original = geodesics._acceleration
-        monkeypatch.setattr(geodesics, "_acceleration", lambda t, w: [
-            acc + 1e-6 * (1.0 + 1.0j) for acc in original(t, w)])
+        def pushed(t, w):
+            return [acc + 1e-6 * (1.0 + 1.0j) for acc in reference_acceleration(t, w)]
+
+        monkeypatch.setattr(geodesics, "_compiled_step", lambda m: lambda y, h:
+                            reference_step(y, h, acceleration=pushed))
         argv = ["geodesic-verify", "--ambient-dims", "3,4,5,8", "--pairs", "1",
                 "--certificates", "1", "--out", str(tmp_path)]
         assert main(argv) == 1

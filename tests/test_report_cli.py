@@ -686,16 +686,17 @@ def test_import_loads_no_scipy():
 
 def test_import_loads_no_exact_arithmetic_and_builds_no_csv_table():
     """The CSV formatter's exact tables come from plain ints, and its tables
-    and block buffers are built at first use."""
+    and block buffers are built at first use; so is each geodesic step."""
     script = ("import sys, projqm.cli, projqm.report; "
               "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules), "
-              "projqm.report._tables.cache_info().currsize, vars(projqm.report._local))")
+              "projqm.report._tables.cache_info().currsize, vars(projqm.report._local), "
+              "projqm.geodesics._compiled_step.cache_info().currsize)")
     src = os.path.dirname(os.path.dirname(os.path.abspath(projqm.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[] 0 {}"
+    assert done.stdout.strip() == "[] 0 {} 0"
 
 
 @pytest.mark.parametrize("args", [["--dt", "0"], ["--dt", "nan"], ["--dt", "-1"],
