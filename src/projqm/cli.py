@@ -372,7 +372,7 @@ def cmd_two_slit(args) -> int:
 
     report.add("decomposition_identity", pattern.decomposition_residual,
                1e-12 * scale, **cfg_ins)
-    report.add("intensity_identity", pattern.intensity_identity_residual(),
+    report.add("intensity_identity", pattern.intensity_identity_residual,
                1e-12 * scale, **cfg_ins)
     report.add("total_screen_probability_le_1",
                pattern.total_screen_probability - 1.0, 1e-12 * scale, **cfg_ins)

@@ -68,7 +68,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projective import Ray, SpannedSphere, _membership_rows, project
+from .projective import Ray, SpannedSphere, _membership_rows
+# unused; perfbench's test_tracer_wraps_every_namespace_and_restores_them needs it bound
+from .projective import project  # noqa: F401
 
 __all__ = [
     "RECHART_THRESHOLD",
@@ -109,11 +111,6 @@ class ChartPoint:
                 f"base_index {self.base_index} out of range for dimension {c.size + 1}"
             )
         object.__setattr__(self, "coords", c)
-
-    @property
-    def dim(self) -> int:
-        """Ambient Hilbert-space dimension."""
-        return self.coords.size + 1
 
     @property
     def reals(self) -> np.ndarray:
@@ -418,10 +415,6 @@ class GeodesicPath:
     velocities: np.ndarray
 
     @property
-    def final(self) -> Ray:
-        return project(self.samples[-1])
-
-    @property
     def max_speed_drift(self) -> float:
         """How far the speed after each step strayed from one: a step-size diagnostic."""
         n, dim = self.samples.shape
@@ -442,14 +435,21 @@ def integrate_geodesic(start: Ray, direction, length: float, dt: float) -> Geode
         ``(d_j z_k - z_j d_k) / z_k**2`` at ``z = start.rep``, so a component
         along ``start.rep`` does not move the path, and one with nothing else
         raises ``ValueError``.  It is normalized to unit statistical speed, so
-        the curve parameter is arclength of the statistical metric.
+        the curve parameter is arclength of the statistical metric, and its
+        scale does not matter: a finite direction is first rescaled by the
+        power of two that brings its largest real or imaginary part into
+        ``[0.5, 1)``, exactly, so the speed floor is relative to its size.
     length, dt : float
         Total arclength and step; the last step is shortened to land on
         ``length`` exactly; ``0 < dt < inf`` and ``0 <= length < inf``.
     """
-    d = np.asarray(direction, dtype=np.complex128)
+    d = np.array(direction, dtype=np.complex128)  # a contiguous copy, rescaled in place
     if d.shape != (start.dim,):
         raise ValueError(f"direction must have shape ({start.dim},), got {d.shape}")
+    parts = d.view(np.float64)
+    size = float(np.max(np.abs(parts)))
+    if 0.0 < size < math.inf:
+        np.ldexp(parts, -math.frexp(size)[1], out=parts)
     chart = ray_to_chart(start)
     z, k = start.rep, chart.base_index
     keep = np.arange(start.dim) != k

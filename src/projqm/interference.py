@@ -172,71 +172,39 @@ def slit_states(wall: SlitWall) -> list[np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class InterferencePattern:
-    """Screen-side decomposition of one propagation run.
+    """Screen-side decomposition of one propagation run, as a read-only record.
 
-    ``per_slit_amplitudes[i]`` is the screen amplitude of ``P_i psi``; their
-    coherent sum is the full pattern.  ``decomposition_residual`` is the
-    measured gap between propagating the wall-projected state in one piece
-    and summing the per-slit propagations - a linearity identity, so it
-    sits at rounding level.  :func:`propagate_to_screen`, the one builder of
-    patterns, also keeps the read-only rows it propagated (``_segments``:
-    row ``i`` is ``P_i psi`` on the slit span) and its chirp-z operator
-    (``_operator``), so that :func:`phase_invariance_check` propagates the
-    rephased rows without building the operator again.
+    ``per_slit_amplitudes[i]`` is the screen amplitude ``phi_i`` of ``P_i psi``,
+    ``slit_intensities[i]`` is ``|phi_i|^2``, ``total_intensity`` is
+    ``|sum phi_i|^2`` and ``cross_term`` is ``sum_{i<j} Re(phi_i conj(phi_j))``
+    (zero for one slit).  ``decomposition_residual`` (one-piece against
+    per-slit propagation) and ``intensity_identity_residual`` (``total = sum
+    |phi_i|^2 + 2 * cross``) measure identities, so both sit at rounding level;
+    ``total_screen_probability`` is at most the norm the wall passed.
+    :func:`propagate_to_screen`, the one builder of patterns, computes each
+    field once and keeps the rows it propagated (``_segments``: row ``i`` is
+    ``P_i psi`` on the slit span) and its chirp-z operator (``_operator``), so
+    that :func:`phase_invariance_check` propagates the rephased rows with it.
     """
 
     screen_positions: np.ndarray
     dx: float
     per_slit_amplitudes: tuple[np.ndarray, ...]
+    total_intensity: np.ndarray
+    slit_intensities: tuple[np.ndarray, ...]
+    cross_term: np.ndarray
     wavelength: float
     distance: float
     paraxial_ok: bool
     decomposition_residual: float
+    intensity_identity_residual: float
+    total_screen_probability: float
     _segments: np.ndarray = field(repr=False)
     _operator: _ChirpZ = field(repr=False)
 
     @property
     def n_slits(self) -> int:
         return len(self.per_slit_amplitudes)
-
-    @property
-    def total_amplitude(self) -> np.ndarray:
-        return np.sum(self.per_slit_amplitudes, axis=0)
-
-    @property
-    def total_intensity(self) -> np.ndarray:
-        return np.abs(self.total_amplitude) ** 2
-
-    @property
-    def slit_intensities(self) -> list[np.ndarray]:
-        return [np.abs(a) ** 2 for a in self.per_slit_amplitudes]
-
-    @property
-    def cross_term(self) -> np.ndarray:
-        """Sum over slit pairs of Re(phi_i conj(phi_j)); doubles into the
-        intensity: total = sum |phi_i|^2 + 2 * cross."""
-        cross = np.zeros(self.screen_positions.size)
-        for a, b in itertools.combinations(self.per_slit_amplitudes, 2):
-            cross += (a * np.conj(b)).real
-        return cross
-
-    @property
-    def incoherent_intensity(self) -> np.ndarray:
-        """Classical sum of single-slit intensities (cross term removed)."""
-        return np.sum(self.slit_intensities, axis=0)
-
-    def intensity_identity_residual(self) -> float:
-        """Max |total - (incoherent + 2 cross)|; rounding-level identity."""
-        total = self.total_intensity
-        return float(np.max(np.abs(
-            total - (self.incoherent_intensity + 2.0 * self.cross_term)
-        )))
-
-    @property
-    def total_screen_probability(self) -> float:
-        """Squared norm collected by the (finite) screen: at most the norm
-        the wall passed, which is itself at most one."""
-        return float(np.sum(self.total_intensity))
 
 
 #: Largest disagreement, relative to the peak amplitude floored at 1, between
@@ -321,6 +289,8 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
     the wall-projected state, the sum of those rows, is also propagated in
     one piece, and the two routes must agree within ``_LINEARITY_TOL``
     (times the peak amplitude, floored at 1), or ``RuntimeError`` is raised.
+    Every other field of the pattern is computed once, from the per-slit
+    amplitudes and their coherent sum, and every array is made read-only.
 
     ``paraxial_ok`` on the result flags whether the geometry is comfortably
     paraxial (propagation distance at least ten times the transverse
@@ -351,15 +321,28 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
             f"decomposition identity violated: residual {residual:.3e} exceeds "
             f"{_LINEARITY_TOL:.1e} x {scale:.3e}"
         )
+    total = np.abs(coherent) ** 2
+    slit_intensities = tuple(np.abs(a) ** 2 for a in amps)
+    cross = np.zeros(x.size)
+    for a, b in itertools.combinations(amps, 2):
+        cross += (a * np.conj(b)).real
+    incoherent = np.sum(slit_intensities, axis=0)
+    for array in (x, *amps, total, *slit_intensities, cross):
+        array.setflags(write=False)
     extent = float(np.max(np.abs(wall.grid))) + screen_halfwidth
     return InterferencePattern(
         screen_positions=x,
         dx=dx,
         per_slit_amplitudes=amps,
+        total_intensity=total,
+        slit_intensities=slit_intensities,
+        cross_term=cross,
         wavelength=wavelength,
         distance=distance,
         paraxial_ok=bool(distance >= 10.0 * extent),
         decomposition_residual=residual,
+        intensity_identity_residual=float(np.max(np.abs(total - (incoherent + 2.0 * cross)))),
+        total_screen_probability=float(np.sum(total)),
         _segments=segments,
         _operator=operator,
     )

@@ -88,10 +88,6 @@ class TangentVector:
             raise ValueError(f"tangent vector is not horizontal: |<rep|vec>| = {drift:.3e}")
         object.__setattr__(self, "vec", v)
 
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
 
 def horizontal_project(base: Ray, raw) -> TangentVector:
     """Horizontal part of an arbitrary Hilbert-space vector at ``base``."""

@@ -38,7 +38,7 @@ class TestChartRoundtrip:
     def test_base_is_largest_component(self):
         pt = ray_to_chart(project(np.array([0.1, 0.9, 0.3])))
         assert pt.base_index == 1
-        assert pt.dim == 3
+        assert pt.coords.size + 1 == 3
 
     def test_chart_point_validation(self):
         with pytest.raises(ValueError):
@@ -559,7 +559,7 @@ class TestIntegrateGeodesic:
 
     def test_zero_length_is_identity(self):
         path = integrate_geodesic(self.E0, self.E1, 0.0, 1e-2)
-        assert fs_distance(path.final, self.E0) < 1e-12
+        assert fs_distance(project(path.samples[-1]), self.E0) < 1e-12
 
     def test_speed_stays_unit(self):
         start = project(np.array([1.0, 0.2 - 0.1j]))
@@ -568,11 +568,11 @@ class TestIntegrateGeodesic:
 
     def test_quarter_turn_reaches_orthogonal_ray(self):
         path = integrate_geodesic(self.E0, self.E1, np.pi / 2.0, 1e-3)
-        assert fs_distance(path.final, project(self.E1)) < 1e-8
+        assert fs_distance(project(path.samples[-1]), project(self.E1)) < 1e-8
 
     def test_closed_geodesic_returns_home(self):
         path = integrate_geodesic(self.E0, self.E1, np.pi, 1e-3)
-        assert fs_distance(path.final, self.E0) < 1e-7
+        assert fs_distance(project(path.samples[-1]), self.E0) < 1e-7
 
     def test_rechart_threshold_does_not_change_endpoint(self, monkeypatch):
         start = project(np.array([1.0, 0.1 + 0.05j]))
@@ -583,7 +583,7 @@ class TestIntegrateGeodesic:
         lazy = integrate_geodesic(start, d, **kw)
         # the paths switch charts at different steps, and end at the same ray
         assert list(eager.bases) != list(lazy.bases)
-        assert fs_distance(eager.final, lazy.final) < 1e-8
+        assert fs_distance(project(eager.samples[-1]), project(lazy.samples[-1])) < 1e-8
 
     def test_rows_are_homogeneous_with_one_in_the_base_slot(self, rng):
         start = project(random_unit(rng, 4))
@@ -605,22 +605,40 @@ class TestIntegrateGeodesic:
         assert np.max(np.abs(plain.samples - shifted.samples)) <= 1e-14
         assert np.max(np.abs(plain.velocities - shifted.velocities)) <= 1e-14
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
     @pytest.mark.parametrize("dim", [2, 4])
-    def test_a_purely_vertical_direction_is_rejected(self, rng, dim):
+    def test_a_purely_vertical_direction_is_rejected(self, rng, dim, scale):
         start = project(random_unit(rng, dim))
         with pytest.raises(ValueError, match="orthogonal to start"):
-            integrate_geodesic(start, (0.3 + 2.0j) * start.rep, 1.0, 0.05)
+            integrate_geodesic(start, scale * (0.3 + 2.0j) * start.rep, 1.0, 0.05)
 
     @pytest.mark.parametrize("direction, message", [
         ([0.0, 1.0, 0.0, 0.0], "direction must have shape"),
         ([math.nan, 1.0, 0.0], "finite statistical speed"),
         ([math.inf, 1.0, 0.0], "finite statistical speed"),
-        ([1e300, 1.0, 0.0], "finite statistical speed"),  # overflows the squared speed
+        ([0.0, 0.0, 0.0], "orthogonal to start"),
     ])
     def test_a_bad_direction_is_rejected(self, direction, message):
         with pytest.raises(ValueError, match=message):
             integrate_geodesic(project(np.array([1.0, 0.3, 0.2])), np.array(direction),
                                0.5, 0.05)
+
+    @pytest.mark.parametrize("direction, unit", [
+        ([1e300, 1.0, 0.0], [1.0, 0.0, 0.0]),  # its squared speed would overflow
+        ([1e-300, 1e-300, 0.0], [1.0, 1.0, 0.0]),  # its speed is below 1e-14
+        ([5e-324, -5e-324j, 0.0], [1.0, -1.0j, 0.0]),  # subnormal
+    ])
+    def test_a_direction_at_any_scale_gives_the_path_of_its_unit_scale(self, direction, unit):
+        """The direction is rescaled by an exact power of two before the
+        pushforward, so the speed floor is relative to its size, and a part
+        below rounding of the largest does not move the path.  The caller's
+        array is left as it was."""
+        start = project(np.array([1.0, 0.3, 0.2]))
+        given = np.array(direction, dtype=np.complex128)
+        path, ref = (integrate_geodesic(start, d, 0.5, 0.05) for d in (given, np.array(unit)))
+        for name in ("arclengths", "bases", "samples", "velocities"):
+            assert np.array_equal(getattr(path, name), getattr(ref, name))
+        assert np.array_equal(given, np.array(direction, dtype=np.complex128))
 
 
 _BAD_STEPS = [0.0, -1e-3, math.nan, math.inf]

@@ -1,6 +1,8 @@
 """Unit tests for slit walls, Fresnel propagation, and pattern decomposition."""
 
 import dataclasses
+import inspect
+import itertools
 import os
 import subprocess
 import sys
@@ -11,11 +13,10 @@ import pytest
 
 import projqm
 from projqm.cli import main
-from projqm.interference import (SlitWall, TwoSlitConfig, build_wall, fringe_spacing,
-                                 gaussian_input, noncommuting_control, pattern_rows,
-                                 phase_invariance_check, plane_wave_input,
-                                 propagate_to_screen, projector_poisson_check,
-                                 slit_states)
+from projqm.interference import (InterferencePattern, SlitWall, TwoSlitConfig, build_wall,
+                                 fringe_spacing, gaussian_input, noncommuting_control,
+                                 pattern_rows, phase_invariance_check, plane_wave_input,
+                                 propagate_to_screen, projector_poisson_check, slit_states)
 from projqm.kahler import poisson_bracket
 from projqm.projective import project
 
@@ -131,7 +132,7 @@ class TestPropagation:
         assert pattern.decomposition_residual < 1e-12
 
     def test_intensity_identity(self, pattern):
-        assert pattern.intensity_identity_residual() < 1e-12
+        assert pattern.intensity_identity_residual < 1e-12
 
     def test_probability_bounded_by_wall_transmission(self, pattern):
         cfg = TwoSlitConfig()
@@ -375,15 +376,70 @@ def test_applied_brackets_match_dense_projectors(n_slits):
 
 
 class TestPatternRows:
-    def test_layout(self):
-        cfg = TwoSlitConfig(n_screen=64)
-        pattern = cfg.run()
+    @pytest.mark.parametrize("centers", [(0.0,), (-5e-5, 5e-5), (-1e-4, 0.0, 1e-4)])
+    def test_layout(self, centers):
+        """One row per screen point; the columns stack the pattern's own fields."""
+        pattern = TwoSlitConfig(slit_centers=centers, n_screen=64).run()
         header, rows = pattern_rows(pattern)
-        assert header[0] == "x"
-        assert "intensity_total" in header
-        assert "cross_term" in header
-        assert len(rows) == 64
-        assert all(len(row) == len(header) for row in rows)
+        slits = [f"intensity_slit_{i + 1}" for i in range(len(centers))]
+        assert header == ["x", "intensity_total", *slits, "cross_term"]
+        assert rows.shape == (64, len(header))
+        columns = [pattern.screen_positions, pattern.total_intensity,
+                   *pattern.slit_intensities, pattern.cross_term]
+        assert all(np.array_equal(rows[:, k], col) for k, col in enumerate(columns))
+
+
+def old_pattern_properties(pattern):
+    """The five properties that recomputed the decomposition on every read,
+    before :func:`propagate_to_screen` stored it on the pattern: the oracle
+    for its fields, expression for expression."""
+    total_amplitude = np.sum(pattern.per_slit_amplitudes, axis=0)
+    total_intensity = np.abs(total_amplitude) ** 2
+    slit_intensities = [np.abs(a) ** 2 for a in pattern.per_slit_amplitudes]
+    cross_term = np.zeros(pattern.screen_positions.size)
+    for a, b in itertools.combinations(pattern.per_slit_amplitudes, 2):
+        cross_term += (a * np.conj(b)).real
+    incoherent_intensity = np.sum(slit_intensities, axis=0)
+    return total_amplitude, total_intensity, slit_intensities, cross_term, incoherent_intensity
+
+
+class TestPatternRecord:
+    @pytest.mark.parametrize("profile", ["plane", "gaussian"])
+    @pytest.mark.parametrize("centers", [(0.0,), (-5e-5, 5e-5), (-1e-4, 0.0, 1e-4)])
+    def test_fields_equal_the_old_properties_bit_for_bit(self, centers, profile):
+        pattern = TwoSlitConfig(slit_centers=centers, n_wall=512, n_screen=384,
+                                input_profile=profile, waist=8e-5).run()
+        _, total, slits, cross, incoherent = old_pattern_properties(pattern)
+        assert np.array_equal(pattern.total_intensity, total)
+        assert len(pattern.slit_intensities) == len(slits) == len(centers)
+        assert all(np.array_equal(a, b) for a, b in zip(pattern.slit_intensities, slits))
+        assert np.array_equal(pattern.cross_term, cross)
+        assert pattern.intensity_identity_residual == float(
+            np.max(np.abs(total - (incoherent + 2.0 * cross))))
+        assert pattern.total_screen_probability == float(np.sum(total))
+
+    def test_every_array_field_is_read_only(self):
+        pattern = TwoSlitConfig(slit_centers=(-1e-4, 0.0, 1e-4), n_wall=256,
+                                n_screen=128).run()
+        arrays = {}
+        for f in dataclasses.fields(pattern):
+            value = getattr(pattern, f.name)
+            if isinstance(value, tuple):
+                arrays.update((f"{f.name}[{i}]", a) for i, a in enumerate(value))
+            elif isinstance(value, np.ndarray):
+                arrays[f.name] = value
+        assert {name.split("[")[0] for name in arrays} == {
+            "screen_positions", "per_slit_amplitudes", "total_intensity",
+            "slit_intensities", "cross_term", "_segments"}
+        assert [name for name, a in arrays.items() if a.flags.writeable] == []
+
+    def test_the_only_property_is_n_slits(self):
+        """Every derived quantity is a field, computed once; none is recomputed
+        on read."""
+        members = {name for name, v in vars(InterferencePattern).items()
+                   if not name.startswith("__")
+                   and (isinstance(v, property) or inspect.isfunction(v))}
+        assert members == {"n_slits"}
 
 
 class TestTwoSlitConfig:
@@ -483,7 +539,8 @@ def test_chirp_z_matches_dense_kernel(centers, n_wall, n_screen, distance):
     assert len(pattern.per_slit_amplitudes) == len(centers)
     for amp, ref, bound in zip(pattern.per_slit_amplitudes, dense, bounds):
         assert np.max(np.abs(amp - ref)) <= bound
-    assert np.max(np.abs(pattern.total_amplitude - np.sum(dense, axis=0))) <= sum(bounds)
+    coherent = np.sum(pattern.per_slit_amplitudes, axis=0)
+    assert np.max(np.abs(coherent - np.sum(dense, axis=0))) <= sum(bounds)
 
 
 def test_import_leaves_numpy_fft_unloaded():

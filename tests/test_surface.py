@@ -89,8 +89,10 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
 
 #: Imports bound on purpose and never read, by module.  perfbench's
 #: ``test_tracer_wraps_every_namespace_and_restores_them`` asserts that
-#: ``projqm.interference.poisson_bracket`` is wrapped by the tracer.
-UNREAD_ON_PURPOSE = {"src/projqm/interference.py": {"poisson_bracket"}}
+#: ``projqm.interference.poisson_bracket`` and ``projqm.geodesics.project``
+#: are wrapped by the tracer.
+UNREAD_ON_PURPOSE = {"src/projqm/interference.py": {"poisson_bracket"},
+                     "src/projqm/geodesics.py": {"project"}}
 
 
 def test_no_module_imports_a_name_it_never_uses():
