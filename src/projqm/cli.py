@@ -72,7 +72,8 @@ from .interference import (TwoSlitConfig, fringe_spacing, noncommuting_control,
 from .kahler import (derive_observable_scale_factor, hamiltonian_vector_field,
                      killing_residual, poisson_bracket, riemannian_product,
                      uncertainty_audit)
-from .projective import SpannedSphere, fs_distance, project, sphere_area
+from .projective import (Ray, SpannedSphere, _fs_distances, _gauge_fix, _modulus,
+                         _row_norms, _unit, fs_distance, project, sphere_area)
 from .report import Report, write_csv
 
 #: Exit codes of the CLI contract.
@@ -151,6 +152,42 @@ def _finish(report: Report, out: str, csv=None) -> int:
 def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+#: Most candidate pairs ``geodesic-verify`` draws at once, so that a large
+#: ``--pairs`` never holds its whole draw in memory.
+_DRAW_BLOCK = 4096
+
+
+def _random_pairs(rng: np.random.Generator, dim: int, count: int):
+    """``count`` random pairs of rays of ``dim`` whose overlap lies in
+    ``(1e-3, 0.999)``: two read-only stacks of representatives, a pair per
+    row, and the overlaps.
+
+    Candidates are drawn in blocks, axes (pair, a/b, re/im, component), and
+    gauge-fixed as stacks.  Each is the pair, and the generator ends in the
+    state, of drawing ``_random_state`` twice per candidate, projecting each
+    draw and rejecting the pair by its overlap: a block holds at most the
+    pairs still needed, so it never draws past the candidate at which such
+    a loop stops, and the norms are ``project``'s (:func:`_row_norms`).
+    """
+    a = np.empty((count, dim), dtype=np.complex128)
+    b = np.empty_like(a)
+    overlaps = np.empty(count)
+    got = 0
+    while got < count:
+        z = rng.standard_normal((min(count - got, _DRAW_BLOCK), 2, 2, dim))
+        v = (z[:, :, 0] + 1j * z[:, :, 1]).reshape(-1, dim)
+        v = _gauge_fix(_unit(v, _row_norms), _row_norms)
+        va, vb = v[0::2], v[1::2]
+        c = _modulus(np.vecdot(va, vb))
+        ok = (1e-3 < c) & (c < 0.999)
+        n = int(np.count_nonzero(ok))
+        a[got:got + n], b[got:got + n], overlaps[got:got + n] = va[ok], vb[ok], c[ok]
+        got += n
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b, overlaps
 
 
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -242,26 +279,19 @@ def cmd_geodesic_verify(args) -> int:
 
     if args.pairs > 0:
         rng = np.random.default_rng(args.seed)
-        draws = []  # (dim, pairs, sphere basis) per dim, in the generator's order
+        draws = []  # (dim, stacks a, b, overlaps, sphere basis) per dim, in the generator's order
         for dim in dims:
-            pairs = []
-            while len(pairs) < args.pairs:
-                a = project(_random_state(rng, dim))
-                b = project(_random_state(rng, dim))
-                c = abs(a.overlap_with(b))
-                if 1e-3 < c < 0.999:
-                    pairs.append((a, b))
+            a, b, overlaps = _random_pairs(rng, dim, args.pairs)
             u = _random_state(rng, dim)
             w = _random_state(rng, dim)
-            draws.append((dim, pairs, gram_schmidt([u, w])))
+            draws.append((dim, a, b, overlaps, gram_schmidt([u, w])))
         # one great circle serves every pair of every dim
         with _input_errors(ValueError):  # a dt that needs too many steps
             integrated = integrated_pair_distances(
-                [pair for _, pairs, _ in draws for pair in pairs], dt=args.dt)
-        for i, (dim, pairs, basis) in enumerate(draws):
+                [(a, b) for _, a, b, _, _ in draws], dt=args.dt)
+        for i, (dim, a, b, overlaps, basis) in enumerate(draws):
             integ = integrated[i * args.pairs:(i + 1) * args.pairs]
-            overlaps = np.array([abs(a.overlap_with(b)) for a, b in pairs])
-            closed = np.array([fs_distance(a, b) for a, b in pairs])
+            closed = _fs_distances(a, b)
             report.add("closed_form_distance_vs_overlap",
                        float(np.max(np.abs(np.cos(closed) ** 2 - overlaps**2))),
                        1e-12 * scale, dim=dim, seed=args.seed,
@@ -278,11 +308,9 @@ def cmd_geodesic_verify(args) -> int:
 
             if dim >= 3:
                 for k in range(min(args.pairs, args.certificates)):
-                    a, b = pairs[k]
                     with _input_errors(ValueError):
-                        cert = total_geodesy_certificate(a, b, dt=args.dt)
-                    ins = dict(dim=dim, seed=args.seed, pair=k,
-                               a=a.rep, b=b.rep)
+                        cert = total_geodesy_certificate(Ray(a[k]), Ray(b[k]), dt=args.dt)
+                    ins = dict(dim=dim, seed=args.seed, pair=k, a=a[k], b=b[k])
                     report.add("certificate_offslice_residual",
                                cert.max_offslice_residual, 1e-6 * scale, **ins)
                     report.add("certificate_length_match",

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projective import Ray, SpannedSphere, _membership_rows
+from .projective import Ray, SpannedSphere, _membership_rows, _modulus, _row_norms
 # unused; perfbench's test_tracer_wraps_every_namespace_and_restores_them needs it bound
 from .projective import project  # noqa: F401
 
@@ -466,25 +466,35 @@ def integrate_geodesic(start: Ray, direction, length: float, dt: float) -> Geode
                         samples=_homogeneous(bases, np.array(ts)), velocities=np.array(ws))
 
 
-def _aligned_frame(a: Ray, b: Ray):
-    """Orthonormal pair (e0, e1) with b = cos(d) e0 + sin(d) e1, plus (cos, sin).
+def _aligned_frames(a: np.ndarray, b: np.ndarray):
+    """Orthonormal pairs (e0, e1) with b = cos(d) e0 + sin(d) e1 for the rows
+    of two stacks of unit representatives, compared pairwise: ``e0`` is the
+    row of ``a``; returns the stack of ``e1``, ``cos``, ``sin`` and
+    ``degenerate``.
 
     ``e1`` is phase-aligned so b's frame coordinates are real nonnegative;
     for orthogonal rays the alignment is a pure convention (flagged by the
-    caller via the returned ``degenerate`` boolean).
+    caller via the returned ``degenerate`` flags).  The phase ``conj(ov) /
+    |ov|`` is divided part by part, as Python divides a complex number by a
+    float; numpy's complex-by-real division multiplies by the reciprocal.
+    The norms are :func:`_row_norms`, so a one-row stack gives the frame of
+    one pair by one-vector arithmetic, bit for bit.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    ov = complex(np.vdot(a.rep, b.rep))
-    c = abs(ov)
-    if c >= 1.0 - 1e-14:
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: stacks of shape {a.shape} vs {b.shape}")
+    if not np.all(np.abs(_row_norms(np.concatenate((a, b))) - 1.0) <= 1e-12):  # NaN included
+        raise ValueError("ray representatives must have unit norm")
+    ov = np.vecdot(a, b)
+    c = _modulus(ov)
+    if np.any(c >= 1.0 - 1e-14):
         raise ValueError("rays coincide; the connecting geodesic is trivial")
     degenerate = c < 1e-14
-    btil = b.rep if degenerate else b.rep * (ov.conjugate() / c)
-    perp = btil - c * a.rep
-    s_norm = float(np.linalg.norm(perp))
-    e1 = perp / s_norm
-    return a.rep, e1, c, s_norm, degenerate
+    phase, modulus = ov.conj(), np.where(degenerate, 1.0, c)
+    phase.real /= modulus
+    phase.imag /= modulus
+    perp = np.where(degenerate[:, None], b, b * phase[:, None]) - c[:, None] * a
+    s_norm = _row_norms(perp)
+    return perp / s_norm[:, None], c, s_norm, degenerate
 
 
 def _stop_after(reach: float, dt: float, cap: float) -> float:
@@ -513,8 +523,13 @@ def _stop_after(reach: float, dt: float, cap: float) -> float:
 _SWEEP_START = Ray(np.array([1.0 + 0j, 0j]))
 
 
-def integrated_pair_distances(pairs, dt: float = 0.05) -> np.ndarray:
+def integrated_pair_distances(stacks, dt: float = 0.05) -> np.ndarray:
     """Distance between ray pairs measured by geodesic integration.
+
+    ``stacks`` is a sequence of ``(a, b)``: two 2-D arrays of one shape,
+    with the unit representatives of a pair's two rays in the same row of
+    each; items may differ in dim.  The distances of every row of every item
+    come back in order.
 
     For each pair the geodesic is integrated in the chart of the
     superposition sphere the pair spans, starting at the first ray and aimed
@@ -524,16 +539,17 @@ def integrated_pair_distances(pairs, dt: float = 0.05) -> np.ndarray:
     measurement; comparing ``cos**2`` of the result with ``|<a|b>|**2`` is
     therefore a genuine check, not a tautology.
 
-    In the frame ``(e0, e1)`` of :func:`_aligned_frame` every pair's geodesic
-    is the same great circle ``cos(s) e0 + sin(s) e1``; only the target
-    ``cos_d e0 + sin_d e1`` differs.  So one integration serves all pairs.
-    It stops two steps past the farthest target (:func:`_stop_after`), at
-    most at ``pi/2 + 0.25``: the fit reads no later sample, so the result is
-    that of the full quarter circle bit for bit.
+    In the frame ``(e0, e1)`` of :func:`_aligned_frames` every pair's
+    geodesic is the same great circle ``cos(s) e0 + sin(s) e1``; only the
+    target ``cos_d e0 + sin_d e1`` differs.  So one integration serves all
+    pairs.  It stops two steps past the farthest target
+    (:func:`_stop_after`), at most at ``pi/2 + 0.25``: the fit reads no
+    later sample, so the result is that of the full quarter circle bit for
+    bit.
     """
-    frames = [_aligned_frame(a, b) for a, b in pairs]
-    cos_d = np.array([f[2] for f in frames])
-    sin_d = np.array([f[3] for f in frames])
+    frames = [_aligned_frames(a, b) for a, b in stacks]
+    cos_d = np.concatenate([np.empty(0)] + [f[1] for f in frames])
+    sin_d = np.concatenate([np.empty(0)] + [f[2] for f in frames])
     far = float(np.max(np.arctan2(sin_d, cos_d), initial=0.0))
     # from the first ray along e1, which aims at the second
     path = integrate_geodesic(_SWEEP_START, [0, 1],
@@ -572,7 +588,7 @@ def _shoot(a: Ray, e1, cos_d, sin_d, chi, length, dt, sphere):
     """Integrate one aimed geodesic; return signed miss and arrival data.
 
     The shot leaves ``a`` along ``exp(i chi) e1``, ``e1`` from
-    :func:`_aligned_frame`.  The arrival miss is assembled from the
+    :func:`_aligned_frames`.  The arrival miss is assembled from the
     transverse in-sphere component ``Im(beta conj(alpha))`` and the
     off-sphere membership residual, not from the overlap magnitude with the
     target: the magnitude route cannot resolve distances below sqrt(machine
@@ -620,7 +636,7 @@ _AIM_HALF_WIDTH = 0.6
 
 def _aim_half_width(dim: int, target: float, dt: float) -> float:
     """Half-width of Brent's bracket around the aim 0 that
-    :func:`_aligned_frame` predicts, from DOP853's error at the step ``dt``.
+    :func:`_aligned_frames` predicts, from DOP853's error at the step ``dt``.
 
     Exact geodesics reach ``b`` at aim 0; the root moves only by the
     integrator's error.  The bound has three parts:
@@ -755,7 +771,7 @@ def total_geodesy_certificate(a: Ray, b: Ray, dt: float = 0.05) -> TotalGeodesyC
     certificate reads the shot Brent already made at its root; no aim
     angle is integrated twice.
 
-    In the frame of :func:`_aligned_frame` an exact geodesic reaches ``b``
+    In the frame of :func:`_aligned_frames` an exact geodesic reaches ``b``
     at aim 0, so Brent's bracket is ``[-delta, delta]``, with ``delta``
     from DOP853's error bound at ``dt`` over the miss's sensitivity to the
     aim (:func:`_aim_half_width`), at most 0.6.  A path bent by more than
@@ -767,11 +783,12 @@ def total_geodesy_certificate(a: Ray, b: Ray, dt: float = 0.05) -> TotalGeodesyC
 
     Rays of different dimensions raise ``ValueError``.
     """
-    e0, e1, cos_d, sin_d, degenerate = _aligned_frame(a, b)
+    e1, cos_d, sin_d, degenerate = _aligned_frames(a.rep[None], b.rep[None])
+    e1, cos_d, sin_d = e1[0], float(cos_d[0]), float(sin_d[0])
     target = math.atan2(sin_d, cos_d)
     if target < 1e-3:
         raise ValueError("rays are too close for a meaningful certificate")
-    sphere = SpannedSphere(rep0=e0, rep1=e1)
+    sphere = SpannedSphere(rep0=a.rep, rep1=e1)
     width = _aim_half_width(a.dim, target, dt)
     length = _stop_after(_reach(target, width), dt,
                          min(target + 0.15, math.pi / 2.0 + 0.2))
@@ -783,7 +800,7 @@ def total_geodesy_certificate(a: Ray, b: Ray, dt: float = 0.05) -> TotalGeodesyC
         return shots[chi]
 
     converged = True
-    if degenerate or target > math.pi / 2.0 - 1e-6:
+    if degenerate[0] or target > math.pi / 2.0 - 1e-6:
         # orthogonal endpoints: b is the antipode, reached at every aim
         # angle, so the transverse miss has no sign change to bracket
         chi_star = 0.0

@@ -58,7 +58,10 @@ def test_criterion_01_distance_consistency_closed_form_and_integrated():
                            abs(np.cos(fs_distance(a, b)) ** 2 - p))
     assert closed_worst < 1e-12
 
-    integrated = integrated_pair_distances(pairs)
+    # one stack per dim, the pairs of each dim in order
+    integrated = integrated_pair_distances(
+        [(np.array([a.rep for a, _ in pairs[k:k + 144]]),
+          np.array([b.rep for _, b in pairs[k:k + 144]])) for k in range(0, len(pairs), 144)])
     int_worst = 0.0
     for (a, b), d in zip(pairs, integrated):
         p = transition_probability(a, b)

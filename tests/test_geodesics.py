@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import projqm.cli as cli
 import projqm.geodesics as geodesics
-from projqm.cli import main
+from projqm.cli import _random_pairs, _random_state, main
 from projqm.geodesics import (ChartPoint, integrate_geodesic, integrated_pair_distances,
                               lie_derivative_normal, ray_to_chart,
                               total_geodesy_certificate)
-from projqm.projective import SpannedSphere, _membership_rows, fs_distance, project
+from projqm.projective import (Ray, SpannedSphere, _fs_distances, _membership_rows,
+                               fs_distance, project)
 from tests.conftest import random_unit, unit_vectors
 
 
@@ -24,6 +26,30 @@ def chart_to_ray(point: ChartPoint):
 def fs_metric(point: ChartPoint) -> np.ndarray:
     """Statistical chart metric at a chart point, on interleaved real coordinates."""
     return geodesics._metric_real_batch(point.reals)
+
+
+def aligned_frame(a, b):
+    """Orthonormal pair (e0, e1) with b = cos(d) e0 + sin(d) e1, plus (cos, sin):
+    the frame of one pair by Python arithmetic, the bit-for-bit reference of
+    the stacks of ``geodesics._aligned_frames``."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    ov = complex(np.vdot(a.rep, b.rep))
+    c = abs(ov)
+    if c >= 1.0 - 1e-14:
+        raise ValueError("rays coincide; the connecting geodesic is trivial")
+    degenerate = c < 1e-14
+    btil = b.rep if degenerate else b.rep * (ov.conjugate() / c)
+    perp = btil - c * a.rep
+    s_norm = float(np.linalg.norm(perp))
+    e1 = perp / s_norm
+    return a.rep, e1, c, s_norm, degenerate
+
+
+def as_stacks(pairs):
+    """Ray pairs as ``integrated_pair_distances`` takes them: a one-row
+    stack of each ray per pair."""
+    return [(a.rep[None], b.rep[None]) for a, b in pairs]
 
 
 class TestChartRoundtrip:
@@ -392,7 +418,7 @@ class TestDop853Engine:
         within 1e-14: the certificate needs no dense output of its own."""
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         a, b = project(random_unit(rng, dim)), project(random_unit(rng, dim))
-        e0, e1, cos_d, sin_d, _ = geodesics._aligned_frame(a, b)
+        e0, e1, cos_d, sin_d, _ = aligned_frame(a, b)
         sphere = SpannedSphere(rep0=e0, rep1=e1)
         chart = ray_to_chart(a)
         k, keep = chart.base_index, np.arange(dim) != chart.base_index
@@ -664,7 +690,7 @@ class TestEngineInputGuard:
     @pytest.mark.parametrize("dt", _BAD_STEPS)
     def test_pair_sweep_rejects_step(self, dt):
         with pytest.raises(ValueError, match=_GUARD):
-            integrated_pair_distances([self.pair], dt=dt)
+            integrated_pair_distances(as_stacks([self.pair]), dt=dt)
 
     @pytest.mark.parametrize("dt", _BAD_STEPS)
     def test_certificate_rejects_step(self, dt):
@@ -684,7 +710,7 @@ class TestEngineInputGuard:
         monkeypatch.setattr(geodesics, "_compiled_step", forbidden)
         call = {"integrate_geodesic": lambda: integrate_geodesic(
                     self.origin, np.array([0.0, 1.0]), 1.0, dt),
-                "pair_sweep": lambda: integrated_pair_distances([self.pair], dt=dt),
+                "pair_sweep": lambda: integrated_pair_distances(as_stacks([self.pair]), dt=dt),
                 "certificate": lambda: total_geodesy_certificate(*self.pair, dt=dt)}[entry]
         with pytest.raises(ValueError, match=rf"at dt {dt!r} takes .* steps, more than "
                                              rf"the bound of {geodesics._MAX_STEPS}"):
@@ -714,15 +740,18 @@ class TestIntegratedDistances:
                 if 1e-3 < abs(a.overlap_with(b)) < 0.999:
                     pairs.append((a, b))
         assert len(pairs) >= 8
-        dists = integrated_pair_distances(pairs)
+        dists = integrated_pair_distances(as_stacks(pairs))
         for (a, b), d in zip(pairs, dists):
             assert abs(d - fs_distance(a, b)) < 1e-8
 
     def test_sweep_equals_single_pairs_bit_for_bit(self, rng):
-        pairs = [(project(random_unit(rng, dim)), project(random_unit(rng, dim)))
-                 for dim in (2, 3, 5) for _ in range(4)]
-        singles = [integrated_pair_distances([pair])[0] for pair in pairs]
-        assert integrated_pair_distances(pairs).tobytes() == np.array(singles).tobytes()
+        """One stack per dim, or one call per pair: the same bits."""
+        stacks = [(np.array([project(random_unit(rng, dim)).rep for _ in range(4)]),
+                   np.array([project(random_unit(rng, dim)).rep for _ in range(4)]))
+                  for dim in (2, 3, 5)]
+        singles = [integrated_pair_distances([(a[k:k + 1], b[k:k + 1])])[0]
+                   for a, b in stacks for k in range(4)]
+        assert integrated_pair_distances(stacks).tobytes() == np.array(singles).tobytes()
 
     @pytest.mark.parametrize("n_pairs", [1, 7, 40])
     def test_one_integration_whatever_the_batch(self, rng, monkeypatch, n_pairs):
@@ -734,10 +763,20 @@ class TestIntegratedDistances:
             return original(*args)
 
         monkeypatch.setattr(geodesics, "_march", counting)
-        pairs = [(project(random_unit(rng, 3)), project(random_unit(rng, 3)))
-                 for _ in range(n_pairs)]
-        assert integrated_pair_distances(pairs).shape == (n_pairs,)
+        a, b = (np.array([project(random_unit(rng, 3)).rep for _ in range(n_pairs)])
+                for _ in range(2))
+        assert integrated_pair_distances([(a, b)]).shape == (n_pairs,)
         assert len(calls) == 1
+
+    def test_stacks_of_unit_rows_of_one_shape_only(self):
+        a, b = np.array([[1.0 + 0j, 0j]]), np.array([[0.6 + 0j, 0.8]])
+        assert integrated_pair_distances([(a, b)]).shape == (1,)
+        for bad in [(a[0], b[0]), (a, np.array([[0.6 + 0j, 0.8, 0]])), (a, np.vstack([b, b]))]:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                integrated_pair_distances([bad])
+        for scale in (2.0, np.nan):
+            with pytest.raises(ValueError, match="unit norm"):
+                integrated_pair_distances([(a, scale * b)])
 
     def test_no_pairs_give_an_empty_float_array(self):
         dists = integrated_pair_distances([])
@@ -752,9 +791,109 @@ class TestIntegratedDistances:
         the full ``pi/2 + 0.25`` instead, it gives the same bits."""
         pairs = [(project(random_unit(rng, dim)), project(random_unit(rng, dim)))
                  for dim in rng.integers(2, 6, n_pairs)]
-        trimmed = integrated_pair_distances(pairs, dt=dt)
+        trimmed = integrated_pair_distances(as_stacks(pairs), dt=dt)
         monkeypatch.setattr(geodesics, "_stop_after", lambda reach, dt, cap: cap)
-        assert integrated_pair_distances(pairs, dt=dt).tobytes() == trimmed.tobytes()
+        assert integrated_pair_distances(as_stacks(pairs), dt=dt).tobytes() == trimmed.tobytes()
+
+
+def loop_pair_draws(rng, dim, count):
+    """``geodesic-verify``'s pair draws one pair at a time, as the command
+    made them before it drew blocks: the reference of ``cli._random_pairs``."""
+    pairs = []
+    while len(pairs) < count:
+        a = project(_random_state(rng, dim))
+        b = project(_random_state(rng, dim))
+        c = abs(a.overlap_with(b))
+        if 1e-3 < c < 0.999:
+            pairs.append((a, b))
+    return pairs
+
+
+def frames_by_pair(a, b):
+    """``geodesics._aligned_frames`` computed one pair at a time by
+    :func:`aligned_frame`."""
+    frames = [aligned_frame(Ray(x), Ray(y)) for x, y in zip(a, b)]
+    return tuple(np.array([f[i] for f in frames]) for i in range(1, 5))
+
+
+class TestPairDraws:
+    """``geodesic-verify`` draws, gauge-fixes and checks its pairs as stacks,
+    with the bits and the generator state of the per-pair loop."""
+
+    @staticmethod
+    def _same_draws(seed, dim, count):
+        """Draw both ways from ``seed``; assert equal reps and generator
+        states, and return the per-pair draws and the stacks."""
+        rng_loop, rng_block = np.random.default_rng(seed), np.random.default_rng(seed)
+        pairs = loop_pair_draws(rng_loop, dim, count)
+        a, b, overlaps = _random_pairs(rng_block, dim, count)
+        assert a.tobytes() == np.array([p.rep for p, _ in pairs]).tobytes()
+        assert b.tobytes() == np.array([q.rep for _, q in pairs]).tobytes()
+        assert rng_block.bit_generator.state == rng_loop.bit_generator.state
+        assert not (a.flags.writeable or b.flags.writeable)
+        return pairs, a, b, overlaps
+
+    @pytest.mark.parametrize("count", [1, 64, 200])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8, 12, 16])
+    def test_stacks_match_the_per_pair_loop_bit_for_bit(self, dim, count, monkeypatch):
+        """Reps, overlaps, closed-form distances, frames and integrated
+        distances, at seeds 0-7."""
+        for seed in range(8):
+            pairs, a, b, overlaps = self._same_draws(seed, dim, count)
+            assert overlaps.tobytes() == np.array(
+                [abs(p.overlap_with(q)) for p, q in pairs]).tobytes()
+            assert _fs_distances(a, b).tobytes() == np.array(
+                [fs_distance(p, q) for p, q in pairs]).tobytes()
+            stacked = geodesics._aligned_frames(a, b)
+            by_pair = frames_by_pair(a, b)
+            for got, want in zip(stacked, by_pair):
+                assert got.tobytes() == want.tobytes()
+            integrated = integrated_pair_distances([(a, b)])
+            with monkeypatch.context() as m:
+                m.setattr(geodesics, "_aligned_frames", frames_by_pair)
+                assert integrated.tobytes() == integrated_pair_distances([(a, b)]).tobytes()
+
+    def test_orthogonal_rows_keep_the_per_pair_frame(self):
+        """Orthogonal pairs (the first two), exact zeros included, keep ``b``
+        unrotated, as the frame of one pair does."""
+        a = np.array([project(v).rep for v in ([1, 0, 0], [1, 1j, 0], [0.3, -0.2j, 1])])
+        b = np.array([project(v).rep for v in ([0, 1, -1j], [1, -1j, 2], [0, 1, 0.2j])])
+        stacked = geodesics._aligned_frames(a, b)
+        assert list(stacked[3]) == [True, True, False]
+        for got, want in zip(stacked, frames_by_pair(a, b)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [3, 5, 8])
+    def test_certificate_frame_is_the_per_pair_frame(self, rng, dim, monkeypatch):
+        """The certificate takes its pair's frame as a one-row stack."""
+        a, b = project(random_unit(rng, dim)), project(random_unit(rng, dim))
+        cert = total_geodesy_certificate(a, b)
+        monkeypatch.setattr(geodesics, "_aligned_frames", frames_by_pair)
+        assert total_geodesy_certificate(a, b) == cert
+
+    def test_a_rejected_candidate_is_skipped_as_the_loop_skips_it(self):
+        """At seed 6 in dim 2 the 64 pairs take more than 64 candidates."""
+        self._same_draws(6, 2, 64)
+        rng_loop, rng_exact = np.random.default_rng(6), np.random.default_rng(6)
+        loop_pair_draws(rng_loop, 2, 64)
+        rng_exact.standard_normal(64 * 2 * 2 * 2)  # 64 candidates' worth
+        assert rng_loop.bit_generator.state != rng_exact.bit_generator.state
+
+    @pytest.mark.parametrize("count", [1, 7, 64])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_block_boundaries_inside_the_draw_change_no_bit(self, dim, count, monkeypatch):
+        monkeypatch.setattr(cli, "_DRAW_BLOCK", 3)
+        for seed in (0, 6, 15):
+            self._same_draws(seed, dim, count)
+
+    def test_geodesic_verify_projects_no_pair(self, tmp_path, monkeypatch):
+        def forbidden(psi):
+            raise AssertionError("a pair was projected one ray at a time")
+
+        monkeypatch.setattr(cli, "project", forbidden)
+        argv = ["geodesic-verify", "--ambient-dims", "2,3", "--pairs", "8",
+                "--certificates", "1", "--out", str(tmp_path)]
+        assert main(argv) == 0
 
 
 class TestTotalGeodesyCertificate:
@@ -799,7 +938,7 @@ class TestTotalGeodesyCertificate:
         assert cert.converged
         assert len(launches) == cert.iterations and all(s is a for s in launches)
         launches.clear()
-        integrated_pair_distances([(a, b), (b, a)])
+        integrated_pair_distances(as_stacks([(a, b), (b, a)]))
         assert len(launches) == 1
 
     @staticmethod
@@ -816,7 +955,7 @@ class TestTotalGeodesyCertificate:
     @staticmethod
     def _width(a, b, dt=0.05):
         """The derived half-width of the pair's bracket around the aim 0."""
-        _, _, cos_d, sin_d, _ = geodesics._aligned_frame(a, b)
+        _, _, cos_d, sin_d, _ = aligned_frame(a, b)
         return geodesics._aim_half_width(a.dim, math.atan2(sin_d, cos_d), dt)
 
     def test_error_inside_a_shot_propagates_without_a_second_shot(self, rng, monkeypatch):
@@ -937,7 +1076,7 @@ def test_shots_at_the_bracket_ends_equal_their_untrimmed_shots(rng, dt, monkeypa
     for _ in range(12):
         dim = int(rng.integers(3, 6))
         a, b = project(random_unit(rng, dim)), project(random_unit(rng, dim))
-        e0, e1, cos_d, sin_d, _ = geodesics._aligned_frame(a, b)
+        e0, e1, cos_d, sin_d, _ = aligned_frame(a, b)
         target = math.atan2(sin_d, cos_d)
         width = geodesics._aim_half_width(dim, target, dt)
         length = geodesics._stop_after(geodesics._reach(target, width), dt,

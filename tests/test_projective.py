@@ -14,8 +14,8 @@ import projqm
 import projqm.projective as projective
 from projqm.hilbert import gram_schmidt
 from projqm.projective import (GAUGE_TOL, Ray, RiemannCoordinate, SpannedSphere,
-                               _area_element, _fs_sin_cos, _gauge_fix, fs_distance,
-                               nonlinear_superpose, project, rays_close,
+                               _area_element, _fs_sin_cos, _gauge_fix, _row_norms,
+                               fs_distance, nonlinear_superpose, project, rays_close,
                                riemann_coordinate, sphere_area, sphere_membership,
                                transition_probability)
 from tests.conftest import random_unit, state_pairs, unit_vectors
@@ -39,12 +39,13 @@ def loop_project(psi) -> np.ndarray:
     return v
 
 
-def _awkward_vectors(rng, count):
+def _awkward_vectors(rng, count, dim=None):
     """Random vectors over eight decades of scale, some with leading zeros or
-    a leading component at the gauge threshold."""
+    a leading component at the gauge threshold; of random dims 2-8 unless
+    ``dim`` is given."""
     out = []
     for k in range(count):
-        n = int(rng.integers(2, 9))
+        n = int(rng.integers(2, 9)) if dim is None else dim
         v = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.exp(rng.uniform(-9, 9))
         if k % 3 == 1:
             v[: rng.integers(1, n)] = 0.0
@@ -58,6 +59,16 @@ class TestGaugeFix:
     def test_project_matches_loop_reference_bit_for_bit(self):
         for v in _awkward_vectors(np.random.default_rng(20261018), 3000):
             assert np.array_equal(project(v).rep, loop_project(v))
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_row_norms_and_their_gauge_fix_match_one_vector_bit_for_bit(self, n):
+        """``_row_norms`` is the norm of one vector, and the stack gauge fix
+        on it is ``project``'s, on every row."""
+        z = np.array(_awkward_vectors(np.random.default_rng(40 + n), 2000, dim=n))
+        assert _row_norms(z).tobytes() == np.array(
+            [float(np.linalg.norm(row)) for row in z]).tobytes()
+        assert _gauge_fix(z, _row_norms).tobytes() == np.array(
+            [loop_project(row) for row in z]).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_rows_of_a_stack_match_project(self, n):
