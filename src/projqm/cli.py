@@ -38,13 +38,14 @@ nonnegative integers, every float of a two-slit config finite, and every
 comma list of dimensions or seeds nonempty.  A ``ValueError`` that the
 library raises on the user's input - a zero or mis-sized state, a
 non-Hermitian or mis-sized operator of ``evolve``, a two-slit geometry it
-cannot build or measure fringes on - exits 2, and so does the flow
-integrator's ``RuntimeError``: a norm drift, which means ``--dt`` is too
-large for the Hamiltonian, or an overflow, which means the Hamiltonian's
-scale is too large for floating point.  Any other exception is a defect
-and propagates with its traceback; that includes ``demo-spin --dt 0``,
-whose ``ValueError`` from :func:`~projqm.dynamics.flow_integrate` the
-benchmark's own tests use as their example of a job that raises.
+cannot build or measure fringes on, a size past a memory bound - exits 2,
+and so does the flow integrator's ``RuntimeError``: a norm drift, which
+means ``--dt`` is too large for the Hamiltonian, or an overflow, which
+means the Hamiltonian's scale is too large for floating point.  Any other
+exception is a defect and propagates with its traceback; that includes
+``demo-spin --dt 0``, whose ``ValueError`` from
+:func:`~projqm.dynamics.flow_integrate` the benchmark's own tests use as
+their example of a job that raises.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ import numpy as np
 from . import __version__
 from .dynamics import (expectation_rate, flow_integrate, flow_vs_exact_deviation,
                        trajectory_rows)
-from .geodesics import integrated_pair_distances, total_geodesy_certificate
+from .geodesics import _check_sweep, integrated_pair_distances, total_geodesy_certificate
 from .hilbert import (as_hermitian, commutator_expectation, expectation, gram_schmidt,
                       sigma_x, sigma_y, sigma_z)
 from .interference import (TwoSlitConfig, fringe_spacing, noncommuting_control,
@@ -154,8 +155,8 @@ def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-#: Most candidate pairs ``geodesic-verify`` draws at once, so that a large
-#: ``--pairs`` never holds its whole draw in memory.
+#: Most candidate pairs ``geodesic-verify`` draws at once; the accepted pairs
+#: of every dim stay in memory, two stacks a dim, as ``_check_sweep`` counts.
 _DRAW_BLOCK = 4096
 
 
@@ -278,6 +279,8 @@ def cmd_geodesic_verify(args) -> int:
     })
 
     if args.pairs > 0:
+        with _input_errors(ValueError):  # before any pair is drawn
+            _check_sweep([(args.pairs, dim) for dim in dims], args.dt)
         rng = np.random.default_rng(args.seed)
         draws = []  # (dim, stacks a, b, overlaps, sphere basis) per dim, in the generator's order
         for dim in dims:

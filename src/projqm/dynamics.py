@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import _operands, as_hermitian, as_state
-from .projective import Ray, _fs_sin_cos, _gauge_fix, project
+from .projective import Ray, _fs_sin_cos, _gauge_fix, _norm, project
 
 __all__ = [
     "Trajectory",
@@ -41,9 +41,10 @@ __all__ = [
 ]
 
 
-#: Most steps ``t_end / dt`` that :func:`flow_integrate` takes: 1000 times a
-#: 10**5-step run, and each sample costs a row of ``dim`` complex numbers.
-_MAX_STEPS = 10**8
+#: Most bytes a flow run may hold at once, at 16 (5 dim + 4 + tracked) B a
+#: sample: five (N, dim) complex arrays (the representatives beside the samples
+#: and their gauge fix, or beside flow_vs_exact_deviation's) and some reals.
+_MAX_FLOW_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -197,8 +198,8 @@ def flow_integrate(hamiltonian, start, t_end: float, dt: float,
     ValueError
         For a non-Hermitian or mis-sized operator, a zero or non-finite
         start state, ``dt``/``t_end`` that are not finite and positive
-        (nonnegative for ``t_end``), or more than 10**8 steps
-        (``t_end / dt``), checked before any array of them is allocated.
+        (nonnegative for ``t_end``), or more steps ``t_end / dt`` than fit in
+        :data:`_MAX_FLOW_BYTES`, checked before any array of them is allocated.
     RuntimeError
         If the representative's norm drifts by more than 1e-8 in a single
         step (or becomes NaN), which signals a step too large for the
@@ -216,10 +217,6 @@ def flow_integrate(hamiltonian, start, t_end: float, dt: float,
         raise ValueError("dt must be finite and positive")
     if not (0.0 <= t_end < math.inf):
         raise ValueError("t_end must be finite and nonnegative")
-    steps = float(t_end) / float(dt)
-    if not steps <= _MAX_STEPS:  # before _time_grid allocates them
-        raise ValueError(f"t_end / dt = {t_end:g} / {dt:g} = {steps:.3g} steps, "
-                         f"more than the {_MAX_STEPS:.0e} allowed")
     tracked = []
     for label, op in track or ():
         F = as_hermitian(op, name=f"track[{label}]")
@@ -227,6 +224,11 @@ def flow_integrate(hamiltonian, start, t_end: float, dt: float,
             raise ValueError(f"track[{label}] has dimension {F.shape[0]}, "
                              f"start state {ray0.dim}")
         tracked.append((str(label), F))
+    steps = float(t_end) / float(dt)
+    cap = _MAX_FLOW_BYTES // (16 * (5 * ray0.dim + 4 + len(tracked)))
+    if not steps <= cap:  # before _time_grid allocates them
+        raise ValueError(f"t_end / dt = {t_end:g} / {dt:g} = {steps:.3g} steps, more than "
+                         f"the {cap} whose arrays fit in {_MAX_FLOW_BYTES >> 20} MiB")
 
     times = _time_grid(t_end, dt)
     reps = np.empty((times.size, ray0.dim), dtype=np.complex128)
@@ -264,7 +266,7 @@ def flow_vs_exact_deviation(hamiltonian, traj: Trajectory) -> float:
     evals, vecs = np.linalg.eigh(H)
     coeffs = vecs.conj().T @ reps[0]
     exact = (np.exp(-1j * np.outer(traj.times, evals)) * coeffs) @ vecs.T
-    exact /= np.linalg.norm(exact, axis=1, keepdims=True)
+    exact /= _norm(exact)[:, None]
     s, c = _fs_sin_cos(reps, exact)
     return float(np.max(np.arctan2(s, np.minimum(c, 1.0))))
 

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projective import Ray, SpannedSphere, _membership_rows, _modulus, _row_norms
+from .projective import Ray, SpannedSphere, _membership_rows, _modulus, _norm, _row_norms
 # unused; perfbench's test_tracer_wraps_every_namespace_and_restores_them needs it bound
 from .projective import project  # noqa: F401
 
@@ -121,10 +121,6 @@ class ChartPoint:
         return out
 
 
-def _reals_to_coords(x: np.ndarray) -> np.ndarray:
-    return x[..., 0::2] + 1j * x[..., 1::2]
-
-
 def ray_to_chart(ray: Ray) -> ChartPoint:
     """Chart coordinates of a ray, based at its largest component.
 
@@ -158,7 +154,7 @@ def _metric_real_batch(x: np.ndarray) -> np.ndarray:
     ``x`` has shape (..., 2m); the result has shape (..., 2m, 2m) acting on
     interleaved (u, v) displacements.
     """
-    t = _reals_to_coords(x)
+    t = x[..., 0::2] + 1j * x[..., 1::2]
     m = t.shape[-1]
     s = 1.0 + np.sum((t.conj() * t).real, axis=-1)
     eye = np.eye(m)
@@ -522,6 +518,24 @@ def _stop_after(reach: float, dt: float, cap: float) -> float:
 #: ``e0`` of every pair's frame ``(e0, e1)``, where the pair sweep starts.
 _SWEEP_START = Ray(np.array([1.0 + 0j, 0j]))
 
+#: Arclength at which the pair sweep stops at the latest: pi/2, and room.
+_SWEEP_LENGTH = math.pi / 2.0 + 0.25
+#: Most bytes a pair sweep may hold at once.
+_MAX_SWEEP_BYTES = 2**30
+
+
+def _check_sweep(shapes, dt: float) -> None:
+    """Raise ``ValueError`` if sweeping pair stacks of ``shapes``, a ``(pairs,
+    dim)`` per item, at the step ``dt`` would take more than
+    :data:`_MAX_SWEEP_BYTES`: twelve ``(pairs, dim)`` complex arrays per item
+    (the stacks beside the temporaries of drawing them or of their frames)
+    and 32 B per pair for each sample :func:`_march` may take."""
+    samples = min(_SWEEP_LENGTH / dt, _MAX_STEPS) + 2.0 if 0.0 < dt else 0.0
+    need = sum(16.0 * 12 * pairs * dim + 32.0 * samples * pairs for pairs, dim in shapes)
+    if need > _MAX_SWEEP_BYTES:
+        raise ValueError(f"a sweep of {sum(p for p, _ in shapes)} pairs at dt {dt!r} holds "
+                         f"about {need / 2**20:.0f} MiB, more than {_MAX_SWEEP_BYTES >> 20} MiB")
+
 
 def integrated_pair_distances(stacks, dt: float = 0.05) -> np.ndarray:
     """Distance between ray pairs measured by geodesic integration.
@@ -543,20 +557,21 @@ def integrated_pair_distances(stacks, dt: float = 0.05) -> np.ndarray:
     geodesic is the same great circle ``cos(s) e0 + sin(s) e1``; only the
     target ``cos_d e0 + sin_d e1`` differs.  So one integration serves all
     pairs.  It stops two steps past the farthest target
-    (:func:`_stop_after`), at most at ``pi/2 + 0.25``: the fit reads no
-    later sample, so the result is that of the full quarter circle bit for
-    bit.
+    (:func:`_stop_after`), at most at :data:`_SWEEP_LENGTH`: the fit reads
+    no later sample, so the result is that of the full quarter circle bit
+    for bit.  Too large a sweep raises :func:`_check_sweep`'s error first.
     """
     frames = [_aligned_frames(a, b) for a, b in stacks]
+    _check_sweep([f[0].shape for f in frames], dt)
     cos_d = np.concatenate([np.empty(0)] + [f[1] for f in frames])
     sin_d = np.concatenate([np.empty(0)] + [f[2] for f in frames])
     far = float(np.max(np.arctan2(sin_d, cos_d), initial=0.0))
     # from the first ray along e1, which aims at the second
     path = integrate_geodesic(_SWEEP_START, [0, 1],
-                              _stop_after(far, dt, math.pi / 2.0 + 0.25), dt)
+                              _stop_after(far, dt, _SWEEP_LENGTH), dt)
     z = path.samples
     ov = np.abs(cos_d * z[:, :1] + sin_d * z[:, 1:])
-    ov /= np.linalg.norm(z, axis=1, keepdims=True)
+    ov /= _norm(z)[:, None]
     return _closest_approach(path.arclengths, ov)[1]
 
 
@@ -601,7 +616,7 @@ def _shoot(a: Ray, e1, cos_d, sin_d, chi, length, dt, sphere):
     # step takes two equal ones (a dt that is not finite meets _march's guard)
     step = 0.5 * length if length <= dt < math.inf else dt
     path = integrate_geodesic(a, np.exp(1j * chi) * e1, length, step)
-    z = path.samples / np.linalg.norm(path.samples, axis=1, keepdims=True)
+    z = path.samples / _norm(path.samples)[:, None]
     alphas = z @ a.rep.conj()
     betas = z @ e1.conj()
     membership = _membership_rows(z, sphere)

@@ -203,10 +203,7 @@ def gram_schmidt(vectors) -> list[np.ndarray]:
         if scale == 0.0:
             raise LinearDependenceError(i, 0.0)
         w = v.copy()
-        for u in out:
-            w -= np.vdot(u, w) * u
-        # second orthogonalization pass for numerical robustness
-        for u in out:
+        for u in out + out:  # a second pass, for numerical robustness
             w -= np.vdot(u, w) * u
         residual = float(np.linalg.norm(w))
         if residual < 1e-10 * scale:

@@ -43,7 +43,7 @@ import numpy as np
 from .kahler import KahlerScale, _hamiltonian_lift, symplectic_eval
 # unused; perfbench's test_tracer_wraps_every_namespace_and_restores_them needs it bound
 from .kahler import poisson_bracket  # noqa: F401
-from .projective import Ray
+from .projective import Ray, _row_norms, _unit
 
 __all__ = [
     "TwoSlitConfig",
@@ -116,14 +116,14 @@ def build_wall(grid_spec, slit_centers, slit_width: float) -> SlitWall:
     ------
     ValueError
         For overlapping slits (their projectors would not be orthogonal),
-        slits outside the grid, or a grid too coarse to give every slit at
-        least one cell.
+        slits outside the grid, a grid too coarse to give every slit at
+        least one cell, or not of 8 to :data:`_MAX_GRID_POINTS` cells.
     """
     if slit_width <= 0.0:
         raise ValueError("slit_width must be positive")
     halfwidth, n = grid_spec
-    if halfwidth <= 0.0 or int(n) < 8:
-        raise ValueError("grid needs positive halfwidth and at least 8 cells")
+    if halfwidth <= 0.0 or not 8 <= int(n) <= _MAX_GRID_POINTS:
+        raise ValueError(f"grid needs positive halfwidth and 8 to {_MAX_GRID_POINTS} cells")
     n = int(n)
     dy = 2.0 * halfwidth / n
     y = -halfwidth + dy * (np.arange(n) + 0.5)
@@ -166,8 +166,8 @@ def gaussian_input(wall: SlitWall, waist: float) -> np.ndarray:
 def slit_states(wall: SlitWall) -> list[np.ndarray]:
     """Unit-norm top-hat state for each slit (pairwise orthogonal)."""
     ones = np.ones(wall.dim, dtype=np.complex128)
-    states = [wall.apply_slit(i, ones) for i in range(wall.n_slits)]
-    return [psi / np.linalg.norm(psi) for psi in states]
+    states = np.array([wall.apply_slit(i, ones) for i in range(wall.n_slits)])
+    return list(_unit(states, _row_norms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,6 +210,9 @@ class InterferencePattern:
 #: Largest disagreement, relative to the peak amplitude floored at 1, between
 #: the one-piece and the per-slit propagation of a wall-projected state.
 _LINEARITY_TOL = 1e-12
+
+#: Most wall cells and screen points: 16 times CI's grids; a run takes 500 MB.
+_MAX_GRID_POINTS = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,8 +302,8 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
     """
     if not (wavelength > 0.0 and distance > 0.0):
         raise ValueError("wavelength and distance must be positive")
-    if n_screen < 8 or screen_halfwidth <= 0.0:
-        raise ValueError("screen needs positive halfwidth and at least 8 points")
+    if not 8 <= n_screen <= _MAX_GRID_POINTS or screen_halfwidth <= 0.0:
+        raise ValueError(f"screen needs positive halfwidth and 8 to {_MAX_GRID_POINTS} points")
     psi = np.asarray(psi_in, dtype=np.complex128)
     if psi.shape != (wall.dim,):
         raise ValueError(f"input state must have shape ({wall.dim},), got {psi.shape}")

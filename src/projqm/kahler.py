@@ -216,9 +216,7 @@ def flow_transport(op, x: TangentVector, t: float) -> TangentVector:
     # gauge phase applied by project(): recover it from the largest component
     k = int(np.argmax(np.abs(moved)))
     phase = new_base.rep[k] / moved[k]
-    vec = phase * evolve_exact(F, x.vec, t)
-    vec = vec - np.vdot(new_base.rep, vec) * new_base.rep
-    return TangentVector(base=new_base, vec=vec)
+    return horizontal_project(new_base, phase * evolve_exact(F, x.vec, t))
 
 
 def killing_residual(op, at: Ray, rng) -> float:

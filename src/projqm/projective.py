@@ -65,16 +65,12 @@ class Ray:
         v = self.rep
         if v.ndim != 1 or v.size == 0:
             raise ValueError("ray representative must be a nonempty vector")
-        if not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-12:  # NaN included
+        if not abs(float(_row_norms(v)) - 1.0) <= 1e-12:  # NaN included
             raise ValueError("ray representative must have unit norm")
-        for comp in v:
-            if abs(comp) > GAUGE_TOL:
-                if not (abs(comp.imag) <= GAUGE_TOL * abs(comp) and comp.real > 0.0):
-                    raise ValueError(
-                        "ray representative is not gauge fixed: leading "
-                        "component must be real and positive"
-                    )
-                break
+        comp = v[_lead(v)]
+        if not (abs(comp.imag) <= GAUGE_TOL * abs(comp) and comp.real > 0.0):
+            raise ValueError("ray representative is not gauge fixed: leading "
+                             "component must be real and positive")
 
     @property
     def dim(self) -> int:
@@ -91,25 +87,25 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def _norm(v: np.ndarray):
-    """Norm of a vector (the BLAS route of a plain ``np.linalg.norm``), or of
-    each row of a stack (one reduction)."""
-    if v.ndim == 1:
-        return float(np.linalg.norm(v))
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Norm of each row of a stack in one reduction, the route of the flow's
+    and the geodesics' sample rows and of :func:`_membership_rows`; it
+    differs from :func:`_row_norms` in the last bit in 7-28% of rows."""
     return np.linalg.norm(v, axis=-1)
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Norm of each row of a stack by the route ``np.linalg.norm`` takes for
-    one vector, two real BLAS dot products, so each equals ``_norm(row)``
-    bit for bit.  :func:`_norm`'s one reduction over a stack differs from it
-    in the last bit in 7-28% of rows (dims 2-16)."""
+def _row_norms(v: np.ndarray):
+    """Norm of a vector, or of each row of a stack, by ``np.linalg.norm``'s
+    route for one vector (two real BLAS dots), so a row's norm is that of
+    the row alone: the route of :func:`project`, the unit-norm checks and
+    :func:`_fs_distances`."""
     re, im = v.real, v.imag
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 def _unit(v: np.ndarray, norm=_norm) -> np.ndarray:
-    return v / norm(v) if v.ndim == 1 else v / norm(v)[:, None]
+    """A vector, or each row of a stack, over its norm by the route ``norm``."""
+    return v / norm(v)[..., None]
 
 
 def _lead(v: np.ndarray):
@@ -125,25 +121,16 @@ def _gauge_fix(v: np.ndarray, norm=_norm) -> np.ndarray:
     :data:`GAUGE_TOL` is real and positive; that component is then pinned
     exactly real (its imaginary part is pure roundoff).
 
-    Unvalidated, and without Python loops over components.  A single vector
-    is normalized by the same ``np.linalg.norm`` call :func:`project` makes,
-    so it gets ``project``'s representative bit for bit; so does each row of
-    a stack with ``norm=_row_norms``.
+    Unvalidated, and without Python loops over components.  With
+    ``norm=_row_norms`` every row gets :func:`project`'s representative bit
+    for bit; the flow's samples take :func:`_norm`.
     """
     v = _unit(v, norm)
     comp = v[_lead(v)]
-    phase = comp.conj() / _modulus(comp)
-    v = _unit(v * (phase if v.ndim == 1 else phase[:, None]), norm)
+    v = _unit(v * (comp.conj() / _modulus(comp))[..., None], norm)
     k = _lead(v)
     v[k] = _modulus(v[k])
     return v
-
-
-def _ray(v: np.ndarray) -> Ray:
-    """:func:`project` of a finite vector known to be nonzero, unvalidated."""
-    v = _gauge_fix(v)
-    v.setflags(write=False)
-    return Ray(rep=v)
 
 
 def project(psi) -> Ray:
@@ -154,9 +141,11 @@ def project(psi) -> Ray:
     two vectors on the same ray map to representatives agreeing to roundoff.
     """
     v = as_state(psi, name="psi")
-    if _norm(v) < GAUGE_TOL:
+    if _row_norms(v) < GAUGE_TOL:
         raise ValueError("cannot project a (numerically) zero vector")
-    return _ray(v)
+    v = _gauge_fix(v, _row_norms)
+    v.setflags(write=False)
+    return Ray(rep=v)
 
 
 def rays_close(a: Ray, b: Ray, tol: float = 1e-12) -> bool:
@@ -181,29 +170,23 @@ def fs_distance(a, b) -> float:
     ra, rb = _as_ray(a), _as_ray(b)
     if ra.dim != rb.dim:
         raise ValueError(f"dimension mismatch: {ra.dim} vs {rb.dim}")
-    s, c = _fs_sin_cos(ra.rep, rb.rep)
-    return math.atan2(float(s), min(float(c), 1.0))
+    return float(_fs_distances(ra.rep[None], rb.rep[None])[0])
 
 
 def _fs_sin_cos(ra: np.ndarray, rb: np.ndarray):
-    """``(sin, cos)`` of the distance between unit representatives, with
-    :func:`fs_distance`'s arithmetic; unvalidated.  ``ra`` and ``rb`` are two
-    vectors, or two stacks whose rows are compared pairwise (one reduction
-    over all rows)."""
-    if ra.ndim == 1:
-        ov = np.vdot(rb, ra)
-        return _norm(ra - rb * ov), _modulus(ov)
+    """``(sin, cos)`` of :func:`_fs_distances` by the stack reduction
+    (:func:`_norm`), the route of
+    :func:`~projqm.dynamics.flow_vs_exact_deviation`; unvalidated."""
     ov = np.sum(rb.conj() * ra, axis=-1)
     return _norm(ra - rb * ov[:, None]), _modulus(ov)
 
 
 def _fs_distances(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
     """:func:`fs_distance` between the rows of two stacks of unit
-    representatives, compared pairwise, bit for bit; unvalidated.
-
-    :func:`_fs_sin_cos`'s formula on the routes of one vector (``vecdot`` is
-    ``vdot``'s BLAS call, :func:`_row_norms` ``_norm``'s), and libm's
-    ``atan2`` per row, as ``np.arctan2`` can differ in the last bit.
+    representatives, compared pairwise, as it is on one-row stacks;
+    unvalidated.  Each row takes the routes of one vector (``vecdot`` is
+    ``vdot``'s BLAS call, :func:`_row_norms` ``np.linalg.norm``'s) and
+    libm's ``atan2``, as ``np.arctan2`` can differ in the last bit.
     """
     ov = np.vecdot(rb, ra)
     s = _row_norms(ra - rb * ov[:, None])
@@ -223,10 +206,8 @@ def transition_probability(a, b) -> float:
         If the two routes disagree.
     """
     ra, rb = _as_ray(a), _as_ray(b)
-    if ra.dim != rb.dim:
-        raise ValueError(f"dimension mismatch: {ra.dim} vs {rb.dim}")
+    via_distance = math.cos(fs_distance(ra, rb)) ** 2  # which checks the dims
     direct = float(abs(np.vdot(ra.rep, rb.rep)) ** 2)
-    via_distance = math.cos(fs_distance(ra, rb)) ** 2
     if abs(direct - via_distance) > 1e-12:
         raise RuntimeError(
             f"transition probability routes disagree: {direct!r} vs {via_distance!r}"
@@ -295,7 +276,7 @@ class SpannedSphere:
         if r0.shape != r1.shape:
             raise ValueError(f"basis representatives must share a dimension: "
                              f"{r0.shape[0]} vs {r1.shape[0]}")
-        if abs(float(np.linalg.norm(r0)) - 1.0) > 1e-12 or abs(float(np.linalg.norm(r1)) - 1.0) > 1e-12:
+        if np.any(np.abs(_row_norms(np.array((r0, r1))) - 1.0) > 1e-12):
             raise ValueError("basis representatives must be unit vectors")
         ov = abs(np.vdot(r0, r1))
         if ov > 1e-10:
@@ -347,7 +328,7 @@ def _membership_rows(z: np.ndarray, sphere: SpannedSphere) -> np.ndarray:
     w0 = r @ sphere.rep0.conj()
     w1 = r @ sphere.rep1.conj()
     residual = r - w0[:, None] * sphere.rep0 - w1[:, None] * sphere.rep1
-    return np.linalg.norm(residual, axis=1)
+    return _norm(residual)
 
 
 def sphere_membership(x, sphere: SpannedSphere) -> float:

@@ -67,14 +67,36 @@ class TestFlowIntegrate:
     @pytest.mark.parametrize("t_end, dt", [(1e300, 1e-3), (1e6, 1e-3), (100000.1, 1e-3),
                                            (1.0, 1e-320)])
     def test_rejects_more_steps_than_the_cap_before_allocating(self, monkeypatch, t_end, dt):
-        """A count above 10**8 names both inputs and the count, and no sample
-        grid is built: only counts the guard rejects are run here."""
+        """A count above the cap names both inputs, the count and the cap,
+        and no sample grid is built: only counts the guard rejects are run
+        here."""
         def unreachable(*args):
             raise AssertionError("the time grid was built")
 
         monkeypatch.setattr(dynamics, "_time_grid", unreachable)
-        with pytest.raises(ValueError, match=r"t_end / dt = .* steps, more than the 1e\+08"):
+        with pytest.raises(ValueError, match=r"t_end / dt = .* steps, more than the "
+                                             r"4793490 whose arrays fit in 1024 MiB"):
             flow_integrate(sigma_z(), PLUS, t_end, dt)
+
+    @pytest.mark.parametrize("dim, tracked", [(2, 0), (2, 3), (8, 1)])
+    def test_the_cap_is_the_step_count_whose_arrays_fit(self, monkeypatch, dim, tracked):
+        """The cap charges each sample 16 (5 dim + 4 + tracked) bytes of the
+        1 GiB budget: a run of exactly that many steps reaches the time
+        grid, one more is refused."""
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        cap = dynamics._MAX_FLOW_BYTES // (16 * (5 * dim + 4 + tracked))
+        monkeypatch.setattr(dynamics, "_time_grid", reached)
+        h, start = np.diag(np.arange(dim, dtype=float)), np.ones(dim)
+        track = [(f"t{i}", np.eye(dim)) for i in range(tracked)]
+        with pytest.raises(Reached):
+            flow_integrate(h, start, float(cap), 1.0, track=track)
+        with pytest.raises(ValueError, match=f"more than the {cap} "):
+            flow_integrate(h, start, float(cap + 1), 1.0, track=track)
 
     def test_rejects_mis_sized_tracked_operator_before_stepping(self):
         with pytest.raises(ValueError, match="track"):

@@ -113,6 +113,25 @@ class TestRay:
         with pytest.raises(ValueError, match="unit norm"):
             Ray(rep=np.array(rep, dtype=np.complex128))
 
+    @pytest.mark.parametrize("rep", [
+        [-0.6, 0.8],  # a negative real leading component
+        [0.6 * np.exp(2e-12j), 0.8],  # imaginary part 2e-12 of its modulus
+        [-2e-12, 0.6, 0.8],  # just above GAUGE_TOL, so it leads
+        [1e-12, -5e-13j, -0.6, 0.8],  # entries at or below GAUGE_TOL are skipped
+        [-1e-12, 0.6j, 0.8],
+    ])
+    def test_constructor_rejects_a_rep_that_is_not_gauge_fixed(self, rep):
+        with pytest.raises(ValueError, match="not gauge fixed"):
+            Ray(rep=np.array(rep, dtype=np.complex128))
+
+    @pytest.mark.parametrize("rep", [
+        [0.6 * np.exp(0.5e-12j), 0.8],  # imaginary part 0.5e-12 of its modulus
+        [-1e-12, 0.6, -0.8j],
+        [1e-12j, -5e-13, 0.6, 0.8],
+    ])
+    def test_constructor_accepts_a_gauge_fixed_rep(self, rep):
+        assert Ray(rep=np.array(rep, dtype=np.complex128)).dim == len(rep)
+
     def test_overlap_magnitude_well_defined(self, rng):
         a = random_unit(rng, 4)
         b = random_unit(rng, 4)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projqm
-from projqm import report
+from projqm import dynamics, geodesics, report
 from projqm.cli import _finish, main, parse_two_slit_config
 from projqm.interference import TwoSlitConfig
 from projqm.report import Report, ReportEntry, digest_inputs, write_csv
@@ -491,6 +492,86 @@ def test_bad_inputs_exit_two_with_one_line(tmp_path, capsys, argv):
     assert not out.exists()
     if argv[0] == "two-slit" and pathlib.Path(argv[2]).read_text().startswith("# bad float"):
         assert ":2:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["two-slit", "--config", "n_screen = 1000000000000"],
+    ["two-slit", "--config", "n_wall = 1000000000000"],
+    ["two-slit", "--config", "n_screen = 1048577"],  # one past the grid bound
+    ["two-slit", "--config", "n_wall = 1048577"],
+    # 5e6 steps, past the 4.8e6 whose arrays fit in 1 GiB at dim 2
+    ["evolve", "--hamiltonian", "sigma_z", "--start", "plus", "--t-end", "5000"],
+    ["geodesic-verify", "--pairs", "1000000"],  # 3e6 pairs take 4.3 GB
+    # 9.1e5 steps, under the step bound, but 40 pairs of them take 1.2 GB
+    ["geodesic-verify", "--ambient-dims", "2", "--pairs", "40", "--dt", "2e-6"],
+], ids=lambda argv: " ".join(argv))
+def test_oversized_inputs_exit_two_at_once(tmp_path, capsys, argv):
+    """Sizes past the memory bounds are refused before anything of their
+    size is allocated: exit 2 within a second, with one error line and no
+    output directory."""
+    if argv[0] == "two-slit":
+        (tmp_path / "big.cfg").write_text(argv[2] + "\n")
+        argv = argv[:2] + [str(tmp_path / "big.cfg")]
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code = main(argv + ["--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "error: " in capsys.readouterr().err.strip().splitlines()[-1]
+    assert not out.exists()
+
+
+def _traced_peak(argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) in (0, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+#: Bytes a command holds whatever its size (parsing, the report, the CSV
+#: writer's kept buffers), beside what the memory bounds count.
+_FIXED_BYTES = 4 * 2**20
+
+
+@pytest.mark.parametrize("dim, tracked", [(2, 0), (2, 2), (5, 1)])
+def test_the_flow_bound_counts_every_byte_an_evolve_run_holds(tmp_path, monkeypatch, dim,
+                                                               tracked):
+    """With the budget cut to the peak tracemalloc reads for a run, less the
+    fixed bytes, the same run is refused: the bound counts at least what the
+    run holds."""
+    rng = np.random.default_rng(dim)
+    paths = []
+    for k in range(1 + tracked):
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = (m + m.conj().T) / (2.0 * dim)
+        paths.append(tmp_path / f"op{k}.json")
+        paths[-1].write_text(json.dumps(np.stack((h.real, h.imag), axis=-1).tolist()))
+    (tmp_path / "start.json").write_text(json.dumps([[1.0, 0.0]] * dim))
+    argv = ["evolve", "--hamiltonian", str(paths[0]), "--start", str(tmp_path / "start.json"),
+            "--t-end", "200", "--dt", "1e-3"]  # 200,000 steps
+    if tracked:
+        argv += ["--track", ",".join(str(p) for p in paths[1:])]
+    peak = _traced_peak(argv + ["--out", str(tmp_path / "out")])
+    monkeypatch.setattr(dynamics, "_MAX_FLOW_BYTES", peak - _FIXED_BYTES)
+    assert main(argv + ["--out", str(tmp_path / "refused")]) == 2
+
+
+@pytest.mark.parametrize("dims, pairs, dt", [
+    ("2", 2000, 5e-3),  # the overlap matrix dominates
+    ("64", 4096, 1.0),  # the stacks dominate, drawn in one full block
+    ("8,64", 8192, 1.0),
+])
+def test_the_sweep_bound_counts_every_byte_a_pair_sweep_holds(tmp_path, monkeypatch, dims,
+                                                               pairs, dt):
+    """As for the flow: cut to the measured peak, less the fixed bytes, the
+    budget refuses the sweep that was measured."""
+    argv = ["geodesic-verify", "--ambient-dims", dims, "--pairs", str(pairs),
+            "--certificates", "0", "--dt", repr(dt)]
+    peak = _traced_peak(argv + ["--out", str(tmp_path / "out")])
+    monkeypatch.setattr(geodesics, "_MAX_SWEEP_BYTES", peak - _FIXED_BYTES)
+    assert main(argv + ["--out", str(tmp_path / "refused")]) == 2
 
 
 @pytest.mark.parametrize("config", ["slit_width = 1e-6\n",
