@@ -19,33 +19,12 @@ demo-spin
     Canned spin-precession run with tracked expectations.
 
 Every command writes ``<command>.json`` (and CSV artifacts) into ``--out``
-and returns exit code 0 when all checks pass, 1 when any check fails, and
-2 for usage, configuration, or I/O errors.  Outputs are byte-identical for
-fixed flags and seed (one seeded generator, no timestamps) on one Python,
-one numpy build, one BLAS core type and one SIMD dispatch: numpy picks its
-SIMD kernels at run time, and under ``NPY_DISABLE_CPU_FEATURES`` every
-command's output changed although every check passed.
-
-Nothing is written until every check has run, so exit 2 always means an
-``error:`` line on stderr (after the usage text, for a parse-time error),
-no traceback and no output at all, not even the ``--out`` directory.
-Numbers are checked at parse time: ``--dt`` must be finite and positive
-(at most 1 for ``geodesic-verify``; ``demo-spin`` admits 0, see below),
-``--t-end`` and ``--tolerance-scale`` finite and nonnegative (a zero scale
-demands exact residuals, so checks fail with exit 1), ``--trials``,
-``--pairs``, ``--certificates``, ``--seed`` and every ``--seeds`` entry
-nonnegative integers, every float of a two-slit config finite, and every
-comma list of dimensions or seeds nonempty.  A ``ValueError`` that the
-library raises on the user's input - a zero or mis-sized state, a
-non-Hermitian or mis-sized operator of ``evolve``, a two-slit geometry it
-cannot build or measure fringes on, a size past a memory bound - exits 2,
-and so does the flow integrator's ``RuntimeError``: a norm drift, which
-means ``--dt`` is too large for the Hamiltonian, or an overflow, which
-means the Hamiltonian's scale is too large for floating point.  Any other
-exception is a defect and propagates with its traceback; that includes
-``demo-spin --dt 0``, whose ``ValueError`` from
-:func:`~projqm.dynamics.flow_integrate` the benchmark's own tests use as
-their example of a job that raises.
+once every check has run, and exits 0 when all checks pass, 1 when one
+fails and 2 for a usage, input or I/O error: an ``error:`` line, no
+traceback and nothing written.  The README's "Command line" section states
+that contract in full, and is its one home: byte-identical outputs, the
+parse-time checks, the library errors that exit 2, the memory bounds, and
+``demo-spin --dt 0``, whose ``ValueError`` propagates on purpose.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import _operands, as_hermitian, as_state
-from .projective import Ray, _fs_sin_cos, _gauge_fix, _norm, project
+from .projective import Ray, _fs_sin_cos, _gauge_fix, project
 
 __all__ = [
     "Trajectory",
@@ -184,7 +184,8 @@ def flow_integrate(hamiltonian, start, t_end: float, dt: float,
         ``t_end`` exactly.
     track : sequence of (str, array_like), optional
         Observables whose expectations are recorded at every sample.  They
-        are validated once, before the first step.
+        are validated once, before the first step.  Each value is
+        ``<r|F|r>`` of the unit row ``r``, not divided by ``<r|r>``.
 
     Returns
     -------
@@ -245,8 +246,7 @@ def flow_integrate(hamiltonian, start, t_end: float, dt: float,
         # the flow carries no global phase, so the gauge matters only for output
         reps[1:] = _gauge_fix(samples)
     bras = reps.conj()
-    norms2 = (bras * reps).sum(1).real
-    values = [(label, (bras * (reps @ F.T)).sum(1).real / norms2) for label, F in tracked]
+    values = [(label, (bras * (reps @ F.T)).sum(1).real) for label, F in tracked]
     return Trajectory(times=times, reps=reps, observables_tracked=values)
 
 
@@ -257,7 +257,8 @@ def flow_vs_exact_deviation(hamiltonian, traj: Trajectory) -> float:
     to every sample time at once, from one eigendecomposition of the
     Hamiltonian; each is compared with the RK4 sample by
     :func:`projqm.projective.fs_distance`'s arithmetic, on all rows at once.
-    Scales as ``dt**4``.
+    The exact rows are unitary images of a unit vector, so they are not
+    normalized again.  Scales as ``dt**4``.
     """
     H = as_hermitian(hamiltonian, name="hamiltonian")
     reps = traj.reps
@@ -266,7 +267,6 @@ def flow_vs_exact_deviation(hamiltonian, traj: Trajectory) -> float:
     evals, vecs = np.linalg.eigh(H)
     coeffs = vecs.conj().T @ reps[0]
     exact = (np.exp(-1j * np.outer(traj.times, evals)) * coeffs) @ vecs.T
-    exact /= _norm(exact)[:, None]
     s, c = _fs_sin_cos(reps, exact)
     return float(np.max(np.arctan2(s, np.minimum(c, 1.0))))
 

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projective import Ray, SpannedSphere, _membership_rows, _modulus, _norm, _row_norms
+from .projective import Ray, _modulus, _norm, _row_norms, _sphere_parts, _unit
 # unused; perfbench's test_tracer_wraps_every_namespace_and_restores_them needs it bound
 from .projective import project  # noqa: F401
 
@@ -599,7 +599,7 @@ class TotalGeodesyCertificate:
     converged: bool
 
 
-def _shoot(a: Ray, e1, cos_d, sin_d, chi, length, dt, sphere):
+def _shoot(a: Ray, e1, cos_d, sin_d, chi, length, dt):
     """Integrate one aimed geodesic; return signed miss and arrival data.
 
     The shot leaves ``a`` along ``exp(i chi) e1``, ``e1`` from
@@ -610,16 +610,15 @@ def _shoot(a: Ray, e1, cos_d, sin_d, chi, length, dt, sphere):
     eps) because ``1 - |<b|psi>|^2`` cancels, while the transverse product
     is exact to rounding.  The arclength of closest approach still comes
     from a parabolic fit of the squared distance, whose *position* is
-    insensitive to that floor.
+    insensitive to that floor.  Each sample is normalized once; its
+    coordinates ``alpha``, ``beta`` on the orthonormal pair ``(a, e1)`` and
+    its membership residual come from one :func:`_sphere_parts` call.
     """
     # the closest-approach fit needs three samples: a shot no longer than one
     # step takes two equal ones (a dt that is not finite meets _march's guard)
     step = 0.5 * length if length <= dt < math.inf else dt
     path = integrate_geodesic(a, np.exp(1j * chi) * e1, length, step)
-    z = path.samples / _norm(path.samples)[:, None]
-    alphas = z @ a.rep.conj()
-    betas = z @ e1.conj()
-    membership = _membership_rows(z, sphere)
+    alphas, betas, membership = _sphere_parts(_unit(path.samples), a.rep, e1)
     ov = np.abs(cos_d * alphas + sin_d * betas)[:, None]
     kmin, s_star = _closest_approach(path.arclengths, ov)
     kmin = int(kmin[0])
@@ -803,7 +802,6 @@ def total_geodesy_certificate(a: Ray, b: Ray, dt: float = 0.05) -> TotalGeodesyC
     target = math.atan2(sin_d, cos_d)
     if target < 1e-3:
         raise ValueError("rays are too close for a meaningful certificate")
-    sphere = SpannedSphere(rep0=a.rep, rep1=e1)
     width = _aim_half_width(a.dim, target, dt)
     length = _stop_after(_reach(target, width), dt,
                          min(target + 0.15, math.pi / 2.0 + 0.2))
@@ -811,7 +809,7 @@ def total_geodesy_certificate(a: Ray, b: Ray, dt: float = 0.05) -> TotalGeodesyC
 
     def shoot(chi):
         if chi not in shots:
-            shots[chi] = _shoot(a, e1, cos_d, sin_d, chi, length, dt, sphere)
+            shots[chi] = _shoot(a, e1, cos_d, sin_d, chi, length, dt)
         return shots[chi]
 
     converged = True

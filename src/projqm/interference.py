@@ -214,6 +214,16 @@ _LINEARITY_TOL = 1e-12
 #: Most wall cells and screen points: 16 times CI's grids; a run takes 500 MB.
 _MAX_GRID_POINTS = 2**20
 
+#: Most bytes the per-slit rows of a two-slit run may take.
+_MAX_SLIT_BYTES = 2**30
+
+
+def _transform_shape(wall: SlitWall, n: int) -> tuple[int, int, int]:
+    """The slit span ``[lo, hi)`` and the chirp-z length for ``n`` points."""
+    lo = min(a for a, _ in wall.slit_supports)
+    hi = max(b for _, b in wall.slit_supports)
+    return lo, hi, 1 << (n + hi - lo - 2).bit_length()
+
 
 @dataclass(frozen=True, eq=False)
 class _ChirpZ:
@@ -253,8 +263,7 @@ class _ChirpZ:
         cells from the first slit cell of ``wall`` to its last."""
         from numpy.fft import fft
 
-        lo = min(a for a, _ in wall.slit_supports)
-        hi = max(b for _, b in wall.slit_supports)
+        lo, hi, size = _transform_shape(wall, x.size)
         n, m = x.size, hi - lo
         c, a, b = math.pi / lamL, step, wall.dy
         k = np.arange(n, dtype=np.float64)
@@ -268,7 +277,7 @@ class _ChirpZ:
         row = pref * np.exp(1j * c * (u**2 - (a * b) * k**2))
         col = np.exp(1j * c * (j**2 * (b * (b - a)) - (2.0 * u[0] * b) * j))
         d = np.arange(1 - m, n)
-        chirp = np.zeros(1 << (n + m - 2).bit_length(), dtype=np.complex128)
+        chirp = np.zeros(size, dtype=np.complex128)
         chirp[d] = np.exp(1j * (c * a * b) * d**2)
         return cls(lo=lo, hi=hi, row=row, col=col, chirp_ft=fft(chirp))
 
@@ -299,6 +308,11 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
     paraxial (propagation distance at least ten times the transverse
     extent); the kernel is still applied when it is not, but the far-field
     fringe oracle should not be trusted there.
+
+    ``ValueError`` refuses, before any propagation array is built, more
+    slits than fit in :data:`_MAX_SLIT_BYTES`, each (and one more) counted
+    at two span rows and three transform rows (:func:`phase_invariance_check`
+    peaks there), two screen rows and three wall rows (the slit states).
     """
     if not (wavelength > 0.0 and distance > 0.0):
         raise ValueError("wavelength and distance must be positive")
@@ -307,6 +321,11 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
     psi = np.asarray(psi_in, dtype=np.complex128)
     if psi.shape != (wall.dim,):
         raise ValueError(f"input state must have shape ({wall.dim},), got {psi.shape}")
+    lo, hi, size = _transform_shape(wall, n_screen)
+    need = (wall.n_slits + 1) * 16 * (2 * (hi - lo) + 3 * size + 2 * n_screen + 3 * wall.dim)
+    if need > _MAX_SLIT_BYTES:
+        raise ValueError(f"{wall.n_slits} slits over {hi - lo} wall cells and {n_screen} screen "
+                         f"points need {need >> 20} MiB, more than {_MAX_SLIT_BYTES >> 20} MiB")
 
     x, step = np.linspace(-screen_halfwidth, screen_halfwidth, n_screen, retstep=True)
     dx = float(x[1] - x[0])

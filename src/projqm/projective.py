@@ -89,8 +89,10 @@ def _modulus(z):
 
 def _norm(v: np.ndarray) -> np.ndarray:
     """Norm of each row of a stack in one reduction, the route of the flow's
-    and the geodesics' sample rows and of :func:`_membership_rows`; it
-    differs from :func:`_row_norms` in the last bit in 7-28% of rows."""
+    gauge fix, the geodesics' samples and :func:`_sphere_parts`; it differs
+    from :func:`_row_norms` in the last bit in 7-28% of rows.  The routes
+    stay two: :func:`_row_norms` here slows ``flow_integrate`` by half, and
+    this route in :func:`project` moves ``geodesic-verify`` digests."""
     return np.linalg.norm(v, axis=-1)
 
 
@@ -317,22 +319,18 @@ def nonlinear_superpose(psi, phi, coord) -> Ray:
     return sphere.point(coord)
 
 
-def _membership_rows(z: np.ndarray, sphere: SpannedSphere) -> np.ndarray:
-    """Norm of the off-span component of the unit vector along every nonzero
-    row of ``z``: the one formula of :func:`sphere_membership`.
-
-    The norm does not depend on the row's phase, so the rows are only
-    normalized, not gauge-fixed as :func:`project` would.
-    """
-    r = _unit(z)
-    w0 = r @ sphere.rep0.conj()
-    w1 = r @ sphere.rep1.conj()
-    residual = r - w0[:, None] * sphere.rep0 - w1[:, None] * sphere.rep1
-    return _norm(residual)
+def _sphere_parts(rows: np.ndarray, rep0: np.ndarray, rep1: np.ndarray):
+    """``(w0, w1, off)`` of every unit row ``r`` of a stack on an orthonormal
+    pair: ``w_i = <rep_i|r>`` and the norm of ``r - w0 rep0 - w1 rep1``,
+    from one pair of projections; unvalidated, and not normalized again."""
+    w0 = rows @ rep0.conj()
+    w1 = rows @ rep1.conj()
+    return w0, w1, _norm(rows - w0[:, None] * rep0 - w1[:, None] * rep1)
 
 
 def sphere_membership(x, sphere: SpannedSphere) -> float:
-    """Distance from a ray to the sphere: norm of the off-span component.
+    """Distance from a ray to the sphere: the off-span norm of its unit
+    representative, by :func:`_sphere_parts`.
 
     Zero (to roundoff) exactly for points on the sphere; invariant under
     rephasing of either basis representative.
@@ -340,23 +338,24 @@ def sphere_membership(x, sphere: SpannedSphere) -> float:
     r = _as_ray(x)
     if r.dim != sphere.dim:
         raise ValueError(f"dimension mismatch: {r.dim} vs {sphere.dim}")
-    return float(_membership_rows(r.rep[None, :], sphere)[0])
+    return float(_sphere_parts(r.rep[None], sphere.rep0, sphere.rep1)[2][0])
 
 
 def riemann_coordinate(x, sphere: SpannedSphere) -> RiemannCoordinate:
     """Coordinate of a ray on a spanned sphere.
 
     Inverts :func:`nonlinear_superpose` for the sphere's fixed basis
-    representatives: ``w_i = <rep_i|x>`` up to common scale.  Rays off the
+    representatives: ``w_i = <rep_i|x>`` up to common scale, read with the
+    membership residual from one :func:`_sphere_parts` call.  Rays off the
     sphere (membership residual above 1e-10) are rejected.
     """
     r = _as_ray(x)
-    res = sphere_membership(r, sphere)
+    if r.dim != sphere.dim:
+        raise ValueError(f"dimension mismatch: {r.dim} vs {sphere.dim}")
+    (w0,), (w1,), (res,) = _sphere_parts(r.rep[None], sphere.rep0, sphere.rep1)
     if res > 1e-10:
         raise ValueError(f"ray is not on the sphere: membership residual {res:.3e}")
-    w0 = complex(np.vdot(sphere.rep0, r.rep))
-    w1 = complex(np.vdot(sphere.rep1, r.rep))
-    return RiemannCoordinate.from_pair(w0, w1)
+    return RiemannCoordinate.from_pair(complex(w0), complex(w1))
 
 
 def _area_element(sphere: SpannedSphere, theta, phi) -> np.ndarray:

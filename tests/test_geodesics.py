@@ -13,7 +13,7 @@ from projqm.cli import _random_pairs, _random_state, main
 from projqm.geodesics import (ChartPoint, integrate_geodesic, integrated_pair_distances,
                               lie_derivative_normal, ray_to_chart,
                               total_geodesy_certificate)
-from projqm.projective import (Ray, SpannedSphere, _fs_distances, _membership_rows,
+from projqm.projective import (Ray, _fs_distances, _sphere_parts, _unit,
                                fs_distance, project)
 from tests.conftest import random_unit, unit_vectors
 
@@ -419,7 +419,6 @@ class TestDop853Engine:
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         a, b = project(random_unit(rng, dim)), project(random_unit(rng, dim))
         e0, e1, cos_d, sin_d, _ = aligned_frame(a, b)
-        sphere = SpannedSphere(rep0=e0, rep1=e1)
         chart = ray_to_chart(a)
         k, keep = chart.base_index, np.arange(dim) != chart.base_index
         w0 = (e1[keep] * e0[k] - e0[keep] * e1[k]) / e0[k] ** 2  # aim chi = 0, as _shoot
@@ -429,7 +428,7 @@ class TestDop853Engine:
         m = dim - 1
 
         def membership(base, t):
-            return _membership_rows(geodesics._homogeneous(base, t), sphere)
+            return _sphere_parts(_unit(geodesics._homogeneous(base, t)), e0, e1)[2]
 
         at_steps = membership(bases, y[:, :m])
         between = []
@@ -1042,10 +1041,10 @@ def _untrimmed_shots(monkeypatch):
     compared = []
     original = geodesics._shoot
 
-    def both(a, e1, cos_d, sin_d, chi, length, dt, sphere):
-        shot = original(a, e1, cos_d, sin_d, chi, length, dt, sphere)
+    def both(a, e1, cos_d, sin_d, chi, length, dt):
+        shot = original(a, e1, cos_d, sin_d, chi, length, dt)
         full = min(math.atan2(sin_d, cos_d) + 0.15, math.pi / 2.0 + 0.2)
-        assert original(a, e1, cos_d, sin_d, chi, full, dt, sphere) == shot
+        assert original(a, e1, cos_d, sin_d, chi, full, dt) == shot
         compared.append((chi, length, full))
         return shot
 
@@ -1076,14 +1075,13 @@ def test_shots_at_the_bracket_ends_equal_their_untrimmed_shots(rng, dt, monkeypa
     for _ in range(12):
         dim = int(rng.integers(3, 6))
         a, b = project(random_unit(rng, dim)), project(random_unit(rng, dim))
-        e0, e1, cos_d, sin_d, _ = aligned_frame(a, b)
+        _, e1, cos_d, sin_d, _ = aligned_frame(a, b)
         target = math.atan2(sin_d, cos_d)
         width = geodesics._aim_half_width(dim, target, dt)
         length = geodesics._stop_after(geodesics._reach(target, width), dt,
                                        min(target + 0.15, math.pi / 2.0 + 0.2))
-        sphere = SpannedSphere(rep0=e0, rep1=e1)
         for chi in (-width, width):
-            geodesics._shoot(a, e1, cos_d, sin_d, chi, length, dt, sphere)
+            geodesics._shoot(a, e1, cos_d, sin_d, chi, length, dt)
     assert len(compared) == 24
 
 

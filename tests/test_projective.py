@@ -14,7 +14,7 @@ import projqm
 import projqm.projective as projective
 from projqm.hilbert import gram_schmidt
 from projqm.projective import (GAUGE_TOL, Ray, RiemannCoordinate, SpannedSphere,
-                               _area_element, _fs_sin_cos, _gauge_fix, _row_norms,
+                               _area_element, _fs_sin_cos, _gauge_fix, _row_norms, _unit,
                                fs_distance, nonlinear_superpose, project, rays_close,
                                riemann_coordinate, sphere_area, sphere_membership,
                                transition_probability)
@@ -243,36 +243,46 @@ class TestSpannedSphere:
         scale = rng.uniform(0.5, 3.0, t.size) * np.exp(1j * rng.uniform(0, 2 * np.pi, t.size))
         return scale[:, None] * (np.cos(t)[:, None] * inside + np.sin(t)[:, None] * perp), t
 
-    def test_membership_rows_read_the_off_span_sine(self, rng):
+    def test_sphere_parts_read_the_coordinates_and_the_off_span_sine(self, rng):
         sph = self._sphere(rng, dim=5)
         z, t = self._tilted_rows(rng, sph)
-        rows = projective._membership_rows(z, sph)
-        assert np.max(np.abs(rows - np.abs(np.sin(t)))) < 1e-14
+        w0, w1, off = projective._sphere_parts(_unit(z), sph.rep0, sph.rep1)
+        assert np.max(np.abs(off - np.abs(np.sin(t)))) < 1e-14
+        assert np.max(np.abs(np.abs(w0) ** 2 + np.abs(w1) ** 2 - np.cos(t) ** 2)) < 1e-14
 
     @pytest.mark.parametrize("dim", [3, 5, 8])
-    def test_membership_rows_match_the_gauge_fixed_rows(self, rng, dim):
-        """Normalizing a row leaves the off-span norm of the gauge-fixed row,
-        up to rounding.  Each route's computed norm is within
-        ``(2 dim + 6) eps`` of the exact one for a unit row and unit basis
-        vectors: two dot products of ``dim`` terms, the subtraction, and the
-        normalizations (the gauge fix adds a second one and a rephase).  So
-        the routes differ by at most twice that."""
+    def test_sphere_parts_match_the_renormalized_and_gauge_fixed_rows(self, rng, dim):
+        """The off-span norm of rows normalized once, as a certificate shot
+        reads them, against the two old formulas: the rows normalized a
+        second time, and the gauge-fixed rows.  Each route's computed norm
+        is within ``(2 dim + 6) eps`` of the exact one for a unit row and
+        unit basis vectors: two dot products of ``dim`` terms, the
+        subtraction, and the normalizations (a second one, or the gauge
+        fix's second one and its rephase).  So the routes differ by at most
+        twice that."""
         sph = self._sphere(rng, dim=dim)
         z = np.concatenate([self._tilted_rows(rng, sph)[0],
                             rng.standard_normal((40, dim)) + 1j * rng.standard_normal((40, dim))])
-        r = _gauge_fix(z)  # the old formula: gauge-fixed rows
-        old = np.linalg.norm(r - (r @ sph.rep0.conj())[:, None] * sph.rep0
-                             - (r @ sph.rep1.conj())[:, None] * sph.rep1, axis=1)
         bound = 2.0 * (2 * dim + 6) * np.finfo(float).eps
-        assert np.max(np.abs(projective._membership_rows(z, sph) - old)) <= bound
+        rows = _unit(z)
+        off = projective._sphere_parts(rows, sph.rep0, sph.rep1)[2]
+        for r in (_unit(rows), _gauge_fix(z)):  # the old formulas
+            old = np.linalg.norm(r - (r @ sph.rep0.conj())[:, None] * sph.rep0
+                                 - (r @ sph.rep1.conj())[:, None] * sph.rep1, axis=1)
+            assert np.max(np.abs(off - old)) <= bound
 
-    def test_membership_rows_match_sphere_membership(self, rng):
-        """The row-wise helper and the one-ray function agree to rounding:
-        ``sphere_membership`` normalizes the ray's gauge-fixed representative."""
+    def test_sphere_parts_match_sphere_membership_and_riemann_coordinate(self, rng):
+        """The row-wise helper and the one-ray functions agree to rounding:
+        they read the ray's gauge-fixed representative, which differs from
+        the normalized row by a phase and rounding."""
         sph = self._sphere(rng, dim=5)
         z, _ = self._tilted_rows(rng, sph)
-        for row, value in zip(z, projective._membership_rows(z, sph)):
+        w0, w1, off = projective._sphere_parts(_unit(z), sph.rep0, sph.rep1)
+        for row, value in zip(z, off):
             assert abs(sphere_membership(row, sph) - value) < 1e-15
+        on_sphere = sph.rep0 * w0[0] + sph.rep1 * w1[0]  # row 0 lies in the span
+        coord = riemann_coordinate(on_sphere, sph)
+        assert abs(coord.z - w1[0] / w0[0]) < 1e-14
 
     def test_coordinate_roundtrip(self, rng):
         sph = self._sphere(rng, dim=5)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projqm
-from projqm import dynamics, geodesics, report
+from projqm import dynamics, geodesics, interference, report
 from projqm.cli import _finish, main, parse_two_slit_config
 from projqm.interference import TwoSlitConfig
 from projqm.report import Report, ReportEntry, digest_inputs, write_csv
@@ -521,6 +521,29 @@ def test_oversized_inputs_exit_two_at_once(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def _slits_config(path, n_wall, n_screen, slits, spread, width):
+    """A two-slit config of ``slits`` slits of ``width`` with centres spread
+    evenly over ``[-spread, spread]``; returns the ``--config`` argv."""
+    centers = ", ".join(repr(float(c)) for c in np.linspace(-spread, spread, slits))
+    path.write_text(f"n_wall = {n_wall}\nn_screen = {n_screen}\nslit_width = {width}\n"
+                    f"slit_centers = {centers}\n")
+    return ["two-slit", "--config", str(path)]
+
+
+def test_too_many_slits_exit_two_at_once(tmp_path, capsys):
+    """64 slits on 2^20-point grids, inside the grid bound, would hold about
+    13 GiB: refused before the propagation builds anything, as the other
+    sizes are."""
+    argv = _slits_config(tmp_path / "slits.cfg", 2**20, 2**20, 64, 1.6e-4, 2e-6)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code = main(argv + ["--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "error: 64 slits" in capsys.readouterr().err.strip().splitlines()[-1]
+    assert not out.exists()
+
+
 def _traced_peak(argv):
     tracemalloc.start()
     try:
@@ -571,6 +594,21 @@ def test_the_sweep_bound_counts_every_byte_a_pair_sweep_holds(tmp_path, monkeypa
             "--certificates", "0", "--dt", repr(dt)]
     peak = _traced_peak(argv + ["--out", str(tmp_path / "out")])
     monkeypatch.setattr(geodesics, "_MAX_SWEEP_BYTES", peak - _FIXED_BYTES)
+    assert main(argv + ["--out", str(tmp_path / "refused")]) == 2
+
+
+@pytest.mark.parametrize("n_wall, n_screen, slits, spread, width", [
+    (16384, 16384, 16, 1.6e-4, 2e-6),  # the transform rows dominate
+    (4096, 16384, 8, 1.6e-4, 2e-6),
+    (65536, 4096, 16, 1e-5, 2e-7),  # slits close together: the wall rows dominate
+])
+def test_the_slit_bound_counts_every_byte_a_two_slit_run_holds(tmp_path, monkeypatch, n_wall,
+                                                               n_screen, slits, spread, width):
+    """As for the flow: cut to the measured peak, less the fixed bytes, the
+    budget refuses the two-slit run that was measured."""
+    argv = _slits_config(tmp_path / "slits.cfg", n_wall, n_screen, slits, spread, width)
+    peak = _traced_peak(argv + ["--out", str(tmp_path / "out")])
+    monkeypatch.setattr(interference, "_MAX_SLIT_BYTES", peak - _FIXED_BYTES)
     assert main(argv + ["--out", str(tmp_path / "refused")]) == 2
 
 
