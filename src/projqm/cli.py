@@ -46,9 +46,9 @@ from .dynamics import (expectation_rate, flow_integrate, flow_vs_exact_deviation
 from .geodesics import _check_sweep, integrated_pair_distances, total_geodesy_certificate
 from .hilbert import (as_hermitian, commutator_expectation, expectation, gram_schmidt,
                       sigma_x, sigma_y, sigma_z)
-from .interference import (TwoSlitConfig, fringe_spacing, noncommuting_control,
+from .interference import (TwoSlitConfig, _top_hat, fringe_spacing, noncommuting_control,
                            pattern_rows, phase_invariance_check, projector_poisson_check,
-                           propagate_to_screen, slit_states)
+                           propagate_to_screen)
 from .kahler import (derive_observable_scale_factor, hamiltonian_vector_field,
                      killing_residual, poisson_bracket, riemannian_product,
                      uncertainty_audit)
@@ -158,7 +158,9 @@ def _random_pairs(rng: np.random.Generator, dim: int, count: int):
     while got < count:
         z = rng.standard_normal((min(count - got, _DRAW_BLOCK), 2, 2, dim))
         v = (z[:, :, 0] + 1j * z[:, :, 1]).reshape(-1, dim)
-        v = _gauge_fix(_unit(v, _row_norms), _row_norms)
+        del z  # each draw is freed before the next array of its size is made
+        v = _unit(v, _row_norms)
+        v = _gauge_fix(v, _row_norms)
         va, vb = v[0::2], v[1::2]
         c = _modulus(np.vecdot(va, vb))
         ok = (1e-3 < c) & (c < 0.999)
@@ -392,8 +394,8 @@ def cmd_two_slit(args) -> int:
                1e-12 * scale, lambda_phase=math.pi / 3.0, **cfg_ins)
 
     if len(config.slit_centers) >= 2:
-        s = slit_states(wall)
-        at = project(s[0] + s[1])  # the equal which-slit superposition
+        # the equal which-slit superposition
+        at = project(_top_hat(wall, 0) + _top_hat(wall, 1))
         report.add("projector_poisson_disjoint",
                    projector_poisson_check(wall, at), 1e-12 * scale, **cfg_ins)
         control = noncommuting_control(wall, at)

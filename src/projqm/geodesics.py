@@ -527,11 +527,11 @@ _MAX_SWEEP_BYTES = 2**30
 def _check_sweep(shapes, dt: float) -> None:
     """Raise ``ValueError`` if sweeping pair stacks of ``shapes``, a ``(pairs,
     dim)`` per item, at the step ``dt`` would take more than
-    :data:`_MAX_SWEEP_BYTES`: twelve ``(pairs, dim)`` complex arrays per item
+    :data:`_MAX_SWEEP_BYTES`: ten ``(pairs, dim)`` complex arrays per item
     (the stacks beside the temporaries of drawing them or of their frames)
     and 32 B per pair for each sample :func:`_march` may take."""
     samples = min(_SWEEP_LENGTH / dt, _MAX_STEPS) + 2.0 if 0.0 < dt else 0.0
-    need = sum(16.0 * 12 * pairs * dim + 32.0 * samples * pairs for pairs, dim in shapes)
+    need = sum(16.0 * 10 * pairs * dim + 32.0 * samples * pairs for pairs, dim in shapes)
     if need > _MAX_SWEEP_BYTES:
         raise ValueError(f"a sweep of {sum(p for p, _ in shapes)} pairs at dt {dt!r} holds "
                          f"about {need / 2**20:.0f} MiB, more than {_MAX_SWEEP_BYTES >> 20} MiB")

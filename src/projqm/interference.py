@@ -43,7 +43,7 @@ import numpy as np
 from .kahler import KahlerScale, _hamiltonian_lift, symplectic_eval
 # unused; perfbench's test_tracer_wraps_every_namespace_and_restores_them needs it bound
 from .kahler import poisson_bracket  # noqa: F401
-from .projective import Ray, _row_norms, _unit
+from .projective import Ray
 
 __all__ = [
     "TwoSlitConfig",
@@ -163,11 +163,18 @@ def gaussian_input(wall: SlitWall, waist: float) -> np.ndarray:
     return psi / norm
 
 
+def _top_hat(wall: SlitWall, i: int) -> np.ndarray:
+    """Unit-norm top-hat state of slit ``i``: ``1 / sqrt(b - a)`` on its
+    ``b - a`` cells, in closed form (a row of ones over its norm, bit for
+    bit)."""
+    a, b = wall.slit_supports[i]
+    return wall.apply_slit(i, np.full(wall.dim, 1.0 / math.sqrt(b - a)))
+
+
 def slit_states(wall: SlitWall) -> list[np.ndarray]:
-    """Unit-norm top-hat state for each slit (pairwise orthogonal)."""
-    ones = np.ones(wall.dim, dtype=np.complex128)
-    states = np.array([wall.apply_slit(i, ones) for i in range(wall.n_slits)])
-    return list(_unit(states, _row_norms))
+    """Unit-norm top-hat state for each slit (pairwise orthogonal), each in
+    closed form (:func:`_top_hat`)."""
+    return [_top_hat(wall, i) for i in range(wall.n_slits)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,9 +189,11 @@ class InterferencePattern:
     |phi_i|^2 + 2 * cross``) measure identities, so both sit at rounding level;
     ``total_screen_probability`` is at most the norm the wall passed.
     :func:`propagate_to_screen`, the one builder of patterns, computes each
-    field once and keeps the rows it propagated (``_segments``: row ``i`` is
-    ``P_i psi`` on the slit span) and its chirp-z operator (``_operator``), so
-    that :func:`phase_invariance_check` propagates the rephased rows with it.
+    field once and keeps the one row it propagated in one piece
+    (``_projected``: the wall-projected state ``P psi = sum_i P_i psi`` on
+    the slit span, read-only) and its chirp-z operator (``_operator``), so
+    that :func:`phase_invariance_check` propagates that row and its rephasing
+    with it.
     """
 
     screen_positions: np.ndarray
@@ -199,7 +208,7 @@ class InterferencePattern:
     decomposition_residual: float
     intensity_identity_residual: float
     total_screen_probability: float
-    _segments: np.ndarray = field(repr=False)
+    _projected: np.ndarray = field(repr=False)
     _operator: _ChirpZ = field(repr=False)
 
     @property
@@ -216,6 +225,9 @@ _MAX_GRID_POINTS = 2**20
 
 #: Most bytes the per-slit rows of a two-slit run may take.
 _MAX_SLIT_BYTES = 2**30
+
+#: Bound on every Fresnel phase term a screen may reach: far below overflow.
+_MAX_PHASE = 2.0**1000
 
 
 def _transform_shape(wall: SlitWall, n: int) -> tuple[int, int, int]:
@@ -296,49 +308,57 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
     Every ``P_i psi`` vanishes off slit ``i``, so the quadrature runs over
     the span of cells from the first slit cell to the last, as one chirp-z
     operator (:class:`_ChirpZ`) built once per call.  Each slit's component,
-    ``apply_slit(i, psi)`` cut to the span, is built once as a read-only row
-    the pattern keeps, and propagated on its own, in one batched transform;
-    the wall-projected state, the sum of those rows, is also propagated in
-    one piece, and the two routes must agree within ``_LINEARITY_TOL``
-    (times the peak amplitude, floored at 1), or ``RuntimeError`` is raised.
-    Every other field of the pattern is computed once, from the per-slit
-    amplitudes and their coherent sum, and every array is made read-only.
+    ``apply_slit(i, psi)`` cut to the span, is propagated on its own, in one
+    batched transform; the wall-projected state, the sum of those rows, is
+    propagated in one piece and kept, read-only, on the pattern.  The two
+    routes must agree within ``_LINEARITY_TOL`` (times the peak amplitude,
+    floored at 1), or ``RuntimeError`` is raised, NaN included.  Every other
+    field of the pattern is computed once, from the per-slit amplitudes and
+    their coherent sum, and every array is made read-only.
 
     ``paraxial_ok`` on the result flags whether the geometry is comfortably
     paraxial (propagation distance at least ten times the transverse
     extent); the kernel is still applied when it is not, but the far-field
     fringe oracle should not be trusted there.
 
-    ``ValueError`` refuses, before any propagation array is built, more
-    slits than fit in :data:`_MAX_SLIT_BYTES`, each (and one more) counted
-    at two span rows and three transform rows (:func:`phase_invariance_check`
-    peaks there), two screen rows and three wall rows (the slit states).
+    ``ValueError`` refuses, before any propagation array is built, a screen
+    whose Fresnel phases overflow (each phase term of :class:`_ChirpZ` is at
+    most ``(extent)^2 max(n, w)`` times ``max(1, pi / (lam L))``, which must
+    stay below :data:`_MAX_PHASE`), and more slits than fit in
+    :data:`_MAX_SLIT_BYTES`, each (and one more) counted at one span row,
+    two transform rows and two screen rows (this call's own) and one wall
+    row (the bracket check's lift of that slit).
     """
-    if not (wavelength > 0.0 and distance > 0.0):
-        raise ValueError("wavelength and distance must be positive")
+    lamL = wavelength * distance
+    if not (wavelength > 0.0 and distance > 0.0 and 0.0 < lamL < math.inf):
+        raise ValueError("wavelength and distance must be positive, with a finite nonzero product")
     if not 8 <= n_screen <= _MAX_GRID_POINTS or screen_halfwidth <= 0.0:
         raise ValueError(f"screen needs positive halfwidth and 8 to {_MAX_GRID_POINTS} points")
     psi = np.asarray(psi_in, dtype=np.complex128)
     if psi.shape != (wall.dim,):
         raise ValueError(f"input state must have shape ({wall.dim},), got {psi.shape}")
+    extent = float(np.max(np.abs(wall.grid))) + screen_halfwidth
+    if not extent * extent * max(n_screen, wall.dim) * max(1.0, math.pi / lamL) < _MAX_PHASE:
+        raise ValueError(f"a screen of halfwidth {screen_halfwidth!r} gives Fresnel phases that "
+                         f"overflow at wavelength x distance {lamL!r}; narrow the screen")
     lo, hi, size = _transform_shape(wall, n_screen)
-    need = (wall.n_slits + 1) * 16 * (2 * (hi - lo) + 3 * size + 2 * n_screen + 3 * wall.dim)
+    need = (wall.n_slits + 1) * 16 * ((hi - lo) + 2 * size + 2 * n_screen + wall.dim)
     if need > _MAX_SLIT_BYTES:
         raise ValueError(f"{wall.n_slits} slits over {hi - lo} wall cells and {n_screen} screen "
                          f"points need {need >> 20} MiB, more than {_MAX_SLIT_BYTES >> 20} MiB")
 
     x, step = np.linspace(-screen_halfwidth, screen_halfwidth, n_screen, retstep=True)
     dx = float(x[1] - x[0])
-    operator = _ChirpZ.build(wall, x, step, dx, wavelength * distance)
+    operator = _ChirpZ.build(wall, x, step, dx, lamL)
     segments = np.array([wall.apply_slit(i, psi)[operator.lo:operator.hi]
                          for i in range(wall.n_slits)])
-    segments.setflags(write=False)
     amps = tuple(operator(segments))
-    one_piece = operator(segments.sum(axis=0))
+    projected = segments.sum(axis=0)
+    one_piece = operator(projected)
     coherent = np.sum(amps, axis=0)
     scale = max(float(np.max(np.abs(one_piece))), 1.0)
     residual = float(np.max(np.abs(one_piece - coherent)))
-    if residual > _LINEARITY_TOL * scale:
+    if not residual <= _LINEARITY_TOL * scale:
         raise RuntimeError(
             f"decomposition identity violated: residual {residual:.3e} exceeds "
             f"{_LINEARITY_TOL:.1e} x {scale:.3e}"
@@ -349,9 +369,8 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
     for a, b in itertools.combinations(amps, 2):
         cross += (a * np.conj(b)).real
     incoherent = np.sum(slit_intensities, axis=0)
-    for array in (x, *amps, total, *slit_intensities, cross):
+    for array in (x, projected, *amps, total, *slit_intensities, cross):
         array.setflags(write=False)
-    extent = float(np.max(np.abs(wall.grid))) + screen_halfwidth
     return InterferencePattern(
         screen_positions=x,
         dx=dx,
@@ -365,7 +384,7 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
         decomposition_residual=residual,
         intensity_identity_residual=float(np.max(np.abs(total - (incoherent + 2.0 * cross)))),
         total_screen_probability=float(np.sum(total)),
-        _segments=segments,
+        _projected=projected,
         _operator=operator,
     )
 
@@ -401,13 +420,15 @@ def fringe_spacing(pattern: InterferencePattern) -> float:
 def phase_invariance_check(pattern: InterferencePattern, lambda_phase: float) -> float:
     """Max intensity change under a global phase on the input state.
 
-    The per-slit segments ``pattern`` keeps are rotated and propagated with
-    its chirp-z operator, so the operator is built once for both.  The
-    pattern is a ray-space functional of the input, so the result is zero
-    up to rounding for every phase.
+    ``psi`` and ``e^{i lambda} psi`` are one ray, so the pattern's
+    wall-projected row ``v`` and ``e^{i lambda} v`` go through its chirp-z
+    operator as one two-row batch, and ``|rot|^2`` is compared with
+    ``|base|^2``.  The pattern is a ray-space functional of the input, so
+    the result is zero up to rounding for every phase.
     """
-    rot = pattern._operator(np.exp(1j * lambda_phase) * pattern._segments)
-    return float(np.max(np.abs(np.abs(np.sum(rot, axis=0)) ** 2 - pattern.total_intensity)))
+    v = pattern._projected
+    base, rot = pattern._operator(np.array((v, np.exp(1j * lambda_phase) * v)))
+    return float(np.max(np.abs(np.abs(rot) ** 2 - np.abs(base) ** 2)))
 
 
 def projector_poisson_check(wall: SlitWall, at: Ray) -> float:
@@ -439,8 +460,7 @@ def noncommuting_control(wall: SlitWall, at: Ray) -> float:
         raise ValueError("need two slits for the mixing control")
     if at.dim != wall.dim:
         raise ValueError(f"ray dimension {at.dim} does not match wall {wall.dim}")
-    s = slit_states(wall)
-    v = (s[0] + 1j * s[1]) / math.sqrt(2.0)
+    v = (_top_hat(wall, 0) + 1j * _top_hat(wall, 1)) / math.sqrt(2.0)
     slit = _hamiltonian_lift(wall.apply_slit(0, at.rep), at)
     mixing = _hamiltonian_lift(v * np.vdot(v, at.rep), at)
     return abs(symplectic_eval(KahlerScale.OBSERVABLE, slit, mixing))

@@ -13,12 +13,12 @@ import pytest
 
 import projqm
 from projqm.cli import main
-from projqm.interference import (InterferencePattern, SlitWall, TwoSlitConfig, build_wall,
-                                 fringe_spacing, gaussian_input, noncommuting_control,
+from projqm.interference import (InterferencePattern, SlitWall, TwoSlitConfig, _ChirpZ,
+                                 build_wall, fringe_spacing, gaussian_input, noncommuting_control,
                                  pattern_rows, phase_invariance_check, plane_wave_input,
                                  propagate_to_screen, projector_poisson_check, slit_states)
 from projqm.kahler import poisson_bracket
-from projqm.projective import project
+from projqm.projective import _row_norms, _unit, project
 
 
 def small_wall(n_slits=2, n=256):
@@ -121,6 +121,26 @@ class TestInputs:
         gram = np.array([[np.vdot(u, v) for v in states] for u in states])
         assert np.max(np.abs(gram - np.eye(2))) < 1e-12
 
+    def test_slit_states_equal_the_normalized_stack_bit_for_bit(self):
+        """Each closed-form top hat is the row of ones on its slit over that
+        row's norm, the stack route ``_unit(stack, _row_norms)`` it replaced,
+        bit for bit: on random walls of 8 to 70,000 cells with 1 to 5 slits,
+        and on one slit covering a whole wall."""
+        rng = np.random.default_rng(30)
+        walls = [SlitWall(grid=np.arange(8.0), dy=1.0, slit_supports=((0, 8),))]
+        for _ in range(40):
+            n, k = int(rng.integers(8, 70001)), int(rng.integers(1, 6))
+            edges = np.sort(rng.choice(n + 1, size=2 * k, replace=False))
+            walls.append(SlitWall(grid=np.arange(float(n)), dy=1.0,
+                                  slit_supports=tuple(zip(edges[0::2], edges[1::2]))))
+        for wall in walls:
+            ones = np.ones(wall.dim, dtype=np.complex128)
+            stack = np.array([wall.apply_slit(i, ones) for i in range(wall.n_slits)])
+            old = _unit(stack, _row_norms)
+            new = slit_states(wall)
+            assert len(new) == wall.n_slits
+            assert all(o.tobytes() == s.tobytes() for o, s in zip(old, new))
+
 
 @pytest.fixture(scope="module")
 def pattern():
@@ -159,6 +179,33 @@ class TestPropagation:
         scaled = [p.total_intensity / p.total_screen_probability for p in (p1, p2)]
         assert np.max(np.abs(scaled[0] - scaled[1])) < 1e-12
 
+    def test_a_nan_amplitude_fails_the_linearity_guard(self):
+        """NaN compares false with everything, so the guard asks that the
+        residual be at most its tolerance, and a NaN residual fails it."""
+        wall = small_wall(n=64)
+        with pytest.raises(RuntimeError, match="decomposition identity violated"):
+            propagate_to_screen(wall, np.full(wall.dim, np.nan, dtype=np.complex128),
+                                5e-7, 1.0, 2.5e-2, 64)
+
+    @pytest.mark.parametrize("wavelength, distance, halfwidth, match", [
+        (5e-7, 1.0, 1e160, "screen of halfwidth 1e[+]160"),
+        (5e-7, 1.0, 1e308, "screen of halfwidth 1e[+]308"),
+        (1e-200, 1e-200, 2.5e-2, "finite nonzero product"),  # lam L underflows
+        (1e200, 1e200, 2.5e-2, "finite nonzero product"),  # lam L overflows
+    ])
+    def test_phases_that_overflow_are_refused_before_the_screen_is_built(
+            self, monkeypatch, wavelength, distance, halfwidth, match):
+        """A screen or ``lam L`` whose Fresnel phases overflow gave a NaN
+        pattern; it is refused with ``ValueError`` before ``np.linspace``
+        builds the screen."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the screen was built")
+        monkeypatch.setattr(np, "linspace", forbidden)
+        wall = small_wall(n=64)
+        with pytest.raises(ValueError, match=match):
+            propagate_to_screen(wall, plane_wave_input(wall), wavelength, distance,
+                                halfwidth, 64)
+
     def test_paraxial_flag(self):
         cfg = TwoSlitConfig()
         wall = cfg.make_wall()
@@ -192,10 +239,11 @@ class TestChecks:
         res = phase_invariance_check(TwoSlitConfig().run(), lambda_phase=np.pi / 3.0)
         assert res < 1e-12
 
-    def test_the_pattern_keeps_read_only_segments(self):
-        """Row ``i`` of the kept segments is ``apply_slit(i, psi)`` on the
-        slit span, and it is read-only.  Changing the caller's array after
-        the run changes neither the pattern nor the check's result."""
+    def test_the_pattern_keeps_a_read_only_projected_row(self):
+        """The kept row is the wall-projected state on the slit span, the sum
+        of the ``apply_slit(i, psi)`` rows, and it is read-only.  Changing the
+        caller's array after the run changes neither the pattern nor the
+        check's result."""
         cfg = TwoSlitConfig(n_wall=256, n_screen=256, input_profile="gaussian")
         wall = cfg.make_wall()
         psi = cfg.make_input(wall)
@@ -203,54 +251,68 @@ class TestChecks:
                                       cfg.screen_halfwidth, cfg.n_screen)
         before = phase_invariance_check(pattern, 0.5)
         intensity = pattern.total_intensity
-        kept = pattern._segments
+        kept = pattern._projected
         assert kept.dtype == np.complex128 and not kept.flags.writeable
-        rows = span_segments(wall, psi)
-        assert np.array_equal(kept, rows)
+        row = span_segments(wall, psi).sum(axis=0)
+        assert np.array_equal(kept, row)
         psi[:] = psi[::-1] * 1j
-        assert not np.array_equal(kept, span_segments(wall, psi))
-        assert np.array_equal(kept, rows)
+        assert not np.array_equal(kept, span_segments(wall, psi).sum(axis=0))
+        assert np.array_equal(kept, row)
         assert np.array_equal(pattern.total_intensity, intensity)
         assert phase_invariance_check(pattern, 0.5) == before
 
     def test_phase_invariance_reuses_the_base_kernel(self, monkeypatch):
-        """The rotated state goes through the operator ``base`` keeps: no second
-        propagation, and the residual a second propagation gave, bit for bit."""
+        """The kept row and its rotation go through the operator ``base``
+        keeps, as one two-row transform: no second propagation and no second
+        operator.  The residual stays within the rounding bound, as does
+        that of the per-slit route it replaced."""
         cfg = TwoSlitConfig(n_wall=512, n_screen=512, input_profile="gaussian")
         wall = cfg.make_wall()
         psi = cfg.make_input(wall)
-        base, rot = (propagate_to_screen(wall, p, cfg.wavelength, cfg.distance,
-                                         cfg.screen_halfwidth, cfg.n_screen)
-                     for p in (psi, np.exp(0.5j) * psi))
-        expected = float(np.max(np.abs(rot.total_intensity - base.total_intensity)))
+        args = (cfg.wavelength, cfg.distance, cfg.screen_halfwidth, cfg.n_screen)
+        base = propagate_to_screen(wall, psi, *args)
+        oracle, oracle_bound = per_slit_phase_residual(wall, psi, args, 0.5)
+        assert oracle <= oracle_bound
+        shapes = []
+        call = _ChirpZ.__call__
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("propagate_to_screen called again")
+            raise AssertionError("a second propagation or operator")
         monkeypatch.setattr("projqm.interference.propagate_to_screen", forbidden)
-        assert phase_invariance_check(base, 0.5) == expected
+        monkeypatch.setattr(_ChirpZ, "build", forbidden)
+        monkeypatch.setattr(_ChirpZ, "__call__",
+                            lambda op, rows: shapes.append(rows.shape) or call(op, rows))
+        residual = phase_invariance_check(base, 0.5)
+        assert shapes == [(2, base._projected.size)]
+        assert residual <= phase_check_bound(wall, [span_segments(wall, psi).sum(axis=0)], args)
 
     @pytest.mark.parametrize("other", ["cells", "slits", "offset"])
     def test_phase_invariance_reads_the_patterns_own_wall(self, other, monkeypatch):
         """A pattern on another cell count, other slits, or the same cells
-        and slits shifted by one cell: the check propagates the rotated
-        state on that pattern's own wall, and gives the residual a second
-        propagation on it gave, bit for bit."""
+        and slits shifted by one cell: the check propagates the kept row of
+        that pattern's own wall with an operator built for that wall, and
+        gives the residual a fresh operator on it gives, bit for bit, within
+        the rounding bound of the per-slit route."""
         cfg = TwoSlitConfig(n_wall=256, n_screen=256)
         same = cfg.make_wall()
         wall = {"cells": lambda: dataclasses.replace(cfg, n_wall=512).make_wall(),
                 "slits": lambda: dataclasses.replace(cfg, slit_centers=(-6e-5, 6e-5)).make_wall(),
                 "offset": lambda: dataclasses.replace(same, grid=same.grid + same.dy)}[other]()
         psi = plane_wave_input(wall)
-        base, rot = (propagate_to_screen(wall, p, cfg.wavelength, cfg.distance,
-                                         cfg.screen_halfwidth, cfg.n_screen)
-                     for p in (psi, np.exp(0.5j) * psi))
-        assert np.array_equal(base._segments, span_segments(wall, psi))
-        expected = float(np.max(np.abs(rot.total_intensity - base.total_intensity)))
+        args = (cfg.wavelength, cfg.distance, cfg.screen_halfwidth, cfg.n_screen)
+        base, fresh = (propagate_to_screen(wall, psi, *args) for _ in range(2))
+        v = span_segments(wall, psi).sum(axis=0)
+        assert np.array_equal(base._projected, v)
+        b, r = fresh._operator(np.array((v, np.exp(0.5j) * v)))
+        expected = float(np.max(np.abs(np.abs(r) ** 2 - np.abs(b) ** 2)))
+        oracle, oracle_bound = per_slit_phase_residual(wall, psi, args, 0.5)
+        assert oracle <= oracle_bound
 
         def forbidden(*args, **kwargs):
             raise AssertionError("propagate_to_screen called again")
         monkeypatch.setattr("projqm.interference.propagate_to_screen", forbidden)
         assert phase_invariance_check(base, 0.5) == expected
+        assert expected <= phase_check_bound(wall, [v], args)
 
     @pytest.mark.parametrize("n_slits, n", [(2, 128), (3, 2048), (2, 65536)])
     def test_disjoint_projectors_commute_everywhere(self, n_slits, n):
@@ -430,7 +492,7 @@ class TestPatternRecord:
                 arrays[f.name] = value
         assert {name.split("[")[0] for name in arrays} == {
             "screen_positions", "per_slit_amplitudes", "total_intensity",
-            "slit_intensities", "cross_term", "_segments"}
+            "slit_intensities", "cross_term", "_projected"}
         assert [name for name, a in arrays.items() if a.flags.writeable] == []
 
     def test_the_only_property_is_n_slits(self):
@@ -513,6 +575,46 @@ def rounding_bound(wall, w, wavelength, distance, screen_halfwidth, n_screen):
     norm1, norm2 = np.sum(np.abs(w)), np.linalg.norm(w)
     return pref * eps * ((21 * phi + 4 + m / 2) * norm1
                          + 10 * np.log2(size) * (n + m - 1) * norm2)
+
+
+def phase_check_bound(wall, rows, args):
+    """Largest phase-check residual that rounding explains when each of the
+    two intensities comes from the screen amplitudes of ``rows`` (states on
+    the slit span; only their norms enter), summed on the screen.
+
+    Both intensities come from operators with the same kernel arrays, so
+    the phase roundings of :func:`rounding_bound` are common to both and
+    leave the moduli alone.  What is left is that count's operator part for
+    each row: the products (``4 eps |pref| ||w||_1``, the exponentials'
+    share kept) and the three transforms (``10 eps log2 L (n + m - 1) |pref|
+    ||w||_2``); and the rotation (``sqrt(2) gamma_2`` per entry, below ``2
+    eps``) and the sum of the rows' amplitudes (``len(rows) eps / 2``), both
+    through kernel entries of modulus ``|pref|``.  So each amplitude errs by
+    at most ``d``, and two computed moduli within ``d`` of one exact modulus
+    ``r <= |pref| ||w||_1`` have squares at most ``4 d (r + d)`` apart.
+    """
+    eps = np.finfo(np.float64).eps
+    wavelength, distance, screen_halfwidth, n_screen = args
+    x = np.linspace(-screen_halfwidth, screen_halfwidth, n_screen)
+    cells = np.flatnonzero(union_mask(wall))
+    n, m = n_screen, int(cells[-1]) + 1 - int(cells[0])
+    size = 1 << (n + m - 2).bit_length()
+    pref = np.sqrt(wall.dy * (x[1] - x[0]) / (wavelength * distance))
+    norm1 = [np.sum(np.abs(w)) for w in rows]
+    d = pref * eps * sum((6 + len(rows) / 2) * n1 + 10 * np.log2(size) * (n + m - 1)
+                         * np.linalg.norm(w) for w, n1 in zip(rows, norm1))
+    r = pref * sum(norm1)
+    return 4.0 * d * (r + d)
+
+
+def per_slit_phase_residual(wall, psi, args, lambda_phase):
+    """The per-slit route of the phase check, as the oracle: ``e^{i lambda}
+    psi`` propagated slit by slit in a second run, its total intensity
+    against the first run's; and :func:`phase_check_bound` on its slit rows."""
+    base, rot = (propagate_to_screen(wall, p, *args)
+                 for p in (psi, np.exp(1j * lambda_phase) * psi))
+    residual = float(np.max(np.abs(rot.total_intensity - base.total_intensity)))
+    return residual, phase_check_bound(wall, list(span_segments(wall, psi)), args)
 
 
 @pytest.mark.parametrize("centers, n_wall, n_screen, distance", [

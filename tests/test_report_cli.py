@@ -11,6 +11,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -521,6 +522,29 @@ def test_oversized_inputs_exit_two_at_once(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("warnings_as_errors", [True, False], ids=["W-error", "default"])
+@pytest.mark.parametrize("centers", ["0", "-5e-5, 5e-5"], ids=["one-slit", "two-slits"])
+@pytest.mark.parametrize("halfwidth", ["1e160", "1e308"])
+def test_a_screen_whose_phases_overflow_exits_two(tmp_path, capsys, halfwidth, centers,
+                                                  warnings_as_errors):
+    """A screen so wide that its Fresnel phases overflow is refused: exit 2,
+    one error line that names the screen, and no output, whether or not a
+    RuntimeWarning is an error.  Unrefused, it gave a NaN pattern: with one
+    slit a report of ``NaN`` residuals, not strict JSON, and exit 1; with
+    two, numpy's error message; under ``-W error``, a traceback."""
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(f"screen_halfwidth = {halfwidth}\nslit_centers = {centers}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error" if warnings_as_errors else "default", RuntimeWarning)
+        code = main(["two-slit", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: a screen of halfwidth {float(halfwidth)!r} ")
+    assert not out.exists()
+
+
 def _slits_config(path, n_wall, n_screen, slits, spread, width):
     """A two-slit config of ``slits`` slits of ``width`` with centres spread
     evenly over ``[-spread, spread]``; returns the ``--config`` argv."""
@@ -532,7 +556,7 @@ def _slits_config(path, n_wall, n_screen, slits, spread, width):
 
 def test_too_many_slits_exit_two_at_once(tmp_path, capsys):
     """64 slits on 2^20-point grids, inside the grid bound, would hold about
-    13 GiB: refused before the propagation builds anything, as the other
+    7.9 GiB: refused before the propagation builds anything, as the other
     sizes are."""
     argv = _slits_config(tmp_path / "slits.cfg", 2**20, 2**20, 64, 1.6e-4, 2e-6)
     out = tmp_path / "out"
@@ -600,7 +624,8 @@ def test_the_sweep_bound_counts_every_byte_a_pair_sweep_holds(tmp_path, monkeypa
 @pytest.mark.parametrize("n_wall, n_screen, slits, spread, width", [
     (16384, 16384, 16, 1.6e-4, 2e-6),  # the transform rows dominate
     (4096, 16384, 8, 1.6e-4, 2e-6),
-    (65536, 4096, 16, 1e-5, 2e-7),  # slits close together: the wall rows dominate
+    (65536, 4096, 16, 1e-5, 2e-7),  # slits close together: the bracket lifts dominate
+    (65536, 4096, 48, 1e-5, 2e-7),  # many of them, so the lifts dominate the peak
 ])
 def test_the_slit_bound_counts_every_byte_a_two_slit_run_holds(tmp_path, monkeypatch, n_wall,
                                                                n_screen, slits, spread, width):
