@@ -226,7 +226,8 @@ _MAX_GRID_POINTS = 2**20
 #: Most bytes the per-slit rows of a two-slit run may take.
 _MAX_SLIT_BYTES = 2**30
 
-#: Bound on every Fresnel phase term a screen may reach: far below overflow.
+#: Most the Fresnel phase scale of a geometry may reach: 2^24 below overflow,
+#: room for the small factors between it and each phase term.
 _MAX_PHASE = 2.0**1000
 
 
@@ -322,9 +323,10 @@ def propagate_to_screen(wall: SlitWall, psi_in, wavelength: float, distance: flo
     fringe oracle should not be trusted there.
 
     ``ValueError`` refuses, before any propagation array is built, a screen
-    whose Fresnel phases overflow (each phase term of :class:`_ChirpZ` is at
-    most ``(extent)^2 max(n, w)`` times ``max(1, pi / (lam L))``, which must
-    stay below :data:`_MAX_PHASE`), and more slits than fit in
+    whose Fresnel phases could overflow (each phase term of :class:`_ChirpZ`
+    is within a factor of ten of the squared transverse extent times
+    ``max(n, w)`` times ``max(1, pi / (lam L))``, which must stay below
+    :data:`_MAX_PHASE`), and more slits than fit in
     :data:`_MAX_SLIT_BYTES`, each (and one more) counted at one span row,
     two transform rows and two screen rows (this call's own) and one wall
     row (the bracket check's lift of that slit).
